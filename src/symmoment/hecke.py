@@ -1,15 +1,16 @@
 """Level-1 eigenform q-expansions and symmetric-power coefficients.
 
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
-of weights 12, 16, 18, 20, 22, 26, built from the sparse eta-cube series
-and Eisenstein multiplications. Normalized values lam(n) = a(n)/n^((k-1)/2)
-feed the Satake angles, the symmetric-power values at prime powers, and a
-multiplicative sieve over n <= N.
+of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
+the sparse eta-cube series and one Eisenstein series. Normalized values
+lam(n) = a(n)/n^((k-1)/2) feed the Satake angles, the symmetric-power
+values at prime powers, and a multiplicative sieve over n <= N.
 
-Series multiplication packs coefficient vectors into single big integers
-(Kronecker substitution) so the convolution runs through one large integer
-product; gmpy2 supplies an FFT multiply when installed, plain Python ints
-otherwise. Exactness does not depend on which backend is active.
+The q-expansion is multi-modular. For each of a few primes below 2^21 the
+series products run on int64 residues through numpy float FFTs of 11-bit
+halves, and the integers are rebuilt by Garner's CRT. The number of primes
+comes from the Deligne bound, so the rebuilt integers are exact, and every
+FFT product checks its rounding margin before its residues are used.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
+
+import numpy as np
 
 from .errors import CapacityError, ConsistencyError
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = int
 
 DEFAULT_LIMIT = 100_000
 HARD_CAP = 1_000_000
@@ -43,121 +43,210 @@ def _check_limit(n: int, limit: int | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact truncated series arithmetic
+# multi-modular series arithmetic
+
+PRIME_CEIL = 1 << 21
+
+# residues are split into 11-bit halves before the float convolution
+_HALF_BITS = 11
+# a convolution value this far from an integer means the float FFT lost
+# exactness; correct products stay below 1e-5 at HARD_CAP
+_ROUND_GUARD = 0.25
+# digits turned into Python ints per pass, which bounds the temporaries
+_CHUNK = 1 << 16
 
 
-def _pack_signed(coeffs, nbytes):
-    # pos/neg split keeps to_bytes applicable; difference restores signs
-    pos = bytearray(len(coeffs) * nbytes)
-    neg = bytearray(len(coeffs) * nbytes)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * nbytes : i * nbytes + nbytes] = c.to_bytes(nbytes, "little")
-        elif c < 0:
-            neg[i * nbytes : i * nbytes + nbytes] = (-c).to_bytes(nbytes, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def crt_primes(weight: int, N: int) -> list:
+    """Primes below PRIME_CEIL, largest first, whose product exceeds 2B.
 
-
-def _unpack_balanced(low, nbytes, n_out):
-    """Recover signed digits from low = packed value mod 2^(8*nbytes*(n_out+1)).
-
-    Digits live in (-2^(B-1), 2^(B-1)) by the slack built into nbytes, so
-    each base-2^B digit of the nonnegative residue maps back to the signed
-    value by subtracting the base when it crosses half, carrying upward.
+    B = 2 N^(k/2) is the Deligne bound: |a(n)| <= d(n) n^((k-1)/2) with
+    d(n) <= 2 sqrt(n), so every a(n) with n <= N lies in [-B, B], and a
+    modulus above 2B gives each such integer its own balanced residue.
     """
-    data = low.to_bytes(nbytes * (n_out + 1), "little")
-    half = 1 << (8 * nbytes - 1)
-    full = half << 1
-    out = [0] * n_out
-    carry = 0
-    for i in range(n_out):
-        d = int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = d
-    return out
+    need = 2 * (2 * N ** (weight // 2))
+    small = primes_up_to(math.isqrt(PRIME_CEIL))
+    primes = []
+    prod = 1
+    cand = PRIME_CEIL - 1
+    while prod <= need:
+        if all(cand % q for q in small):
+            primes.append(cand)
+            prod *= cand
+        cand -= 2
+    return primes
 
 
-def series_mul(a, b, n_out):
-    """Exact product of integer power series a*b truncated to n_out terms.
+def _fft_size(n):
+    # smallest 2^a 3^b 5^c >= n
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Input lists are coefficient vectors indexed by exponent. Runs through a
-    single big-integer multiply via Kronecker packing; the digit width is
-    sized from min(len) * max|a| * max|b| so no convolution sum can wrap.
+
+def _halves(x, p):
+    # balanced residue in (-p/2, p/2], then lo in [-2^10, 2^10), hi in [-2^9, 2^9]
+    x = np.asarray(x, dtype=np.int64)
+    x = np.where(x > p // 2, x - p, x)
+    hi = (x + (1 << (_HALF_BITS - 1))) >> _HALF_BITS
+    return x - (hi << _HALF_BITS), hi
+
+
+def _rounded(x):
+    # x is overwritten with its distance to r
+    r = np.rint(x)
+    x -= r
+    dist = np.abs(x, out=x).max()
+    if dist >= _ROUND_GUARD:
+        raise ConsistencyError(f"FFT rounding distance {dist:.3g} >= {_ROUND_GUARD}")
+    return r.astype(np.int64)
+
+
+def series_mul(a, b, n_out, p):
+    """Product of power series a*b mod p, truncated to n_out terms.
+
+    a and b hold residues in [0, p) with p < PRIME_CEIL, indexed by
+    exponent. Each residue is balanced and split into 11-bit halves, and the
+    three half products are float FFT convolutions whose exact values stay
+    below 2^40 at HARD_CAP, far inside double precision. A rounding distance
+    of 0.25 anywhere raises ConsistencyError instead of returning a
+    wrong residue. Returns an int64 array of n_out residues.
     """
-    a = a[:n_out]
-    b = b[:n_out]
-    ma = max(map(abs, a), default=0)
-    mb = max(map(abs, b), default=0)
-    if ma == 0 or mb == 0:
-        return [0] * n_out
-    bound = min(len(a), len(b)) * ma * mb
-    nbytes = (bound.bit_length() + 2 + 7) // 8
-    va = _pack_signed(a, nbytes)
-    vb = va if b is a else _pack_signed(b, nbytes)
-    prod = _mpz(va) * _mpz(vb)
-    window = 8 * nbytes * (n_out + 1)
-    # mask instead of %: bitwise AND stays linear-time on both backends
-    low = int(prod & ((_mpz(1) << window) - 1))
-    return _unpack_balanced(low, nbytes, n_out)
-
-
-def _eta_cube(n_terms):
-    # eta-tilde^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), pentagonal-style sparsity
-    out = [0] * n_terms
-    k = 0
-    while k * (k + 1) // 2 < n_terms:
-        out[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
-        k += 1
-    return out
-
-
-def _delta_tau(N):
-    # tau(n) for n = 0..N; the q-shift moves eta^24 exponent n-1 to n
-    s = _eta_cube(N)
-    s = series_mul(s, s, N)
-    s = series_mul(s, s, N)
-    s = series_mul(s, s, N)
-    tau = [0] * (N + 1)
-    tau[1 : N + 1] = s[:N]
-    return tau
-
-
-def _divisor_power_sum(power, N):
-    sig = [0] * (N + 1)
-    for d in range(1, N + 1):
-        dp = d**power
-        for m in range(d, N + 1, d):
-            sig[m] += dp
-    return sig
-
-
-def _eisenstein(weight, N):
-    # only the two generators are ever needed
-    if weight == 4:
-        mult, power = 240, 3
-    elif weight == 6:
-        mult, power = -504, 5
+    fft = np.fft
+    a_lo, a_hi = _halves(a[:n_out], p)
+    b_lo, b_hi = (a_lo, a_hi) if b is a else _halves(b[:n_out], p)
+    size = _fft_size(len(a_lo) + len(b_lo) - 1)
+    fa_lo, fa_hi = fft.rfft(a_lo, size), fft.rfft(a_hi, size)
+    if b is a:
+        fb_lo, fb_hi = fa_lo, fa_hi
     else:
-        raise ValueError(f"no Eisenstein generator of weight {weight}")
-    sig = _divisor_power_sum(power, N)
-    out = [mult * s for s in sig]
-    out[0] = 1
+        fb_lo, fb_hi = fft.rfft(b_lo, size), fft.rfft(b_hi, size)
+    lo = _rounded(fft.irfft(fa_lo * fb_lo, size)[:n_out])
+    mid = _rounded(fft.irfft(fa_lo * fb_hi + fa_hi * fb_lo, size)[:n_out])
+    hi = _rounded(fft.irfft(fa_hi * fb_hi, size)[:n_out])
+    out = np.zeros(n_out, dtype=np.int64)
+    out[: len(lo)] = (
+        lo + (mid % p << _HALF_BITS) + hi % p * pow(2, 2 * _HALF_BITS, p)
+    ) % p
     return out
 
 
-# weight -> extra Eisenstein factors on top of Delta
-_EIGENFORM_RECIPE = {
-    12: (),
-    16: (4,),
-    18: (6,),
-    20: (4, 4),
-    22: (4, 6),
-    26: (4, 4, 6),
+def _eta_six(n_terms):
+    """eta-tilde^6 over the integers, the first of the three squarings.
+
+    eta-tilde^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) has about sqrt(2 n_terms)
+    terms, each below 2^12 at HARD_CAP, so its square stays below 2^34 and
+    one float FFT product is exact; this squaring is then shared by all
+    primes.
+    """
+    k = np.arange(math.isqrt(2 * n_terms) + 2, dtype=np.int64)
+    k = k[k * (k + 1) // 2 < n_terms]
+    eta3 = np.zeros(n_terms, dtype=np.int64)
+    eta3[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
+    size = _fft_size(2 * n_terms - 1)
+    f = np.fft.rfft(eta3, size)
+    return _rounded(np.fft.irfft(f * f, size)[:n_terms])
+
+
+def _sigma_mod(power, n_terms, p):
+    """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0).
+
+    Each m = d*q with d <= q is visited once, from the row of d: one numpy
+    slice step per d <= sqrt(m), adding d^power + q^power (d^power once
+    when q = d).
+    """
+    m = np.arange(n_terms, dtype=np.int64) % p
+    pw = m
+    for _ in range(power - 1):
+        pw = pw * m % p
+    sig = np.zeros(n_terms, dtype=np.int64)
+    for d in range(1, math.isqrt(n_terms - 1) + 1):
+        top = (n_terms - 1) // d
+        sig[d * d :: d] += pw[d : top + 1] + pw[d]
+        sig[d * d] -= pw[d]
+    return sig % p
+
+
+# weight -> (c, r): the eigenform is Delta * E_{weight-12}, and each of
+# these Eisenstein spaces is one-dimensional, E = 1 + c sum sigma_r(n) q^n
+_EISENSTEIN = {
+    16: (240, 3),
+    18: (-504, 5),
+    20: (480, 7),
+    22: (-264, 9),
+    26: (-24, 13),
 }
+
+
+def _eigenform_mod(weight, eta6, p):
+    # a(n+1) mod p for n = 0..N-1, as eta^24 * E_{weight-12}; eta^24 is
+    # eta^6 squared twice, and the q-shift is left to the caller
+    N = len(eta6)
+    s = eta6 % p
+    for _ in range(2):
+        s = series_mul(s, s, N, p)
+    if weight in _EISENSTEIN:
+        c, r = _EISENSTEIN[weight]
+        e = _sigma_mod(r, N, p) * (c % p) % p
+        e[0] = 1
+        s = series_mul(s, e, N, p)
+    return s
+
+
+def _crt_balanced(primes, residues):
+    """Integers x with |x| < M/2, M = prod(primes), from their residues.
+
+    `residues` yields one int64 array per prime, in order. Garner's
+    method turns each into a mixed-radix digit as it arrives, so only the
+    digits are kept; the offset H = (M-1)/2 makes every digit string that
+    of x + H >= 0. Digits are packed three to an int64 limb (three primes
+    below 2^21 multiply to less than 2^63), H is subtracted limb by limb,
+    and the signed limbs are combined as Python ints one chunk at a time.
+    """
+    half = math.prod(primes) // 2
+    digits = []
+    for i, (p, v) in enumerate(zip(primes, residues)):
+        v = v + half % p
+        if digits:
+            # v -= (digits so far, evaluated mod p); v /= p_0 ... p_{i-1}
+            t = digits[-1].astype(np.int64)
+            for d, q in zip(reversed(digits[:-1]), reversed(primes[: i - 1])):
+                t *= q
+                t += d
+                t %= p
+            v -= t
+            v *= pow(math.prod(primes[:i]), -1, p)
+        v %= p
+        digits.append(v.astype(np.int32))
+    groups = [(primes[g : g + 3], digits[g : g + 3]) for g in range(0, len(primes), 3)]
+    radices = [math.prod(ps) for ps, _ in groups]
+    offsets = []
+    for radix in radices:
+        half, h = divmod(half, radix)
+        offsets.append(h)
+    out = []
+    for lo in range(0, len(digits[0]), _CHUNK):
+        limbs = []
+        for (ps, ds), h in zip(groups, offsets):
+            limb = ds[-1][lo : lo + _CHUNK].astype(np.int64)
+            for d, q in zip(reversed(ds[:-1]), reversed(ps[:-1])):
+                limb *= q
+                limb += d[lo : lo + _CHUNK]
+            limb -= h
+            limbs.append(limb.tolist())
+        acc = limbs[-1]
+        for limb, radix in zip(reversed(limbs[:-1]), reversed(radices[:-1])):
+            acc = list(map(add, map(mul, acc, repeat(radix)), limb))
+        out += acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,29 +298,21 @@ def _normalize(raw, weight):
 
 def delta_qexp(N: int, limit: int | None = None) -> EigenformTable:
     """Weight-12 table with raw = Ramanujan tau(1..N)."""
-    _check_limit(N, limit)
-    tau = _delta_tau(N)
-    return EigenformTable(
-        weight=12, limit=N, raw=tuple(tau), normalized=tuple(_normalize(tau, 12))
-    )
+    return eigenform_qexp(12, N, limit)
 
 
 def eigenform_qexp(weight: int, N: int, limit: int | None = None) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight."""
-    if weight not in _EIGENFORM_RECIPE:
+    if weight not in SUPPORTED_WEIGHTS:
         raise ValueError(
             f"weight {weight} not supported; choose from {SUPPORTED_WEIGHTS}"
         )
     _check_limit(N, limit)
-    terms = N + 1
-    series = _delta_tau(N)
-    for ew in _EIGENFORM_RECIPE[weight]:
-        series = series_mul(series, _eisenstein(ew, terms), terms)
+    primes = crt_primes(weight, N)
+    eta6 = _eta_six(N)
+    raw = [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
     return EigenformTable(
-        weight=weight,
-        limit=N,
-        raw=tuple(series),
-        normalized=tuple(_normalize(series, weight)),
+        weight=weight, limit=N, raw=tuple(raw), normalized=tuple(_normalize(raw, weight))
     )
 
 
@@ -380,27 +461,29 @@ def save_table(form: EigenformTable, cache_dir: str) -> str:
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back, re-validating; None when absent.
 
+    Rows must run n = 1..N in order, each with exactly two integer fields.
     A malformed or failing file raises ConsistencyError rather than being
     silently recomputed, since stale caches are a real failure mode.
     """
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
-    raw = [0] * (N + 1)
+    raw = [0]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["n", "a_n"]:
             raise ConsistencyError(f"bad cache header in {path}: {header}")
-        count = 0
-        for row in reader:
-            n = int(row[0])
-            if not 1 <= n <= N:
-                raise ConsistencyError(f"cache row out of range in {path}: n={n}")
-            raw[n] = int(row[1])
-            count += 1
-    if count != N:
-        raise ConsistencyError(f"cache {path} has {count} rows, expected {N}")
+        row = 0
+        try:
+            for row, (n, a_n) in enumerate(reader, 1):
+                if int(n) != row:
+                    raise ConsistencyError(f"cache {path} row {row} holds n={n}")
+                raw.append(int(a_n))
+        except ValueError as exc:
+            raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
+    if len(raw) != N + 1:
+        raise ConsistencyError(f"cache {path} has {len(raw) - 1} rows, expected {N}")
     form = EigenformTable(
         weight=weight, limit=N, raw=tuple(raw), normalized=tuple(_normalize(raw, weight))
     )

@@ -171,6 +171,40 @@ def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
     assert "internal error" in err
 
 
+def corrupt_cache_row(capsys, tmp_path, n, replacement):
+    """Build the N = 1000 weight-12 cache, then replace the row of n."""
+    argv = ["tau", "--limit", "1000", "--cache-dir", str(tmp_path)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    cache_file = tmp_path / "tau_12_1000.csv"
+    lines = cache_file.read_text().splitlines()
+    assert lines[n].startswith(f"{n},")
+    lines[n] = replacement(lines)
+    cache_file.write_text("\n".join(lines) + "\n")
+    return run(capsys, argv)
+
+
+def test_tau_cache_duplicate_row_exit_3(capsys, tmp_path):
+    # a second row 17 in place of row 19 once loaded silently with a(19) = 0
+    code, out, err = corrupt_cache_row(capsys, tmp_path, 19, lambda lines: lines[17])
+    assert code == 3 and out == ""
+    assert "internal error" in err and "row 19 holds n=17" in err
+
+
+def test_tau_cache_non_integer_field_exit_3(capsys, tmp_path):
+    # once reported as a usage error (exit 2)
+    code, out, err = corrupt_cache_row(capsys, tmp_path, 5, lambda lines: "5,4830.5")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "row 5" in err
+
+
+def test_tau_cache_missing_field_exit_3(capsys, tmp_path):
+    # once an IndexError traceback
+    code, out, err = corrupt_cache_row(capsys, tmp_path, 7, lambda lines: "7")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "row 7" in err
+
+
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path))
     code, _, _ = run(capsys, ["tau", "--limit", "10"])

@@ -11,18 +11,57 @@ from symmoment.euler import sym_prime_power_poly
 from symmoment.symbolic import poly_eval, sym_prime_poly
 
 
+# every prime any supported weight can use up to HARD_CAP
+PRIMES = H.crt_primes(max(H.SUPPORTED_WEIGHTS), H.HARD_CAP)
+
+
+def residues(series, p):
+    return [x % p for x in series]
+
+
 def test_series_mul_randomized_against_schoolbook():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 40)
         a = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(1, n))]
         b = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(1, n))]
-        assert H.series_mul(a, b, n) == naive_series_mul(a, b, n)
+        want = naive_series_mul(a, b, n)
+        for p in PRIMES:
+            got = H.series_mul(residues(a, p), residues(b, p), n, p)
+            assert got.tolist() == residues(want, p)
 
 
 def test_series_mul_squaring_aliasing():
     a = [3, -7, 0, 5, 11]
-    assert H.series_mul(a, a, 9) == naive_series_mul(a, a, 9)
+    want = naive_series_mul(a, a, 9)
+    for p in PRIMES:
+        r = residues(a, p)
+        assert H.series_mul(r, r, 9, p).tolist() == residues(want, p)
+
+
+def test_series_mul_rounding_guard_raises():
+    # inputs up to 2^31 instead of residues below p < 2^21 give half-product
+    # sums near 2^52, where a double no longer resolves the FFT's rounding
+    # error; the same inputs reduced mod p multiply without complaint
+    rng = random.Random(3)
+    p = PRIMES[0]
+    wide = [rng.randrange(1 << 31) for _ in range(1 << 14)]
+    with pytest.raises(ConsistencyError):
+        H.series_mul(wide, wide, len(wide), p)
+    reduced = residues(wide, p)
+    H.series_mul(reduced, reduced, len(reduced), p)
+
+
+def test_crt_primes_exceed_twice_the_deligne_bound():
+    # |a(n)| <= d(n) n^((k-1)/2) and d(n) <= 2 sqrt(n), so |a(n)| <= 2 N^(k/2)
+    N = H.HARD_CAP
+    for weight in H.SUPPORTED_WEIGHTS:
+        primes = H.crt_primes(weight, N)
+        assert len(set(primes)) == len(primes)
+        for q in primes:
+            assert q < H.PRIME_CEIL
+            assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
+        assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), weight
 
 
 def test_delta_matches_product_oracle():
@@ -82,6 +121,13 @@ def test_eigenform_known_a2_values():
 def test_eigenform_matches_naive_products(weight):
     tab = H.eigenform_qexp(weight, 50)
     assert list(tab.raw) == naive_eigenform(weight, 50)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 65, 600])
+def test_eigenform_matches_naive_across_fft_sizes(N):
+    for weight in H.SUPPORTED_WEIGHTS:
+        got = H.eigenform_qexp(weight, N).raw
+        assert list(got) == naive_eigenform(weight, N), weight
 
 
 def test_eigenform_spot_check_passes():
