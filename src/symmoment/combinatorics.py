@@ -16,6 +16,7 @@ values overflow 32-bit words already at l = j = 8.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,6 +134,16 @@ def diff_coeffs(c: CoeffVector) -> CoeffVector:
     values = tuple(c.values[m] - (c.values[m - 1] if m else 0) for m in range(half + 1))
     kind = Kind.D if c.lj % 2 == 0 else Kind.E
     return CoeffVector(l=c.l, j=c.j, kind=kind, values=values)
+
+
+@functools.lru_cache(maxsize=None)
+def weights(l: int, j: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """The first-difference weights w_0..w_{floor(lj/2)} of (l, j).
+
+    These are the values of `diff_coeffs(coeffs_bruteforce(l, j))`, cached
+    per pair: the cap keeps the cache to a few hundred small tuples.
+    """
+    return diff_coeffs(coeffs_bruteforce(l, j, cap)).values
 
 
 def diff_coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:

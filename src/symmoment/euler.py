@@ -1,33 +1,34 @@
 """Local Euler factors of the moment Dirichlet series and their factorization.
 
-At a prime p with Satake angle theta (t = 2 cos theta), the series
+At a prime p with Satake parameter t = alpha + 1/alpha, the series
 sum_a lam_sym^j(p^a)^l X^a factors, up to a correction that is 1 + O(X^2),
 into a product of inverse linear factors whose root multiset is dictated by
-the first-difference weights from `combinatorics`: weight w_m attaches the
-full set of roots e^(i(lj-2m-2i)theta), i = 0..lj-2m. The even-parity m =
+the first-difference weights from `combinatorics`: weight w_m attaches w_m
+copies of the roots alpha^(lj-2m-2i), i = 0..lj-2m. The even-parity m =
 lj/2 term degenerates to (1 - X)^(-w) and plays the zeta role.
 
-Floating mode expands everything in complex doubles and certifies the X^1
-cancellation numerically; symbolic mode redoes the expansion in exact
-Laurent polynomials in the root alpha = e^(i theta), reduces palindromic
-results to integer polynomials in t, and certifies the cancellation as a
-polynomial identity.
+Both sides are expanded by `hecke.local_expansion`: power sums of the roots
+computed from the weights, then Newton's identities. The moment side uses
+the single weight 1 at top j, raised to the l-th power coefficientwise.
+Floating mode runs it in real doubles and returns the X^1 cancellation as
+computed; symbolic mode runs the same recurrence over Z[t], where every
+division in Newton's identities must be exact, and certifies the
+cancellation as a polynomial identity.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import ConsistencyError
-from .hecke import sym_prime_power
+from .hecke import deligne_t, local_expansion
 from .symbolic import ONE, ZERO, IntPolynomial
 
 DEFAULT_ORDER = 6
 
-RHS_IMAG_TOL = 1e-9
+# the polynomial t, at which local_expansion works over Z[t]
+T = IntPolynomial([0, 1])
 
 
 @dataclass(frozen=True)
@@ -48,36 +49,11 @@ class LocalFactorSeries:
         return self.coeffs[a]
 
 
-def _check_order(A: int) -> None:
-    if A < 0:
-        raise ValueError(f"series order must be nonnegative, got {A}")
-
-
-def _root_exponents(l: int, j: int):
-    """(exponent, multiplicity) pairs for the factored side's root multiset.
-
-    Exponents are the integers w with root e^(i w theta); multiplicities
-    come from the first-difference vector. Total count is the degree.
-    """
-    c = combinatorics.coeffs_bruteforce(l, j)
-    w = combinatorics.diff_coeffs(c)
-    lj = l * j
-    out = []
-    for m, mult in enumerate(w.values):
-        if mult == 0:
-            continue
-        r = lj - 2 * m
-        for i in range(r + 1):
-            out.append((r - 2 * i, mult))
-    return out
-
-
 def degree(l: int, j: int) -> int:
     """Degree of the factored product, certified equal to (j+1)^l."""
-    c = combinatorics.coeffs_bruteforce(l, j)
-    w = combinatorics.diff_coeffs(c)
     lj = l * j
-    total = sum(mult * (lj - 2 * m + 1) for m, mult in enumerate(w.values))
+    w = combinatorics.weights(l, j)
+    total = sum(mult * (lj - 2 * m + 1) for m, mult in enumerate(w))
     expected = (j + 1) ** l
     if total != expected:
         raise ConsistencyError(
@@ -86,50 +62,34 @@ def degree(l: int, j: int) -> int:
     return total
 
 
+def _check(l: int, j: int, A: int) -> None:
+    if l < 1 or j < 1:
+        raise ValueError(f"l and j must be positive, got l={l}, j={j}")
+    if A < 0:
+        raise ValueError(f"series order must be nonnegative, got {A}")
+
+
+def _lhs(l, j, t, A):
+    # lam_sym^j(p^a) for a = 0..A is one expansion at the single weight 1
+    return tuple(h**l for h in local_expansion((1,), j, t, A))
+
+
+def _rhs(l, j, t, A):
+    return tuple(local_expansion(combinatorics.weights(l, j), l * j, t, A))
+
+
 def lhs_local(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Moment side: coeffs[a] = lam_sym^j(p^a)^l."""
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    _check_order(A)
-    coeffs = [sym_prime_power(j, a, t) ** l for a in range(A + 1)]
-    return LocalFactorSeries(order=A, coeffs=tuple(coeffs), label=f"lhs(l={l},j={j},t={t})")
+    _check(l, j, A)
+    coeffs = _lhs(l, j, deligne_t(t), A)
+    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"lhs(l={l},j={j},t={t})")
 
 
 def rhs_local(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Factored side expanded from its root multiset.
-
-    Conjugate roots pair up, so each coefficient is real to rounding. The
-    rounding error scales with the intermediate partial products, which at
-    large degree dwarf the final coefficient, so the imaginary residue is
-    checked against the running peak magnitude per order: genuine rounding
-    sits below 1e-11 of the peak, a broken root multiset at 1e-4 or above.
-    """
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    _check_order(A)
-    if abs(t) > 2.0 + 1e-6:
-        raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
-    theta = math.acos(max(-1.0, min(1.0, t / 2.0)))
-    s = [0j] * (A + 1)
-    s[0] = 1 + 0j
-    peaks = [1.0] * (A + 1)
-    for w, mult in _root_exponents(l, j):
-        r = cmath.exp(1j * w * theta)
-        for _ in range(mult):
-            for k in range(1, A + 1):
-                v = s[k] + r * s[k - 1]
-                s[k] = v
-                m = abs(v.real) + abs(v.imag)
-                if m > peaks[k]:
-                    peaks[k] = m
-    coeffs = []
-    for a, v in enumerate(s):
-        if abs(v.imag) > RHS_IMAG_TOL * max(1.0, abs(v.real), peaks[a]):
-            raise ConsistencyError(
-                f"imaginary residue {v.imag!r} in rhs X^{a} at (l={l}, j={j}, t={t})"
-            )
-        coeffs.append(v.real)
-    return LocalFactorSeries(order=A, coeffs=tuple(coeffs), label=f"rhs(l={l},j={j},t={t})")
+    """Factored side, expanded in real doubles from the weights' power sums."""
+    _check(l, j, A)
+    coeffs = _rhs(l, j, deligne_t(t), A)
+    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"rhs(l={l},j={j},t={t})")
 
 
 def _divide(lhs_coeffs, rhs_coeffs, A, zero):
@@ -158,61 +118,7 @@ def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> Local
 
 
 # ---------------------------------------------------------------------------
-# exact symbolic mode: Laurent polynomials in alpha reduced to Z[t]
-
-_P_CACHE = [IntPolynomial([2]), IntPolynomial([0, 1])]
-
-
-def _power_sum_poly(r: int) -> IntPolynomial:
-    """alpha^r + alpha^(-r) as a polynomial in t = alpha + alpha^(-1)."""
-    t = _P_CACHE[1]
-    while len(_P_CACHE) <= r:
-        _P_CACHE.append(t * _P_CACHE[-1] - _P_CACHE[-2])
-    return _P_CACHE[r]
-
-
-def _laurent_shift_add(acc: dict, src: dict, w: int) -> None:
-    # acc += alpha^w * src
-    for e, c in src.items():
-        acc[e + w] = acc.get(e + w, 0) + c
-
-
-def _laurent_reduce(d: dict) -> IntPolynomial:
-    """Collapse a palindromic Laurent polynomial to Z[t].
-
-    Palindromy (coefficient at alpha^e equals that at alpha^-e) is forced
-    by the conjugate-closed root multisets; its failure is a defect.
-    """
-    out = ZERO
-    seen = set()
-    for e, c in d.items():
-        if c == 0 or e in seen:
-            continue
-        if e == 0:
-            out = out + IntPolynomial([c])
-            seen.add(0)
-            continue
-        mate = d.get(-e, 0)
-        if mate != c:
-            raise ConsistencyError(f"non-palindromic Laurent data at exponent {e}")
-        out = out + c * _power_sum_poly(abs(e))
-        seen.add(e)
-        seen.add(-e)
-    return out
-
-
-def _geometric_product_sym(exponents, A):
-    """Expand prod (1 - alpha^w X)^(-1) over (w, mult) pairs, to order A.
-
-    Returns IntPolynomial coefficients in t for X^0..X^A.
-    """
-    s = [dict() for _ in range(A + 1)]
-    s[0][0] = 1
-    for w, mult in exponents:
-        for _ in range(mult):
-            for k in range(1, A + 1):
-                _laurent_shift_add(s[k], s[k - 1], w)
-    return [_laurent_reduce(d) for d in s]
+# exact symbolic mode: the same expansion over Z[t]
 
 
 def sym_prime_power_poly(j: int, a: int) -> IntPolynomial:
@@ -221,26 +127,20 @@ def sym_prime_power_poly(j: int, a: int) -> IntPolynomial:
         raise ValueError(f"j must be positive, got {j}")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
-    coeffs = _geometric_product_sym([(j - 2 * m, 1) for m in range(j + 1)], a)
-    return coeffs[a]
+    return local_expansion((1,), j, T, a)[a]
 
 
 def lhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Moment side with exact polynomial coefficients in t."""
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    _check_order(A)
-    prime_power = _geometric_product_sym([(j - 2 * m, 1) for m in range(j + 1)], A)
-    coeffs = tuple(p**l for p in prime_power)
+    _check(l, j, A)
+    coeffs = _lhs(l, j, T, A)
     return LocalFactorSeries(order=A, coeffs=coeffs, label=f"lhs_sym(l={l},j={j})")
 
 
 def rhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Factored side with exact polynomial coefficients in t."""
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    _check_order(A)
-    coeffs = tuple(_geometric_product_sym(_root_exponents(l, j), A))
+    _check(l, j, A)
+    coeffs = _rhs(l, j, T, A)
     return LocalFactorSeries(order=A, coeffs=coeffs, label=f"rhs_sym(l={l},j={j})")
 
 

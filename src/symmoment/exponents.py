@@ -46,12 +46,11 @@ def _top_weights(l: int, j: int):
     w is d for even lj, e for odd; w_half_minus_1 is only meaningful in
     the even branch and is reported as 0 when lj = 2 leaves no such index.
     """
-    c = combinatorics.coeffs_bruteforce(l, j)
-    w = combinatorics.diff_coeffs(c)
+    w = combinatorics.weights(l, j)
     D = (j + 1) ** l
     half = (l * j) // 2
-    w_half = w.values[half]
-    w_half_m1 = w.values[half - 1] if half >= 1 else 0
+    w_half = w[half]
+    w_half_m1 = w[half - 1] if half >= 1 else 0
     return D, w_half, w_half_m1
 
 
@@ -64,22 +63,31 @@ def _require_lj(l: int, j: int, minimum: int) -> int:
     return lj
 
 
-def theta(l: int, j: int) -> float:
-    """Error exponent of the l-th moment of lam_sym^j."""
+def _saving(l: int, j: int) -> float:
+    """1 - theta, the saving below the trivial exponent 1.
+
+    At j = 1 and l >= 56 it is below half an ulp of 1.0, so theta rounds
+    to 1.0 there and only the saving itself shows that it is positive.
+    """
     lj = _require_lj(l, j, 4)
     if lj == 4:
-        return 1.0 - 63.0 * SQRT2 / (252.0 * SQRT2 + 4.0 * SQRT15)
+        return 63.0 * SQRT2 / (252.0 * SQRT2 + 4.0 * SQRT15)
     D, w_half, w_half_m1 = _top_weights(l, j)
     if lj % 2 == 0:
         if w_half == 0:
             # l = 1: the sqrt-saving term vanishes and theta collapses to
             # theta_star; evaluate the shared expression so they agree in
             # floats bit for bit, not just mathematically
-            return 1.0 - 630.0 / (315 * D - 189 * w_half_m1)
+            return 630.0 / (315 * D - 189 * w_half_m1)
         j32 = j**1.5
         den = j32 * (315 * D - 315 * w_half - 189 * w_half_m1) + 80.0 * SQRT15 * w_half
-        return 1.0 - 630.0 * j32 / den
-    return 1.0 - 6.0 / (3 * D - 2 * w_half)
+        return 630.0 * j32 / den
+    return 6.0 / (3 * D - 2 * w_half)
+
+
+def theta(l: int, j: int) -> float:
+    """Error exponent of the l-th moment of lam_sym^j."""
+    return 1.0 - _saving(l, j)
 
 
 def theta_star(l: int, j: int) -> float:
@@ -140,7 +148,8 @@ def exponent_report(l: int, j: int) -> ExponentReport:
     lj = _require_lj(l, j, 4)
     D, w_half, w_half_m1 = _top_weights(l, j)
     flags = []
-    th = theta(l, j)
+    saving = _saving(l, j)
+    th = 1.0 - saving
     if lj == 4:
         parity = Parity.EVEN4
         if (l, j) != (2, 2):
@@ -170,8 +179,8 @@ def exponent_report(l: int, j: int) -> ExponentReport:
     if j == 1:
         # the contour line 1 - 1/j^3 sits at the edge of the valid strip
         flags.append("j1-degenerate")
-    if not 0.0 < th < 1.0:
-        raise ConsistencyError(f"theta out of range at (l={l}, j={j}): {th}")
+    if not 0.0 < saving < 1.0:
+        raise ConsistencyError(f"theta out of range at (l={l}, j={j}): 1 - {saving!r}")
     if ts is not None and ts > th:
         raise ConsistencyError(f"refined exponent exceeds theta at (l={l}, j={j})")
     return ExponentReport(

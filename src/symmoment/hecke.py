@@ -31,8 +31,6 @@ HARD_CAP = 1_000_000
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
-IMAG_TOL = 1e-10
-
 
 def _check_limit(n: int, limit: int | None = None) -> None:
     if n < 1:
@@ -359,35 +357,70 @@ def satake_table(form: EigenformTable) -> SatakeTable:
 # symmetric-power coefficients
 
 
+def _power_sum(weights, top, x):
+    """sum_m w_m S_{top-2m}(x), S_r by the recursion S_{r+1} = x S_r - S_{r-1}.
+
+    With x = alpha^k + alpha^(-k) this is the k-th power sum of the root
+    multiset of `local_expansion`, since S_r(alpha^k + alpha^(-k)) sums
+    alpha^(k(r-2i)) over i = 0..r.
+    """
+    s_prev, s = 0 * x, x**0
+    acc = 0 * x
+    for r in range(top + 1):
+        m, odd = divmod(top - r, 2)
+        if not odd and m < len(weights) and weights[m]:
+            acc = acc + weights[m] * s
+        s_prev, s = s, x * s - s_prev
+    return acc
+
+
+def local_expansion(weights, top, t, A):
+    """h_0..h_A, the coefficients of prod (1 - beta X)^(-1) over a root multiset.
+
+    For each m, weight w_m = weights[m] brings w_m copies of the r + 1 roots
+    beta = alpha^(r-2i), i = 0..r, with r = top - 2m and alpha + 1/alpha = t.
+    The power sums p_k of the roots come from the weights by `_power_sum`
+    at x_k = alpha^k + alpha^(-k), where x_{k+1} = t x_k - x_{k-1}, and
+    Newton's identities n h_n = sum_{k=1..n} p_k h_{n-k} give the h_n, in
+    O(top A + A^2) ring operations whatever the number of roots.
+
+    t is a float, or the polynomial t itself (symbolic.IntPolynomial([0, 1]))
+    for coefficients in Z[t]. There the division by n is exact, and a
+    remainder, which correct power sums never leave, raises ConsistencyError.
+    """
+    one = t**0  # 1.0, or the constant polynomial 1
+    x_prev, x = 2 * one, t
+    p = []
+    for _ in range(A):
+        p.append(_power_sum(weights, top, x))
+        x_prev, x = x, t * x - x_prev
+    h = [one]
+    for n in range(1, A + 1):
+        acc = p[n - 1]
+        for k in range(1, n):
+            acc = acc + p[k - 1] * h[n - k]
+        h.append(acc / n)
+    return h
+
+
+def deligne_t(t) -> float:
+    """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6."""
+    if abs(t) > 2.0 + 1e-6:
+        raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
+    return max(-2.0, min(2.0, float(t)))
+
+
 def sym_prime_power(j: int, a: int, t: float) -> float:
     """lam_sym^j(p^a) given t = lam_f(p).
 
-    Expands the local factor prod_m (1 - alpha^(j-2m) X)^(-1) to order a by
-    multiplying in one geometric series at a time (in-place prefix pass per
-    root). Roots are e^(i(j-2m)theta) with theta = arccos(t/2). The result
-    is real up to rounding; a larger imaginary residue means a defect.
+    This is h_a of the roots alpha^(j-2m), m = 0..j: `local_expansion` with
+    the single weight 1 at top = j, in real doubles.
     """
     if j < 1:
         raise ValueError(f"j must be positive, got {j}")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
-    if abs(t) > 2.0 + 1e-6:
-        raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
-    if a == 0:
-        return 1.0
-    theta = math.acos(max(-1.0, min(1.0, t / 2.0)))
-    s = [0j] * (a + 1)
-    s[0] = 1 + 0j
-    for m in range(j + 1):
-        r = complex(math.cos((j - 2 * m) * theta), math.sin((j - 2 * m) * theta))
-        for k in range(1, a + 1):
-            s[k] += r * s[k - 1]
-    val = s[a]
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise ConsistencyError(
-            f"imaginary residue {val.imag!r} in lam_sym^{j}(p^{a}) at t={t}"
-        )
-    return val.real
+    return local_expansion((1,), j, deligne_t(t), a)[a]
 
 
 def smallest_prime_factors(N: int) -> list:

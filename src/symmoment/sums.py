@@ -89,9 +89,7 @@ def default_fit_degree(l: int, j: int) -> int:
     """deg Q = d_{lj/2} - 1 from the central first-difference weight."""
     if (l * j) % 2:
         raise ValueError("main-term degree is defined for even l*j only")
-    c = combinatorics.coeffs_bruteforce(l, j)
-    d = combinatorics.diff_coeffs(c)
-    return d.values[(l * j) // 2] - 1
+    return combinatorics.weights(l, j)[(l * j) // 2] - 1
 
 
 def fit_main_term(series: PartialSumSeries, degree: int | None = None) -> FitResult:

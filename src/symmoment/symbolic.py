@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import combinatorics
 from .combinatorics import DEFAULT_CAP
+from .errors import ConsistencyError
 
 
 class IntPolynomial:
@@ -83,6 +84,20 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, n: int):
+        """Exact quotient by a nonzero integer.
+
+        A coefficient that n does not divide has no quotient in Z[t]; where
+        the library divides, that is a defect, so it raises ConsistencyError.
+        """
+        if not isinstance(n, int):
+            return NotImplemented
+        if any(c % n for c in self.coeffs):
+            raise ConsistencyError(
+                f"polynomial of degree {self.degree} not divisible by {n}"
+            )
+        return IntPolynomial([c // n for c in self.coeffs])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -165,20 +180,19 @@ class DecompositionCertificate:
 def verify_decomposition(l: int, j: int, cap: int = DEFAULT_CAP) -> DecompositionCertificate:
     """Certify S_j(t)^l = sum_m w_m S_{lj-2m}(t) with first-difference weights.
 
-    The weights w are the d (even lj) or e (odd lj) vector of
-    `combinatorics.diff_coeffs`; for even lj the last term is the constant
-    w_{lj/2} S_0. The identity holds for every valid (l, j); `holds` false
-    means a defect in this library, never a property of the input.
+    The weights w are `combinatorics.weights`, the d (even lj) or e (odd
+    lj) vector; for even lj the last term is the constant w_{lj/2} S_0. The
+    identity holds for every valid (l, j); `holds` false means a defect in
+    this library, never a property of the input.
     """
-    c = combinatorics.coeffs_bruteforce(l, j, cap=cap)
-    w = combinatorics.diff_coeffs(c)
+    w = combinatorics.weights(l, j, cap)
     lhs = sym_prime_poly(j) ** l
     rhs = ZERO
     lj = l * j
-    for m, wm in enumerate(w.values):
+    for m, wm in enumerate(w):
         rhs = rhs + wm * sym_prime_poly(lj - 2 * m)
     return DecompositionCertificate(
-        l=l, j=j, holds=(lhs == rhs), lhs=lhs, rhs=rhs, weights=w.values
+        l=l, j=j, holds=(lhs == rhs), lhs=lhs, rhs=rhs, weights=w
     )
 
 

@@ -2,11 +2,14 @@
 
 Everything here avoids the library's fast paths on purpose: schoolbook
 convolution instead of multi-modular FFT products, direct divisor
-enumeration instead of sieves, and the defining infinite product for the
-weight-12 form instead of the eta-cube route.
+enumeration instead of sieves, the defining infinite product for the
+weight-12 form instead of the eta-cube route, and Gaussian binomials
+instead of Newton's identities for symmetric-power values.
 """
 
 import math
+
+from symmoment.symbolic import ZERO, IntPolynomial
 
 
 def naive_series_mul(a, b, n_out):
@@ -60,3 +63,45 @@ def naive_eigenform(weight, N):
 
 def primes_below(n):
     return [p for p in range(2, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def gaussian_binomial(n, k):
+    """Integer coefficients of [n choose k]_q, by the q-Pascal rule
+    [m choose i] = [m-1 choose i-1] + q^i [m-1 choose i]."""
+    row = [[1]]
+    for m in range(1, n + 1):
+        new = [[1]]
+        for i in range(1, m):
+            coeffs = [0] * (i * (m - i) + 1)
+            for d, c in enumerate(row[i - 1]):
+                coeffs[d] += c
+            for d, c in enumerate(row[i]):
+                coeffs[d + i] += c
+            new.append(coeffs)
+        new.append([1])
+        row = new
+    return row[k]
+
+
+def sym_prime_power_gauss(j, a):
+    """lam_sym^j(p^a) in Z[t] as alpha^(-ja) [a+j choose j]_(alpha^2).
+
+    With c_s the coefficients of the Gaussian binomial, the value is
+    sum_s c_s alpha^(2s-ja); the palindromic c pairs alpha^e with
+    alpha^(-e), and alpha^e + alpha^(-e) = P_e(t) with P_0 = 2, P_1 = t,
+    P_(e+1) = t P_e - P_(e-1).
+    """
+    c = gaussian_binomial(a + j, j)
+    assert c == c[::-1] and len(c) == j * a + 1
+    t = IntPolynomial([0, 1])
+    trace = [IntPolynomial([2]), t]
+    while len(trace) <= j * a:
+        trace.append(t * trace[-1] - trace[-2])
+    out = ZERO
+    for s, cs in enumerate(c):
+        e = 2 * s - j * a
+        if e == 0:
+            out = out + IntPolynomial([cs])
+        elif e > 0:
+            out = out + cs * trace[e]
+    return out

@@ -89,6 +89,15 @@ def test_exponents_table_json(capsys):
     assert all(r["improved"] for r in rows)
 
 
+@pytest.mark.parametrize("l", [56, 64])
+def test_exponents_j1_at_large_l(capsys, l):
+    # 1 - theta is below half an ulp of 1.0 here, so theta prints as 1.0;
+    # the range check runs on the saving itself
+    code, out, err = run(capsys, ["exponents", "--l", str(l), "--j", "1"])
+    assert code == 0 and err == ""
+    assert "theta: 1.0" in out.splitlines()
+
+
 def test_exponents_pair_required_without_table(capsys):
     code, out, err = run(capsys, ["exponents"])
     assert code == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sym_prime_power_gauss
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment.errors import ConsistencyError
@@ -98,6 +99,30 @@ def test_symbolic_correction_x1_is_zero_polynomial(l, j):
     assert q[1] == ZERO
 
 
+@pytest.mark.parametrize("l,j", [(8, 8), (16, 4), (4, 16), (64, 1), (1, 64)])
+def test_symbolic_correction_x1_is_zero_at_the_size_cap(l, j):
+    # lj = 64 is combinatorics.DEFAULT_CAP; (8, 8) has 43 million roots
+    q = E.correction_series_sym(l, j, 6)
+    assert q[0] == ONE
+    assert q[1] == ZERO
+
+
+def test_symbolic_integrality_guard(monkeypatch):
+    # a wrong p_2 leaves 2 h_2 with an odd constant term, which Newton's
+    # identities cannot divide by 2 in Z[t]
+    real = H._power_sum
+
+    def wrong_p2(weights, top, x):
+        p = real(weights, top, x)
+        return p + ONE if x.degree == 2 else p
+
+    monkeypatch.setattr(H, "_power_sum", wrong_p2)
+    with pytest.raises(ConsistencyError):
+        E.rhs_local_sym(2, 2, 4)
+    with pytest.raises(ConsistencyError):
+        E.correction_series_sym(3, 2, 4)
+
+
 def test_symbolic_x2_values_are_recorded_polynomials():
     q = E.correction_series_sym(2, 2, 2)
     assert q[2] == IntPolynomial([-1, 0, 2, 0, -1])  # -(t^2-1)^2
@@ -122,17 +147,30 @@ def test_sym_prime_power_poly_j1_gives_basis():
         assert E.sym_prime_power_poly(1, a) == sym_prime_poly(a)
 
 
+def test_sym_prime_power_poly_matches_gaussian_binomial_oracle():
+    for j in range(1, 9):
+        for a in range(0, 11):
+            assert E.sym_prime_power_poly(j, a) == sym_prime_power_gauss(j, a), (j, a)
+
+
 def test_float_vs_symbolic_agreement():
     rng = random.Random(41)
-    for l, j in [(2, 2), (3, 2), (2, 3)]:
-        fs = E.correction_series_sym(l, j, 3)
+    cases = [(2, 2, 3), (3, 2, 3), (2, 3, 3), (6, 4, 6), (7, 4, 6), (8, 3, 6), (10, 2, 6)]
+    for l, j, order in cases:
+        fs = E.correction_series_sym(l, j, order)
+        rs = E.rhs_local_sym(l, j, order)
         for _ in range(5):
             den = rng.randint(1, 50)
             tf = Fraction(rng.randint(-2 * den, 2 * den), den)
-            qf = E.correction_series(l, j, float(tf), 3)
-            for a in range(4):
+            qf = E.correction_series(l, j, float(tf), order)
+            rf = E.rhs_local(l, j, float(tf), order)
+            for a in range(order + 1):
                 exact = float(fs[a](tf))
                 assert qf[a] == pytest.approx(exact, rel=1e-7, abs=1e-7), (l, j, a)
+                # rhs coefficients reach D^a / a!, so the error is measured
+                # against the exact value at the float t itself
+                exact = rs[a](Fraction(float(tf)))
+                assert abs(rf[a] - exact) <= 1e-8 * max(1, abs(exact)), (l, j, a, tf)
 
 
 def test_series_normalization_guard():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symmoment import exponents as X
+from symmoment.errors import ConsistencyError
 
 # Published reference tables. Digit strings are exactly as printed (values
 # truncated, not rounded, by the source); the computed theta(8, 2) is known
@@ -149,6 +150,15 @@ def test_theta_in_unit_interval_and_below_star():
         th, ts = X.theta(l, j), X.theta_star(l, j)
         assert 0.0 < th < 1.0
         assert ts <= th
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-17, 1.0])
+def test_exponent_report_rejects_saving_outside_unit_interval(monkeypatch, bad):
+    # the range check reads 1 - theta itself, so it stays strict where
+    # theta alone would round to 1.0
+    monkeypatch.setattr(X, "_saving", lambda l, j: bad)
+    with pytest.raises(ConsistencyError):
+        X.exponent_report(3, 3)
 
 
 def test_monotone_along_table_directions():

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_delta, naive_eigenform, naive_series_mul
+from oracles import naive_delta, naive_eigenform, naive_series_mul, sym_prime_power_gauss
 from symmoment import hecke as H
 from symmoment.errors import CapacityError, ConsistencyError
-from symmoment.euler import sym_prime_power_poly
 from symmoment.symbolic import poly_eval, sym_prime_poly
 
 
@@ -188,7 +187,7 @@ def test_sym_prime_power_against_exact_rational_oracle():
         den = rng.randint(1, 97)
         tf = Fraction(rng.randint(-2 * den, 2 * den), den)
         got = H.sym_prime_power(j, a, float(tf))
-        want = float(sym_prime_power_poly(j, a)(tf))
+        want = float(sym_prime_power_gauss(j, a)(tf))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (j, a, tf)
 
 
