@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,10 +21,6 @@ from .symbolic import verify_decomposition
 DEFAULT_N = 10_000
 
 FORMATS = ("text", "csv", "json")
-
-
-def default_cache_dir() -> str:
-    return os.environ.get("SYMMOMENT_CACHE", "./cache")
 
 
 def _add_pair(sub, required=True):
@@ -38,7 +35,8 @@ def _add_common(sub):
 def _add_form_opts(sub):
     sub.add_argument("--weight", type=int, default=12, help="eigenform weight")
     sub.add_argument("--limit", type=int, default=DEFAULT_N, help="table size N")
-    sub.add_argument("--cache-dir", default=None, help="q-expansion cache directory")
+    cache = os.environ.get("SYMMOMENT_CACHE", "./cache")
+    sub.add_argument("--cache-dir", default=cache, help="q-expansion cache directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,6 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
+def _print_json(doc) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
 def cmd_coeffs(args) -> int:
     c = combinatorics.coeffs_bruteforce(args.l, args.j)
     c2 = combinatorics.coeffs_closed_form(args.l, args.j)
@@ -95,21 +97,17 @@ def cmd_coeffs(args) -> int:
     rep = combinatorics.structure_report(c)
     half = c.values[: c.half + 1]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "l": args.l,
-                    "j": args.j,
-                    "c": list(c.values),
-                    "diff_kind": d.kind.value,
-                    "diff": list(d.values),
-                    "palindromic": rep.palindromic,
-                    "unimodal": rep.unimodal,
-                    "total": rep.total,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "l": args.l,
+                "j": args.j,
+                "c": list(c.values),
+                "diff_kind": d.kind.value,
+                "diff": list(d.values),
+                "palindromic": rep.palindromic,
+                "unimodal": rep.unimodal,
+                "total": rep.total,
+            }
         )
     elif args.format == "csv":
         print("m,c,diff")
@@ -131,19 +129,15 @@ def cmd_identity(args) -> int:
     if not cert.holds:
         raise ConsistencyError(f"decomposition fails at (l={args.l}, j={args.j})")
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "l": args.l,
-                    "j": args.j,
-                    "holds": cert.holds,
-                    "degree": deg,
-                    "weights": list(cert.weights),
-                    "lhs_coeffs": list(cert.lhs.coeffs),
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "l": args.l,
+                "j": args.j,
+                "holds": cert.holds,
+                "degree": deg,
+                "weights": list(cert.weights),
+                "lhs_coeffs": list(cert.lhs.coeffs),
+            }
         )
     elif args.format == "csv":
         print("l,j,holds,degree")
@@ -172,39 +166,27 @@ def _exponent_text(report) -> str:
 
 def cmd_exponents(args) -> int:
     if args.table:
-        pairs = [(l, 2) for l in range(2, 9)] + [(2, j) for j in range(2, 9)]
-        rows = [exponents.report_row(exponents.exponent_report(l, j)) for l, j in pairs]
-        if args.format == "json":
-            print(exponents.rows_to_json(rows), end="")
-        elif args.format == "csv":
-            print(exponents.rows_to_csv(rows), end="")
-        else:
-            for row in rows:
-                print(
-                    f"l={row['l']} j={row['j']} parity={row['parity']} D={row['D']} "
-                    f"theta={row['theta']!r} theta_star={row['theta_star']!r} "
-                    f"previous={row['previous']} improved={row['improved']}"
-                )
-        return 0
-    if args.l is None or args.j is None:
+        pairs = [(row.l, row.j) for row in exponents.reference_table()]
+    elif args.l is None or args.j is None:
         raise ValueError("need --l and --j (or --table)")
-    report = exponents.exponent_report(args.l, args.j)
-    if args.format == "json":
-        print(exponents.rows_to_json([exponents.report_row(report)]), end="")
-    elif args.format == "csv":
-        print(exponents.rows_to_csv([exponents.report_row(report)]), end="")
     else:
-        print(_exponent_text(report))
+        pairs = [(args.l, args.j)]
+    reports = [exponents.exponent_report(l, j) for l, j in pairs]
+    rows = [exponents.report_row(report) for report in reports]
+    if args.format == "json":
+        print(exponents.rows_to_json(rows), end="")
+    elif args.format == "csv":
+        print(exponents.rows_to_csv(rows), end="")
+    elif not args.table:
+        print(_exponent_text(reports[0]))
+    else:
+        for row in rows:
+            print(
+                f"l={row['l']} j={row['j']} parity={row['parity']} D={row['D']} "
+                f"theta={row['theta']!r} theta_star={row['theta_star']!r} "
+                f"previous={row['previous']} improved={row['improved']}"
+            )
     return 0
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 def cmd_euler(args) -> int:
@@ -214,28 +196,26 @@ def cmd_euler(args) -> int:
         series = euler.correction_series_sym(args.l, args.j, args.order)
         coeffs = [str(c) for c in series.coeffs]
     else:
-        if not _is_prime(args.p):
-            raise ValueError(f"--p must be prime, got {args.p}")
-        cache = args.cache_dir or default_cache_dir()
-        form = hecke.cached_eigenform(args.weight, max(args.p, 16), cache)
-        t = form.normalized[args.p]
-        series = euler.correction_series(args.l, args.j, t, args.order)
+        p = args.p
+        # the cap comes first, so that trial division stays below sqrt(HARD_CAP);
+        # p < 2 passes it here and is rejected as not prime
+        hecke._check_limit(max(p, 1))
+        if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
+            raise ValueError(f"--p must be prime, got {p}")
+        form = hecke.cached_eigenform(args.weight, max(p, 16), args.cache_dir)
+        series = euler.correction_series(args.l, args.j, form.normalized[p], args.order)
         coeffs = list(series.coeffs)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "l": args.l,
-                    "j": args.j,
-                    "exact": bool(args.exact),
-                    "p": None if args.exact else args.p,
-                    "order": args.order,
-                    "coeffs": coeffs,
-                    "label": series.label,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "l": args.l,
+                "j": args.j,
+                "exact": bool(args.exact),
+                "p": None if args.exact else args.p,
+                "order": args.order,
+                "coeffs": coeffs,
+                "label": series.label,
+            }
         )
     elif args.format == "csv":
         print("a,coeff")
@@ -249,8 +229,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    cache = args.cache_dir or default_cache_dir()
-    form = hecke.cached_eigenform(args.weight, args.limit, cache)
+    form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     if args.format == "json":
         print(
             json.dumps(
@@ -273,8 +252,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_partial_sum(args) -> int:
-    cache = args.cache_dir or default_cache_dir()
-    form = hecke.cached_eigenform(args.weight, args.limit, cache)
+    form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     series = sums.partial_sum(args.l, args.j, args.limit, form)
     fit = None
     fit_note = None

@@ -86,6 +86,18 @@ def _binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _incl_excl(l: int, j: int, top: int, k: int) -> tuple[int, ...]:
+    """sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + k, k), m = 0..top."""
+    values = []
+    for m in range(top + 1):
+        acc = 0
+        for r in range(m // (j + 1) + 1):
+            term = _binom(l, r) * _binom(m - r * (j + 1) + k, k)
+            acc += -term if r & 1 else term
+        values.append(acc)
+    return tuple(values)
+
+
 def coeffs_bruteforce(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
     """Coefficients of (1 + x + ... + x^j)^l by l-fold exact convolution.
 
@@ -109,15 +121,7 @@ def coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
     """
     _check_pair(l, j, cap)
-    lj = l * j
-    values = []
-    for m in range(lj + 1):
-        acc = 0
-        for r in range(m // (j + 1) + 1):
-            term = _binom(l, r) * _binom(m - r * (j + 1) + l - 1, l - 1)
-            acc += -term if r & 1 else term
-        values.append(acc)
-    return CoeffVector(l=l, j=j, kind=Kind.C, values=tuple(values))
+    return CoeffVector(l=l, j=j, kind=Kind.C, values=_incl_excl(l, j, l * j, l - 1))
 
 
 def diff_coeffs(c: CoeffVector) -> CoeffVector:
@@ -157,16 +161,8 @@ def diff_coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVect
     if l < 2:
         raise ValueError("closed form for difference coefficients requires l >= 2")
     lj = l * j
-    half = lj // 2
-    values = []
-    for m in range(half + 1):
-        acc = 0
-        for r in range(m // (j + 1) + 1):
-            term = _binom(l, r) * _binom(m - r * (j + 1) + l - 2, l - 2)
-            acc += -term if r & 1 else term
-        values.append(acc)
     kind = Kind.D if lj % 2 == 0 else Kind.E
-    return CoeffVector(l=l, j=j, kind=kind, values=tuple(values))
+    return CoeffVector(l=l, j=j, kind=kind, values=_incl_excl(l, j, lj // 2, l - 2))
 
 
 def structure_report(c: CoeffVector) -> StructureReport:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import ConsistencyError
-from .hecke import deligne_t, local_expansion
-from .symbolic import ONE, ZERO, IntPolynomial
+from .hecke import _check_power, deligne_t, local_expansion
+from .symbolic import ONE, IntPolynomial
 
 DEFAULT_ORDER = 6
 
@@ -92,15 +92,15 @@ def rhs_local(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSe
     return LocalFactorSeries(order=A, coeffs=coeffs, label=f"rhs(l={l},j={j},t={t})")
 
 
-def _divide(lhs_coeffs, rhs_coeffs, A, zero):
+def _quotient(lhs, rhs, label):
     # formal quotient; rhs constant term is 1 so no division happens
-    q = [zero] * (A + 1)
-    for n in range(A + 1):
-        acc = lhs_coeffs[n]
+    q = []
+    for n in range(lhs.order + 1):
+        acc = lhs[n]
         for k in range(n):
-            acc = acc - q[k] * rhs_coeffs[n - k]
-        q[n] = acc
-    return q
+            acc = acc - q[k] * rhs[n - k]
+        q.append(acc)
+    return LocalFactorSeries(order=lhs.order, coeffs=tuple(q), label=label)
 
 
 def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
@@ -109,12 +109,8 @@ def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> Local
     The X^1 coefficient is the difference of the two first-order terms and
     must vanish; it is returned as computed (tests pin the tolerance).
     """
-    lhs = lhs_local(l, j, t, A)
-    rhs = rhs_local(l, j, t, A)
-    q = _divide(lhs.coeffs, rhs.coeffs, A, 0.0)
-    return LocalFactorSeries(
-        order=A, coeffs=tuple(q), label=f"correction(l={l},j={j},t={t})"
-    )
+    lhs, rhs = lhs_local(l, j, t, A), rhs_local(l, j, t, A)
+    return _quotient(lhs, rhs, f"correction(l={l},j={j},t={t})")
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +119,7 @@ def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> Local
 
 def sym_prime_power_poly(j: int, a: int) -> IntPolynomial:
     """Exact polynomial in t giving lam_sym^j(p^a); oracle for the float path."""
-    if j < 1:
-        raise ValueError(f"j must be positive, got {j}")
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    _check_power(j, a)
     return local_expansion((1,), j, T, a)[a]
 
 
@@ -146,9 +139,5 @@ def rhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
 
 def correction_series_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Exact correction factor: X^1 coefficient is the zero polynomial."""
-    lhs = lhs_local_sym(l, j, A)
-    rhs = rhs_local_sym(l, j, A)
-    q = _divide(lhs.coeffs, rhs.coeffs, A, ZERO)
-    return LocalFactorSeries(
-        order=A, coeffs=tuple(q), label=f"correction_sym(l={l},j={j})"
-    )
+    lhs, rhs = lhs_local_sym(l, j, A), rhs_local_sym(l, j, A)
+    return _quotient(lhs, rhs, f"correction_sym(l={l},j={j})")

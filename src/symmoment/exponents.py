@@ -63,6 +63,11 @@ def _require_lj(l: int, j: int, minimum: int) -> int:
     return lj
 
 
+def _star_saving(D: int, w_half: int, w_half_m1: int) -> float:
+    """1 - theta_star; also the saving itself at l = 1, where w_half = 0."""
+    return 630.0 / (315 * D - 315 * w_half - 189 * w_half_m1)
+
+
 def _saving(l: int, j: int) -> float:
     """1 - theta, the saving below the trivial exponent 1.
 
@@ -78,7 +83,7 @@ def _saving(l: int, j: int) -> float:
             # l = 1: the sqrt-saving term vanishes and theta collapses to
             # theta_star; evaluate the shared expression so they agree in
             # floats bit for bit, not just mathematically
-            return 630.0 / (315 * D - 189 * w_half_m1)
+            return _star_saving(D, w_half, w_half_m1)
         j32 = j**1.5
         den = j32 * (315 * D - 315 * w_half - 189 * w_half_m1) + 80.0 * SQRT15 * w_half
         return 630.0 * j32 / den
@@ -97,8 +102,7 @@ def theta_star(l: int, j: int) -> float:
         raise ValueError(f"refined exponent needs even l*j, got {lj}")
     if lj == 4:
         return 0.75
-    D, w_half, w_half_m1 = _top_weights(l, j)
-    return 1.0 - 630.0 / (315 * D - 315 * w_half - 189 * w_half_m1)
+    return 1.0 - _star_saving(*_top_weights(l, j))
 
 
 def proof_exponents(l: int, j: int) -> tuple:
@@ -115,11 +119,7 @@ def proof_exponents(l: int, j: int) -> tuple:
     j3 = float(j**3)
     saving = w_half * K_SAVING * j**-4.5
     A = (D - w_half - 3 * w_half_m1) / (2 * j3) + saving + 6 * w_half_m1 / (5 * j3) - 1.0
-    B = A - saving
-    j32 = j**1.5
-    den = j32 * (315 * D - 315 * w_half - 189 * w_half_m1) + 80.0 * SQRT15 * w_half
-    T_exp = 630.0 * j32 / den
-    return A, B, T_exp
+    return A, A - saving, _saving(l, j)
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,16 @@ def exponent_report(l: int, j: int) -> ExponentReport:
     flags = []
     saving = _saving(l, j)
     th = 1.0 - saving
-    if lj == 4:
+    A = B = None
+    if lj % 2:
+        parity = Parity.ODD
+        flags.append("no-reference-value")
+    elif lj == 4:
         parity = Parity.EVEN4
         if (l, j) != (2, 2):
             # the seed constant is derived at (2, 2); other splits reuse it
             flags.append("extrapolated")
-        A = B = None
-        ts = theta_star(l, j)
-        d_half, d_half_m1, e_half = w_half, w_half_m1, None
-    elif lj % 2 == 0:
+    else:
         parity = Parity.EVEN_BIG
         A, B, _ = proof_exponents(l, j)
         balanced = 1.0 - 1.0 / (j**3 * (1.0 + A))
@@ -168,14 +169,7 @@ def exponent_report(l: int, j: int) -> ExponentReport:
             )
         if B > A:
             raise ConsistencyError(f"B > A at (l={l}, j={j})")
-        ts = theta_star(l, j)
-        d_half, d_half_m1, e_half = w_half, w_half_m1, None
-    else:
-        parity = Parity.ODD
-        A = B = None
-        ts = None
-        flags.append("no-reference-value")
-        d_half, d_half_m1, e_half = None, None, w_half
+    ts = None if lj % 2 else theta_star(l, j)
     if j == 1:
         # the contour line 1 - 1/j^3 sits at the edge of the valid strip
         flags.append("j1-degenerate")
@@ -188,9 +182,9 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         j=j,
         parity=parity,
         D=D,
-        d_half=d_half,
-        d_half_minus_1=d_half_m1,
-        e_half=e_half,
+        d_half=None if lj % 2 else w_half,
+        d_half_minus_1=None if lj % 2 else w_half_m1,
+        e_half=w_half if lj % 2 else None,
         A=A,
         B=B,
         T_exp=1.0 - th,
@@ -281,17 +275,8 @@ def rows_to_csv(rows: list) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_ROW_FIELDS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        out = {}
-        for key in _ROW_FIELDS:
-            val = row[key]
-            if val is None:
-                out[key] = ""
-            elif isinstance(val, float):
-                out[key] = repr(val)
-            else:
-                out[key] = val
-        writer.writerow(out)
+    # csv writes None as an empty field and a float as its repr
+    writer.writerows(rows)
     return buf.getvalue()
 
 

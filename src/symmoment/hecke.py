@@ -3,8 +3,8 @@
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
 the sparse eta-cube series and one Eisenstein series. Normalized values
-lam(n) = a(n)/n^((k-1)/2) feed the Satake angles, the symmetric-power
-values at prime powers, and a multiplicative sieve over n <= N.
+lam(n) = a(n)/n^((k-1)/2) feed the symmetric-power values at prime
+powers and a multiplicative sieve over n <= N.
 
 The q-expansion is multi-modular. For each of a few primes below 2^21 the
 series products run on int64 residues through numpy float FFTs of 11-bit
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError
 
-DEFAULT_LIMIT = 100_000
 HARD_CAP = 1_000_000
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -286,12 +285,13 @@ class EigenformTable:
                 raise ConsistencyError(f"multiplicativity fails at {m}*{n}")
 
 
-def _normalize(raw, weight):
-    out = [0.0] * len(raw)
+def _table(weight, raw):
+    # raw = [0, a(1), ..., a(N)]; normalized[n] = a(n) / n^((weight-1)/2)
     e = (weight - 1) / 2
-    for n in range(1, len(raw)):
-        out[n] = raw[n] / n**e
-    return out
+    normalized = [0.0] + [raw[n] / n**e for n in range(1, len(raw))]
+    return EigenformTable(
+        weight=weight, limit=len(raw) - 1, raw=tuple(raw), normalized=tuple(normalized)
+    )
 
 
 def delta_qexp(N: int, limit: int | None = None) -> EigenformTable:
@@ -308,49 +308,9 @@ def eigenform_qexp(weight: int, N: int, limit: int | None = None) -> EigenformTa
     _check_limit(N, limit)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
-    raw = [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
-    return EigenformTable(
-        weight=weight, limit=N, raw=tuple(raw), normalized=tuple(_normalize(raw, weight))
+    return _table(
+        weight, [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
     )
-
-
-# ---------------------------------------------------------------------------
-# Satake data
-
-
-@dataclass(frozen=True)
-class SatakeTable:
-    """Per-prime data t_p = lam(p) in [-2,2] and theta_p = arccos(t_p/2)."""
-
-    limit: int
-    primes: tuple
-    t: tuple
-    theta: tuple
-
-
-def primes_up_to(N: int) -> list:
-    if N < 2:
-        return []
-    flags = bytearray([1]) * (N + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(N) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(2, N + 1) if flags[i]]
-
-
-def satake_table(form: EigenformTable) -> SatakeTable:
-    ps = primes_up_to(form.limit)
-    ts = []
-    thetas = []
-    for p in ps:
-        t = form.normalized[p]
-        if abs(t) > 2.0 + 1e-9:
-            raise ConsistencyError(f"Deligne bound violated at p={p}: t={t}")
-        ts.append(t)
-        # clamp guards arccos against rounding spill at |t| = 2
-        thetas.append(math.acos(max(-1.0, min(1.0, t / 2.0))))
-    return SatakeTable(limit=form.limit, primes=tuple(ps), t=tuple(ts), theta=tuple(thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +376,15 @@ def sym_prime_power(j: int, a: int, t: float) -> float:
     This is h_a of the roots alpha^(j-2m), m = 0..j: `local_expansion` with
     the single weight 1 at top = j, in real doubles.
     """
+    _check_power(j, a)
+    return local_expansion((1,), j, deligne_t(t), a)[a]
+
+
+def _check_power(j: int, a: int) -> None:
     if j < 1:
         raise ValueError(f"j must be positive, got {j}")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
-    return local_expansion((1,), j, deligne_t(t), a)[a]
 
 
 def smallest_prime_factors(N: int) -> list:
@@ -434,6 +398,11 @@ def smallest_prime_factors(N: int) -> list:
                 if spf[m] == m:
                     spf[m] = p
     return spf
+
+
+def primes_up_to(N: int) -> list:
+    spf = smallest_prime_factors(max(N, 1))
+    return [n for n in range(2, N + 1) if spf[n] == n]
 
 
 def sym_coeff_sieve(j: int, N: int, form: EigenformTable) -> list:
@@ -517,9 +486,7 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
             raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
     if len(raw) != N + 1:
         raise ConsistencyError(f"cache {path} has {len(raw) - 1} rows, expected {N}")
-    form = EigenformTable(
-        weight=weight, limit=N, raw=tuple(raw), normalized=tuple(_normalize(raw, weight))
-    )
+    form = _table(weight, raw)
     form.spot_check()
     return form
 

@@ -12,7 +12,6 @@ expands over this basis with the first-difference weights from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import combinatorics
 from .combinatorics import DEFAULT_CAP
@@ -158,15 +157,6 @@ def sym_prime_poly(r: int) -> IntPolynomial:
     return _S_CACHE[r]
 
 
-def poly_eval(p: IntPolynomial, t):
-    """Evaluate p at t by Horner's rule.
-
-    int and Fraction arguments are evaluated exactly; floats in double
-    precision.
-    """
-    return p(t)
-
-
 @dataclass(frozen=True)
 class DecompositionCertificate:
     l: int
@@ -195,15 +185,3 @@ def verify_decomposition(l: int, j: int, cap: int = DEFAULT_CAP) -> Decompositio
         l=l, j=j, holds=(lhs == rhs), lhs=lhs, rhs=rhs, weights=w
     )
 
-
-def random_rational_points(count: int, seed: int = 0) -> list[Fraction]:
-    """Deterministic rational sample points in [-2, 2] with small height."""
-    import random
-
-    rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        den = rng.randint(1, 97)
-        num = rng.randint(-2 * den, 2 * den)
-        points.append(Fraction(num, den))
-    return points

@@ -8,8 +8,20 @@ instead of Newton's identities for symmetric-power values.
 """
 
 import math
+import random
+from fractions import Fraction
 
 from symmoment.symbolic import ZERO, IntPolynomial
+
+
+def random_rational_points(count, seed=0):
+    """Deterministic rational sample points in [-2, 2] with small height."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        den = rng.randint(1, 97)
+        points.append(Fraction(rng.randint(-2 * den, 2 * den), den))
+    return points
 
 
 def naive_series_mul(a, b, n_out):

@@ -10,28 +10,20 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from oracles import naive_delta, primes_below
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums
 from symmoment.symbolic import ZERO, verify_decomposition
-from test_exponents import MISPRINT_CELL, all_cells, cell_tolerance, trunc_to
-
-# Reference half-lists for j = 2, l = 2..8: (c_m, then d_m), m = 0..l
-J2_REFERENCE = {
-    2: ([1, 2, 3], [1, 1, 1]),
-    3: ([1, 3, 6, 7], [1, 2, 3, 1]),
-    4: ([1, 4, 10, 16, 19], [1, 3, 6, 6, 3]),
-    5: ([1, 5, 15, 30, 45, 51], [1, 4, 10, 15, 15, 6]),
-    6: ([1, 6, 21, 50, 90, 126, 141], [1, 5, 15, 29, 40, 36, 15]),
-    7: ([1, 7, 28, 77, 161, 266, 357, 393], [1, 6, 21, 49, 84, 105, 91, 36]),
-    8: (
-        [1, 8, 36, 112, 266, 504, 784, 1016, 1107],
-        [1, 7, 28, 76, 154, 238, 280, 232, 91],
-    ),
-}
+from test_combinatorics import J2_LISTS
+from test_exponents import (
+    EVEN_PAIRS_6_32,
+    MISPRINT_CELL,
+    all_cells,
+    cell_tolerance,
+    trunc_to,
+)
 
 
 def test_criterion_01_coefficient_oracle_equivalence():
@@ -43,7 +35,7 @@ def test_criterion_01_coefficient_oracle_equivalence():
             assert a.values == b.values, (l, j)
     elapsed = time.perf_counter() - start
     # seven printed (c, d) half-lists at j = 2 plus the closed l = 2 family
-    for l, (c_half, d_half) in J2_REFERENCE.items():
+    for l, (c_half, d_half) in J2_LISTS.items():
         c = combinatorics.coeffs_bruteforce(l, 2)
         d = combinatorics.diff_coeffs(c)
         assert list(c.values[: c.half + 1]) == c_half
@@ -116,14 +108,7 @@ def test_criterion_05_strict_all_digits_verbatim():
 
 
 def test_criterion_06_proof_consistency():
-    pairs = [
-        (l, j)
-        for l in range(1, 33)
-        for j in range(1, 33)
-        if (l * j) % 2 == 0 and 6 <= l * j <= 32
-    ]
-    assert pairs
-    for l, j in pairs:
+    for l, j in EVEN_PAIRS_6_32:
         A, B, _ = exponents.proof_exponents(l, j)
         th = exponents.theta(l, j)
         assert abs(th - (1 - 1 / (j**3 * (1 + A)))) <= 1e-12, (l, j)
@@ -142,11 +127,9 @@ def test_criterion_06_proof_consistency():
     "the strict universal quantifier over even 6 <= l*j <= 32 is unattainable",
 )
 def test_criterion_06_strict_quantifier():
-    for l in range(1, 33):
-        for j in range(1, 33):
-            if (l * j) % 2 == 0 and 6 <= l * j <= 32:
-                A, B, _ = exponents.proof_exponents(l, j)
-                assert B < A, (l, j)
+    for l, j in EVEN_PAIRS_6_32:
+        A, B, _ = exponents.proof_exponents(l, j)
+        assert B < A, (l, j)
 
 
 def test_criterion_07_euler_local_certification(delta_1e4):

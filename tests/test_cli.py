@@ -1,18 +1,20 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from symmoment import cli
+from symmoment import cli, exponents
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    code = cli.main(argv.split())
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def test_coeffs_text(capsys):
-    code, out, err = run(capsys, ["coeffs", "--l", "3", "--j", "2"])
+    code, out, err = run(capsys, "coeffs --l 3 --j 2")
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == "c: 1 3 6 7 | d: 1 2 3 1"
@@ -20,13 +22,13 @@ def test_coeffs_text(capsys):
 
 
 def test_coeffs_text_odd_kind(capsys):
-    code, out, _ = run(capsys, ["coeffs", "--l", "1", "--j", "3"])
+    code, out, _ = run(capsys, "coeffs --l 1 --j 3")
     assert code == 0
     assert out.splitlines()[0] == "c: 1 1 | e: 1 0"
 
 
 def test_coeffs_json(capsys):
-    code, out, _ = run(capsys, ["coeffs", "--l", "3", "--j", "2", "--format", "json"])
+    code, out, _ = run(capsys, "coeffs --l 3 --j 2 --format json")
     assert code == 0
     doc = json.loads(out)
     assert doc["c"] == [1, 3, 6, 7, 6, 3, 1]
@@ -36,13 +38,13 @@ def test_coeffs_json(capsys):
 
 
 def test_coeffs_csv(capsys):
-    code, out, _ = run(capsys, ["coeffs", "--l", "2", "--j", "2", "--format", "csv"])
+    code, out, _ = run(capsys, "coeffs --l 2 --j 2 --format csv")
     assert code == 0
     assert out.splitlines() == ["m,c,diff", "0,1,1", "1,2,1", "2,3,1", "3,2,", "4,1,"]
 
 
 def test_identity_text(capsys):
-    code, out, _ = run(capsys, ["identity", "--l", "2", "--j", "3"])
+    code, out, _ = run(capsys, "identity --l 2 --j 3")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "decomposition holds: True"
@@ -51,7 +53,7 @@ def test_identity_text(capsys):
 
 
 def test_identity_json(capsys):
-    code, out, _ = run(capsys, ["identity", "--l", "2", "--j", "2", "--format", "json"])
+    code, out, _ = run(capsys, "identity --l 2 --j 2 --format json")
     assert code == 0
     doc = json.loads(out)
     assert doc["holds"] is True
@@ -60,7 +62,7 @@ def test_identity_json(capsys):
 
 
 def test_exponents_single_text(capsys):
-    code, out, _ = run(capsys, ["exponents", "--l", "2", "--j", "2"])
+    code, out, _ = run(capsys, "exponents --l 2 --j 2")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "l: 2  j: 2  parity: even4  D: 9"
@@ -69,7 +71,7 @@ def test_exponents_single_text(capsys):
 
 
 def test_exponents_table_csv(capsys):
-    code, out, _ = run(capsys, ["exponents", "--table", "--format", "csv"])
+    code, out, _ = run(capsys, "exponents --table --format csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "l,j,parity,D,theta,theta_star,previous,improved"
@@ -79,7 +81,7 @@ def test_exponents_table_csv(capsys):
 
 
 def test_exponents_table_json(capsys):
-    code, out, _ = run(capsys, ["exponents", "--table", "--format", "json"])
+    code, out, _ = run(capsys, "exponents --table --format json")
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 14
@@ -89,25 +91,32 @@ def test_exponents_table_json(capsys):
     assert all(r["improved"] for r in rows)
 
 
+def test_exponents_table_checks_the_baseline(capsys, monkeypatch):
+    # a stored exponent below theta means the table no longer improves on it
+    table = {**exponents.PREVIOUS_EXPONENTS, (3, 2): Fraction(1, 2)}
+    monkeypatch.setattr(exponents, "PREVIOUS_EXPONENTS", table)
+    code, out, err = run(capsys, "exponents --table")
+    assert code == 3 and out == ""
+    assert "no improvement over baseline at (l=3, j=2)" in err
+
+
 @pytest.mark.parametrize("l", [56, 64])
 def test_exponents_j1_at_large_l(capsys, l):
     # 1 - theta is below half an ulp of 1.0 here, so theta prints as 1.0;
     # the range check runs on the saving itself
-    code, out, err = run(capsys, ["exponents", "--l", str(l), "--j", "1"])
+    code, out, err = run(capsys, f"exponents --l {l} --j 1")
     assert code == 0 and err == ""
     assert "theta: 1.0" in out.splitlines()
 
 
 def test_exponents_pair_required_without_table(capsys):
-    code, out, err = run(capsys, ["exponents"])
+    code, out, err = run(capsys, "exponents")
     assert code == 2
     assert "need --l and --j" in err
 
 
 def test_euler_exact_text(capsys):
-    code, out, _ = run(
-        capsys, ["euler", "--l", "2", "--j", "2", "--exact", "--order", "2"]
-    )
+    code, out, _ = run(capsys, "euler --l 2 --j 2 --exact --order 2")
     assert code == 0
     lines = out.splitlines()
     assert lines[1] == "  X^0: 1"
@@ -116,21 +125,14 @@ def test_euler_exact_text(capsys):
 
 
 def test_euler_exact_csv(capsys):
-    code, out, _ = run(
-        capsys,
-        ["euler", "--l", "2", "--j", "2", "--exact", "--order", "1", "--format", "csv"],
-    )
+    code, out, _ = run(capsys, "euler --l 2 --j 2 --exact --order 1 --format csv")
     assert code == 0
     assert out.splitlines() == ["a,coeff", '0,"1"', '1,"0"']
 
 
 def test_euler_float_at_prime(capsys, tmp_path):
     code, out, _ = run(
-        capsys,
-        [
-            "euler", "--l", "2", "--j", "2", "--p", "2", "--order", "3",
-            "--cache-dir", str(tmp_path), "--format", "json",
-        ],
+        capsys, f"euler --l 2 --j 2 --p 2 --order 3 --cache-dir {tmp_path} --format json"
     )
     assert code == 0
     doc = json.loads(out)
@@ -143,18 +145,24 @@ def test_euler_float_at_prime(capsys, tmp_path):
 
 
 def test_euler_rejects_composite_p(capsys, tmp_path):
+    # and p below 2, which passes the cap check that comes first
+    for p in (6, 0, -7):
+        code, _, err = run(capsys, f"euler --l 2 --j 2 --p {p} --cache-dir {tmp_path}")
+        assert code == 2 and "must be prime" in err, p
+
+
+def test_euler_large_prime_p_hits_the_cap_at_once(capsys, tmp_path):
+    # the cap is checked before trial division, which needs 1e9 steps at this p
+    start = time.perf_counter()
     code, _, err = run(
-        capsys,
-        ["euler", "--l", "2", "--j", "2", "--p", "6", "--cache-dir", str(tmp_path)],
+        capsys, f"euler --l 2 --j 2 --p 1000000000000000003 --cache-dir {tmp_path}"
     )
-    assert code == 2 and "must be prime" in err
+    assert code == 4 and "exceeds limit 1000000" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_tau_csv_matches_cache_file(capsys, tmp_path):
-    code, out, _ = run(
-        capsys,
-        ["tau", "--limit", "10", "--cache-dir", str(tmp_path), "--format", "csv"],
-    )
+    code, out, _ = run(capsys, f"tau --limit 10 --cache-dir {tmp_path} --format csv")
     assert code == 0
     cache_file = tmp_path / "tau_12_10.csv"
     assert cache_file.read_text() == out
@@ -166,23 +174,21 @@ def test_tau_csv_matches_cache_file(capsys, tmp_path):
 
 
 def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
-    code, _, _ = run(
-        capsys, ["tau", "--limit", "20", "--cache-dir", str(tmp_path)]
-    )
+    code, _, _ = run(capsys, f"tau --limit 20 --cache-dir {tmp_path}")
     assert code == 0
     capsys.readouterr()
     cache_file = tmp_path / "tau_12_20.csv"
     text = cache_file.read_text()
     assert "\n6,-6048\n" in text
     cache_file.write_text(text.replace("\n6,-6048\n", "\n6,-6049\n"))
-    code, out, err = run(capsys, ["tau", "--limit", "20", "--cache-dir", str(tmp_path)])
+    code, out, err = run(capsys, f"tau --limit 20 --cache-dir {tmp_path}")
     assert code == 3
     assert "internal error" in err
 
 
 def corrupt_cache_row(capsys, tmp_path, n, replacement):
     """Build the N = 1000 weight-12 cache, then replace the row of n."""
-    argv = ["tau", "--limit", "1000", "--cache-dir", str(tmp_path)]
+    argv = f"tau --limit 1000 --cache-dir {tmp_path}"
     code, _, _ = run(capsys, argv)
     assert code == 0
     cache_file = tmp_path / "tau_12_1000.csv"
@@ -216,18 +222,14 @@ def test_tau_cache_missing_field_exit_3(capsys, tmp_path):
 
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, ["tau", "--limit", "10"])
+    code, _, _ = run(capsys, "tau --limit 10")
     assert code == 0
     assert (tmp_path / "tau_12_10.csv").exists()
 
 
 def test_partial_sum_csv(capsys, tmp_path):
     code, out, _ = run(
-        capsys,
-        [
-            "partial-sum", "--l", "2", "--j", "2", "--limit", "1000",
-            "--cache-dir", str(tmp_path), "--format", "csv",
-        ],
+        capsys, f"partial-sum --l 2 --j 2 --limit 1000 --cache-dir {tmp_path} --format csv"
     )
     assert code == 0
     lines = out.splitlines()
@@ -238,11 +240,7 @@ def test_partial_sum_csv(capsys, tmp_path):
 
 def test_partial_sum_l1_fit_degenerates_gracefully(capsys, tmp_path):
     code, out, _ = run(
-        capsys,
-        [
-            "partial-sum", "--l", "1", "--j", "2", "--limit", "500",
-            "--cache-dir", str(tmp_path),
-        ],
+        capsys, f"partial-sum --l 1 --j 2 --limit 500 --cache-dir {tmp_path}"
     )
     assert code == 0
     assert "fit unavailable" in out
@@ -250,30 +248,24 @@ def test_partial_sum_l1_fit_degenerates_gracefully(capsys, tmp_path):
 
 def test_partial_sum_odd_has_no_fit_columns(capsys, tmp_path):
     code, out, _ = run(
-        capsys,
-        [
-            "partial-sum", "--l", "1", "--j", "3", "--limit", "500",
-            "--cache-dir", str(tmp_path), "--format", "csv",
-        ],
+        capsys, f"partial-sum --l 1 --j 3 --limit 500 --cache-dir {tmp_path} --format csv"
     )
     assert code == 0
     assert all(line.endswith(",,") for line in out.splitlines()[1:])
 
 
 def test_exit_code_domain_error(capsys):
-    code, _, err = run(capsys, ["coeffs", "--l", "0", "--j", "2"])
+    code, _, err = run(capsys, "coeffs --l 0 --j 2")
     assert code == 2 and "error:" in err
 
 
 def test_exit_code_capacity_coeffs(capsys):
-    code, _, err = run(capsys, ["coeffs", "--l", "13", "--j", "5"])
+    code, _, err = run(capsys, "coeffs --l 13 --j 5")
     assert code == 4 and "error:" in err
 
 
 def test_exit_code_capacity_tau(capsys, tmp_path):
-    code, _, err = run(
-        capsys, ["tau", "--limit", "2000000", "--cache-dir", str(tmp_path)]
-    )
+    code, _, err = run(capsys, f"tau --limit 2000000 --cache-dir {tmp_path}")
     assert code == 4
 
 
@@ -289,12 +281,9 @@ def test_argparse_errors_exit_2(capsys):
 
 def test_byte_determinism_across_runs(capsys, tmp_path):
     argvs = [
-        ["exponents", "--table", "--format", "json"],
-        ["coeffs", "--l", "4", "--j", "3", "--format", "csv"],
-        [
-            "partial-sum", "--l", "2", "--j", "2", "--limit", "2000",
-            "--cache-dir", str(tmp_path), "--format", "json",
-        ],
+        "exponents --table --format json",
+        "coeffs --l 4 --j 3 --format csv",
+        f"partial-sum --l 2 --j 2 --limit 2000 --cache-dir {tmp_path} --format json",
     ]
     for argv in argvs:
         _, first, _ = run(capsys, argv)

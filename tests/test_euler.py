@@ -7,7 +7,7 @@ from oracles import sym_prime_power_gauss
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment.errors import ConsistencyError
-from symmoment.symbolic import ONE, ZERO, IntPolynomial, poly_eval, sym_prime_poly
+from symmoment.symbolic import ONE, ZERO, IntPolynomial, sym_prime_poly
 
 LJ_4_TO_12 = [
     (l, j) for l in range(1, 13) for j in range(1, 13) if 4 <= l * j <= 12
@@ -29,7 +29,7 @@ def test_lhs_basic_values():
     for l, j, t in [(2, 2, 0.3), (3, 1, -1.2), (1, 5, 1.1)]:
         lhs = E.lhs_local(l, j, t, 3)
         assert lhs[0] == 1.0
-        want1 = poly_eval(sym_prime_poly(j), t) ** l
+        want1 = sym_prime_poly(j)(t) ** l
         assert lhs[1] == pytest.approx(want1, rel=1e-12, abs=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_rhs_first_order_is_decomposition_value():
 
         d = combinatorics.diff_coeffs(combinatorics.coeffs_bruteforce(l, j))
         want = sum(
-            w * poly_eval(sym_prime_poly(l * j - 2 * m), t)
+            w * sym_prime_poly(l * j - 2 * m)(t)
             for m, w in enumerate(d.values)
         )
         assert rhs[1] == pytest.approx(want, rel=1e-9, abs=1e-9)

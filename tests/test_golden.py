@@ -1,0 +1,134 @@
+"""Golden CLI records: exit code, stderr and stdout of fixed commands.
+
+Every record in tests/golden/ must match byte for byte. A refactor meant to
+leave the command line unchanged keeps them; a change meant to alter an
+output rewrites them, and the diff shows what moved:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Commands run in-process in one scratch directory. euler, tau and
+partial-sum get `--cache-dir cache` unless they name a cache, so paths in
+messages are relative and do not depend on where the tests run.
+"""
+
+import contextlib
+import io
+import os
+import pathlib
+import sys
+
+import pytest
+
+from symmoment import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+# one command a line; "*" runs it once in each of the three formats
+COMMANDS = """
+coeffs --l 3 --j 2 *
+coeffs --l 1 --j 3 *
+coeffs --l 8 --j 8 *
+coeffs --l 0 --j 2
+coeffs --l 13 --j 5
+identity --l 2 --j 3 *
+identity --l 5 --j 3 *
+identity --l 65 --j 1
+exponents --l 2 --j 2 *
+exponents --l 4 --j 2 *
+exponents --l 3 --j 3 *
+exponents --l 1 --j 6 *
+exponents --l 64 --j 1 *
+exponents --table *
+exponents --l 1 --j 22
+exponents
+exponents --l 1 --j 2
+exponents --l 65 --j 1
+euler --l 2 --j 2 --exact --order 4 *
+euler --l 3 --j 3 --exact --order 3 *
+euler --l 2 --j 2 --exact --order -1
+euler --l 13 --j 5 --exact
+euler --l 2 --j 2 --p 2 *
+euler --l 2 --j 2 --p 97 *
+euler --l 3 --j 3 --p 97 --order 4
+euler --l 4 --j 2 --p 5 --weight 16
+euler --l 2 --j 2 --p 6
+euler --l 2 --j 2 --p 0
+euler --l 2 --j 2 --p -7
+euler --l 2 --j 2 --p 1000003
+tau --limit 300 *
+tau --weight 16 --limit 100 *
+tau --weight 18 --limit 100 *
+tau --weight 20 --limit 100 *
+tau --weight 22 --limit 100 *
+tau --weight 26 --limit 100 *
+tau --limit 0
+tau --weight 14 --limit 10
+tau --limit 2000000
+tau --limit 20 --cache-dir bad
+partial-sum --l 2 --j 2 --limit 3000 *
+partial-sum --l 1 --j 3 --limit 3000 *
+partial-sum --l 1 --j 2 --limit 1000 *
+partial-sum --l 3 --j 2 --limit 2000 --weight 16
+partial-sum --l 0 --j 2 --limit 100
+partial-sum --l 2 --j 2 --limit 2000000
+"""
+
+# bad/ holds a two-row table where N = 20 is expected, so loading it exits 3
+BAD_TABLE = ("bad", "tau_12_20.csv", "n,a_n\n1,1\n2,-24\n")
+
+
+def _cases():
+    for line in COMMANDS.split("\n")[1:-1]:
+        argv = line.split()
+        for fmt in ("text", "csv", "json") if argv[-1] == "*" else (None,):
+            words = argv[:-1] + ["--format", fmt] if fmt else argv
+            name = " ".join(words).replace("--", "").replace(" ", "_")
+            if words[0] in ("euler", "tau", "partial-sum") and "--cache-dir" not in words:
+                words = words + ["--cache-dir", "cache"]
+            yield name, words
+
+
+CASES = dict(_cases())
+
+
+def record(argv, workdir) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return f"exit {code}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
+
+
+def prepare(workdir):
+    bad = pathlib.Path(workdir, BAD_TABLE[0])
+    bad.mkdir()
+    (bad / BAD_TABLE[1]).write_text(BAD_TABLE[2])
+    return workdir
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return prepare(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_record(name, workdir):
+    assert record(CASES[name], workdir) == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        prepare(tmp)
+        for name, argv in CASES.items():
+            (GOLDEN / f"{name}.txt").write_text(record(argv, tmp))
+    print(f"wrote {len(CASES)} records to {GOLDEN}", file=sys.stderr)

@@ -3,16 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import random_rational_points
 from symmoment import combinatorics
-from symmoment.symbolic import (
-    ONE,
-    ZERO,
-    IntPolynomial,
-    poly_eval,
-    random_rational_points,
-    sym_prime_poly,
-    verify_decomposition,
-)
+from symmoment.symbolic import ONE, ZERO, IntPolynomial, sym_prime_poly, verify_decomposition
 
 
 def test_basis_polynomials_small():
@@ -40,14 +33,14 @@ def test_recursion_holds():
 def test_sine_ratio_identity(r):
     for theta in (0.3, 1.1, 2.0, 2.9):
         want = math.sin((r + 1) * theta) / math.sin(theta)
-        got = poly_eval(sym_prime_poly(r), 2.0 * math.cos(theta))
+        got = sym_prime_poly(r)(2.0 * math.cos(theta))
         assert abs(got - want) < 1e-9
 
 
 def test_boundary_values():
     for r in range(12):
-        assert poly_eval(sym_prime_poly(r), 2) == r + 1
-        assert poly_eval(sym_prime_poly(r), -2) == (-1) ** r * (r + 1)
+        assert sym_prime_poly(r)(2) == r + 1
+        assert sym_prime_poly(r)(-2) == (-1) ** r * (r + 1)
 
 
 def test_polynomial_arithmetic():
@@ -73,7 +66,7 @@ def test_exact_rational_evaluation():
     vals = [Fraction(1), t]
     for _ in range(5):
         vals.append(t * vals[-1] - vals[-2])
-    assert poly_eval(p, t) == vals[6]
+    assert p(t) == vals[6]
 
 
 @pytest.mark.parametrize(
@@ -92,11 +85,8 @@ def test_decomposition_rational_sample():
     # identity of polynomials implies identity of exact values
     cert = verify_decomposition(3, 3)
     for t in random_rational_points(10, seed=5):
-        lhs = poly_eval(sym_prime_poly(3), t) ** 3
-        rhs = sum(
-            w * poly_eval(sym_prime_poly(9 - 2 * m), t)
-            for m, w in enumerate(cert.weights)
-        )
+        lhs = sym_prime_poly(3)(t) ** 3
+        rhs = sum(w * sym_prime_poly(9 - 2 * m)(t) for m, w in enumerate(cert.weights))
         assert lhs == rhs
 
 
