@@ -270,6 +270,17 @@ def test_smallest_prime_factors():
     assert spf[12] == 2 and spf[1] == 0
 
 
+def test_satake_table(delta_1e4):
+    # t = lam(p) = 2 cos(theta_p) lies in the Deligne interval at every prime,
+    # so deligne_t hands each one on unclamped
+    primes = H.primes_up_to(delta_1e4.limit)
+    assert primes[0] == 2 and primes[-1] == 9973
+    for p in primes:
+        t = delta_1e4.normalized[p]
+        assert abs(t) <= 2.0
+        assert H.deligne_t(t) == t
+
+
 # ---------------------------------------------------------------------------
 # cache
 
