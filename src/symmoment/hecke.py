@@ -16,8 +16,10 @@ FFT product checks its rounding margin before its residues are used.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
@@ -363,9 +365,13 @@ def local_expansion(weights, top, t, A):
     return h
 
 
+# |t| above this is outside the Deligne interval by more than rounding
+_T_MAX = 2.0 + 1e-6
+
+
 def deligne_t(t) -> float:
     """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6."""
-    if abs(t) > 2.0 + 1e-6:
+    if abs(t) > _T_MAX:
         raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
     return max(-2.0, min(2.0, float(t)))
 
@@ -387,56 +393,111 @@ def _check_power(j: int, a: int) -> None:
         raise ValueError(f"a must be nonnegative, got {a}")
 
 
-def smallest_prime_factors(N: int) -> list:
-    """spf[n] = least prime factor of n (spf[0] = spf[1] = 0)."""
-    spf = list(range(N + 1))
-    if N >= 1:
-        spf[1] = 0
-    for p in range(2, math.isqrt(N) + 1):
-        if spf[p] == p:
-            for m in range(p * p, N + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+def largest_prime_factors(N: int) -> np.ndarray:
+    """lpf[n] = largest prime factor of n as int32 (lpf[0] = lpf[1] = 0).
+
+    The primes p <= sqrt(N), in ascending order, each overwrite the slice
+    lpf[p::p], so the largest of them that divides n is what stays. A prime
+    p above sqrt(N) divides only k p with k < sqrt(N), and is the largest
+    factor there, so one step per k writes the whole slice of such primes
+    at once.
+    """
+    lpf = np.zeros(N + 1, dtype=np.int32)
+    root = math.isqrt(N)
+    for p in range(2, root + 1):
+        if lpf[p] == 0:
+            lpf[p::p] = p
+    big = np.flatnonzero(lpf[root + 1 :] == 0).astype(np.int32) + np.int32(root + 1)
+    for k in range(1, N // (root + 1) + 1):
+        top = big[: np.searchsorted(big, N // k, "right")]
+        lpf[k * top] = top
+    return lpf
+
+
+def _primes(lpf):
+    # n >= 2 is prime exactly when it is its own largest prime factor
+    return 2 + np.flatnonzero(lpf[2:] == np.arange(2, len(lpf), dtype=np.int32))
 
 
 def primes_up_to(N: int) -> list:
-    spf = smallest_prime_factors(max(N, 1))
-    return [n for n in range(2, N + 1) if spf[n] == n]
+    return _primes(largest_prime_factors(max(N, 1))).tolist()
 
 
 def sym_coeff_sieve(j: int, N: int, form: EigenformTable) -> list:
     """lam_sym^j(n) for n = 0..N by multiplicative extension (index 0 unused).
 
-    Each prime power value comes from sym_prime_power and is memoized, so
-    the cost is one factorization pass plus one evaluation per distinct
-    (p, a) pair.
+    Each n splits as rest * P, where P is the full power of the largest
+    prime factor of n that divides it, so rest holds only smaller primes.
+    With f = `_prime_power_values`, out[n] = out[rest[n]] * f[P[n]] is
+    filled by one gather pass per distinct prime factor, so each product is
+    formed from the smallest prime up, ((f(p1^a1) f(p2^a2)) ...), in the
+    order of a factorization loop and with the same floats.
     """
+    _check_power(j, 0)
     if form.limit < N:
         raise ValueError(f"form table limit {form.limit} < N={N}")
     _check_limit(N)
-    spf = smallest_prime_factors(N)
-    memo = {}
-    out = [0.0] * (N + 1)
-    if N >= 1:
-        out[1] = 1.0
-    for n in range(2, N + 1):
-        m = n
-        val = 1.0
-        while m > 1:
-            p = spf[m]
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            key = (p, a)
-            f = memo.get(key)
-            if f is None:
-                f = sym_prime_power(j, a, form.normalized[p])
-                memo[key] = f
-            val *= f
-        out[n] = val
-    return out
+    rest, power, primes = _split_largest_prime_power(N)
+    fP = _prime_power_values(j, N, primes, form)[power]
+    del power
+    # a number <= N has at most as many distinct primes as the largest
+    # primorial <= N
+    passes, primorial = 0, 1
+    for p in primes:
+        primorial *= int(p)
+        if primorial > N:
+            break
+        passes += 1
+    out = fP
+    for _ in range(passes - 1):
+        out = out[rest]
+        out *= fP
+    del rest, fP  # only out is left while the list is built
+    return out.tolist()
+
+
+def _split_largest_prime_power(N):
+    """rest, P and the primes up to N, with n = rest[n] P[n] and P[n] the
+    full power of the largest prime factor of n (rest = P = n at 0 and 1)."""
+    lpf = largest_prime_factors(N)
+    primes = _primes(lpf)
+    n = np.arange(N + 1, dtype=np.int32)
+    rest = n.copy()
+    rest[2:] //= lpf[2:]
+    idx = 2 + np.flatnonzero(lpf[rest[2:]] == lpf[2:])
+    while idx.size:
+        rest[idx] //= lpf[idx]
+        idx = idx[lpf[rest[idx]] == lpf[idx]]
+    n[2:] //= rest[2:]
+    return rest, n, primes
+
+
+def _prime_power_values(j, N, primes, form):
+    """f[p^a] = lam_sym^j(p^a) for every prime power p^a <= N, f[1] = 1.0
+    and 0.0 elsewhere.
+
+    Two vector calls of `local_expansion`: order 1 for the primes above
+    sqrt(N), whose squares exceed N, and order floor(log2 N) for the few
+    below. The Deligne check and clamp are those of `deligne_t`.
+    """
+    t = np.fromiter(map(form.normalized.__getitem__, primes.tolist()), float, len(primes))
+    outside = np.flatnonzero(np.abs(t) > _T_MAX)
+    if outside.size:
+        deligne_t(float(t[outside[0]]))  # raises, naming the least such prime's t
+    np.clip(t, -2.0, 2.0, out=t)
+    f = np.zeros(N + 1)
+    f[1] = 1.0
+    s = int(np.searchsorted(primes, math.isqrt(N), "right"))
+    f[primes[s:]] = local_expansion((1,), j, t[s:], 1)[1]
+    small = primes[:s]
+    q = small
+    for h in local_expansion((1,), j, t[:s], N.bit_length() - 1)[1:]:
+        # p^a <= N holds for a prefix of the ascending primes
+        c = int(np.searchsorted(q, N, "right"))
+        q = q[:c]
+        f[q] = h[:c]
+        q = q * small[:c]
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -460,35 +521,66 @@ def save_table(form: EigenformTable, cache_dir: str) -> str:
     return path
 
 
+# characters read per parse step; each step's strings and lists are
+# transient, so a smaller chunk keeps the peak RSS of a load lower
+_PARSE_CHUNK = 1 << 14
+
+_TWO_COMMAS = re.compile(r",[^\n]*,")
+
+
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back, re-validating; None when absent.
 
     Rows must run n = 1..N in order, each with exactly two integer fields.
     A malformed or failing file raises ConsistencyError rather than being
     silently recomputed, since stale caches are a real failure mode.
+
+    The rows are read in chunks of about 16 KiB, each ending at a line
+    end. A chunk whose lines each hold one comma and whose n column reads
+    exactly row, row + 1, ... is split in one pass; any other chunk goes
+    through `csv.reader` row by row, which accepts and rejects what it
+    always has, with the same messages.
     """
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
     raw = [0]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(path) as fh:
+        header = next(csv.reader(fh), None)
         if header != ["n", "a_n"]:
             raise ConsistencyError(f"bad cache header in {path}: {header}")
-        row = 0
-        try:
-            for row, (n, a_n) in enumerate(reader, 1):
-                if int(n) != row:
-                    raise ConsistencyError(f"cache {path} row {row} holds n={n}")
-                raw.append(int(a_n))
-        except ValueError as exc:
-            raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
+        while text := fh.read(_PARSE_CHUNK):
+            text += fh.readline()  # finish the last line
+            row = len(raw) - 1
+            k = text.count("\n")  # a last line without one takes the csv path
+            fields = text.replace("\n", ",").split(",")
+            if (
+                text.count(",") == k
+                and _TWO_COMMAS.search(text) is None
+                and fields[0:-1:2] == list(map(str, range(row + 1, row + k + 1)))
+            ):
+                try:
+                    raw += map(int, fields[1::2])
+                    continue
+                except ValueError:
+                    del raw[row + 1 :]  # the row-by-row parse names the field
+            _parse_rows(io.StringIO(text), row, raw, path)
     if len(raw) != N + 1:
         raise ConsistencyError(f"cache {path} has {len(raw) - 1} rows, expected {N}")
     form = _table(weight, raw)
     form.spot_check()
     return form
+
+
+def _parse_rows(lines, row, raw, path):
+    # rows row + 1, ... one at a time, naming the first fault
+    try:
+        for row, (n, a_n) in enumerate(csv.reader(lines), row + 1):
+            if int(n) != row:
+                raise ConsistencyError(f"cache {path} row {row} holds n={n}")
+            raw.append(int(a_n))
+    except ValueError as exc:
+        raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
 
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:

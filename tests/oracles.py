@@ -3,14 +3,17 @@
 Everything here avoids the library's fast paths on purpose: schoolbook
 convolution instead of multi-modular FFT products, direct divisor
 enumeration instead of sieves, the defining infinite product for the
-weight-12 form instead of the eta-cube route, and Gaussian binomials
-instead of Newton's identities for symmetric-power values.
+weight-12 form instead of the eta-cube route, Gaussian binomials
+instead of Newton's identities for symmetric-power values, and a
+factorization loop over a smallest-prime-factor sieve instead of the
+library's vectorized multiplicative sieve.
 """
 
 import math
 import random
 from fractions import Fraction
 
+from symmoment.hecke import sym_prime_power
 from symmoment.symbolic import ZERO, IntPolynomial
 
 
@@ -75,6 +78,47 @@ def naive_eigenform(weight, N):
 
 def primes_below(n):
     return [p for p in range(2, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def smallest_prime_factors(N):
+    """spf[n] = least prime factor of n (spf[0] = spf[1] = 0)."""
+    spf = list(range(N + 1))
+    if N >= 1:
+        spf[1] = 0
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def naive_sym_coeff_sieve(j, N, form):
+    """lam_sym^j(n) for n = 0..N, factoring each n by its smallest primes.
+
+    val = ((f(p1^a1) f(p2^a2)) ...) from the smallest prime up, each
+    f(p^a) one scalar `sym_prime_power` call, memoized per (p, a).
+    """
+    spf = smallest_prime_factors(N)
+    memo = {}
+    out = [0.0] * (N + 1)
+    if N >= 1:
+        out[1] = 1.0
+    for n in range(2, N + 1):
+        m = n
+        val = 1.0
+        while m > 1:
+            p = spf[m]
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            f = memo.get((p, a))
+            if f is None:
+                f = memo[(p, a)] = sym_prime_power(j, a, form.normalized[p])
+            val *= f
+        out[n] = val
+    return out
 
 
 def gaussian_binomial(n, k):

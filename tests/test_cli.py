@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symmoment import cli, exponents
+from symmoment import cli, exponents, hecke
 
 
 def run(capsys, argv):
@@ -186,12 +186,12 @@ def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
     assert "internal error" in err
 
 
-def corrupt_cache_row(capsys, tmp_path, n, replacement):
-    """Build the N = 1000 weight-12 cache, then replace the row of n."""
-    argv = f"tau --limit 1000 --cache-dir {tmp_path}"
+def corrupt_cache_row(capsys, tmp_path, n, replacement, limit=1000):
+    """Build the weight-12 cache to `limit`, then replace the row of n."""
+    argv = f"tau --limit {limit} --cache-dir {tmp_path}"
     code, _, _ = run(capsys, argv)
     assert code == 0
-    cache_file = tmp_path / "tau_12_1000.csv"
+    cache_file = tmp_path / f"tau_12_{limit}.csv"
     lines = cache_file.read_text().splitlines()
     assert lines[n].startswith(f"{n},")
     lines[n] = replacement(lines)
@@ -218,6 +218,55 @@ def test_tau_cache_missing_field_exit_3(capsys, tmp_path):
     code, out, err = corrupt_cache_row(capsys, tmp_path, 7, lambda lines: "7")
     assert code == 3 and out == ""
     assert "internal error" in err and "row 7" in err
+
+
+def test_tau_cache_three_fields_exit_3(capsys, tmp_path):
+    code, out, err = corrupt_cache_row(capsys, tmp_path, 9, lambda lines: lines[9] + ",0")
+    assert code == 3 and out == ""
+    assert "internal error" in err and "row 9" in err
+
+
+def test_tau_cache_extra_row_exit_3(capsys, tmp_path):
+    code, out, err = corrupt_cache_row(
+        capsys, tmp_path, 1000, lambda lines: lines[1000] + "\n1001,0"
+    )
+    assert code == 3 and out == ""
+    assert "has 1001 rows, expected 1000" in err
+
+
+def test_tau_cache_crlf_line_ends_load_the_same(capsys, tmp_path):
+    argv = f"tau --limit 1000 --cache-dir {tmp_path} --format csv"
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    cache_file = tmp_path / "tau_12_1000.csv"
+    text = cache_file.read_text()
+    cache_file.write_bytes(text.replace("\n", "\r\n").encode())
+    code, second, err = run(capsys, argv)
+    assert code == 0 and err == "" and second == first
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda row: f"{row},1.5", "malformed cache row {row}"),
+        (lambda row: f"{row - 1},0", "row {row} holds n={prev}"),
+    ],
+)
+def test_tau_cache_fault_past_the_first_parse_chunk_exit_3(
+    capsys, tmp_path, corrupt, message
+):
+    # the cache is parsed in chunks of about hecke._PARSE_CHUNK characters;
+    # the row at twice that offset lies in the second chunk or later
+    limit = 6000
+    code, text, _ = run(capsys, f"tau --limit {limit} --cache-dir {tmp_path} --format csv")
+    assert code == 0
+    row = text[: 2 * hecke._PARSE_CHUNK].count("\n")
+    assert row < limit
+    code, out, err = corrupt_cache_row(
+        capsys, tmp_path, row, lambda lines: corrupt(row), limit=limit
+    )
+    assert code == 3 and out == ""
+    assert message.format(row=row, prev=row - 1) in err
 
 
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):

@@ -2,9 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oracles import naive_delta, naive_eigenform, naive_series_mul, sym_prime_power_gauss
+from oracles import (
+    naive_delta,
+    naive_eigenform,
+    naive_series_mul,
+    naive_sym_coeff_sieve,
+    smallest_prime_factors,
+    sym_prime_power_gauss,
+)
 from symmoment import hecke as H
 from symmoment.errors import CapacityError, ConsistencyError
 from symmoment.symbolic import sym_prime_poly
@@ -254,6 +262,41 @@ def test_sieve_requires_large_enough_table(delta_1e4):
         H.sym_coeff_sieve(2, 20_000, delta_1e4)
 
 
+@pytest.mark.parametrize("j", range(1, 9))
+def test_sieve_matches_factorization_loop_exactly(j, delta_1e4):
+    # N = 1..4 have no or one prime below sqrt(N); 127, 128 = 2^7 and 129
+    # straddle a power of two, where the order floor(log2 N) steps up
+    for N in (1, 2, 3, 4, 127, 128, 129, 1000):
+        assert H.sym_coeff_sieve(j, N, delta_1e4) == naive_sym_coeff_sieve(j, N, delta_1e4)
+
+
+def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
+    N = H.HARD_CAP
+    lam = H.sym_coeff_sieve(2, N, delta_1e6)
+    want = naive_sym_coeff_sieve(2, N, delta_1e6)
+    # seven distinct primes (the most below 10^6), 2^19, the largest prime,
+    # and the last index
+    for n in (510510, 524288, 999983, 999999):
+        assert lam[n] == want[n], n
+    assert lam == want
+
+
+@pytest.mark.parametrize("j", [0, -2])
+def test_sieve_rejects_j_below_one_at_every_n(j, delta_1e4):
+    for N in (1, 2, 50):
+        with pytest.raises(ValueError, match="j must be positive"):
+            H.sym_coeff_sieve(j, N, delta_1e4)
+
+
+def test_sieve_rejects_t_outside_the_deligne_interval():
+    # t = 2.5 at p = 3 and -3.0 at p = 7: both sieves name the least prime's t
+    normalized = [0.0, 1.0, 0.5, 2.5, 0.0, 0.25, 0.0, -3.0] + [0.0] * 3
+    form = H.EigenformTable(12, 10, (0, 1) + (0,) * 9, tuple(normalized))
+    for sieve in (H.sym_coeff_sieve, naive_sym_coeff_sieve):
+        with pytest.raises(ValueError, match=r"t=2\.5 outside the Deligne interval"):
+            sieve(2, 10, form)
+
+
 # ---------------------------------------------------------------------------
 # prime utilities
 
@@ -265,9 +308,23 @@ def test_primes_up_to():
 
 
 def test_smallest_prime_factors():
-    spf = H.smallest_prime_factors(20)
+    # the oracle sieve that naive_sym_coeff_sieve factors with
+    spf = smallest_prime_factors(20)
     assert spf[2] == 2 and spf[9] == 3 and spf[15] == 3 and spf[17] == 17
     assert spf[12] == 2 and spf[1] == 0
+
+
+def test_largest_prime_factors():
+    for N in (0, 1, 2, 3, 4, 48, 49, 50, 3000):
+        lpf = H.largest_prime_factors(N)
+        assert lpf.dtype == np.int32 and len(lpf) == N + 1
+        assert not lpf[:2].any()
+        spf = smallest_prime_factors(N)
+        for n in range(2, N + 1):
+            m = n
+            while spf[m] != m:
+                m //= spf[m]
+            assert lpf[n] == m, (N, n)
 
 
 def test_satake_table(delta_1e4):
@@ -309,6 +366,41 @@ def test_cache_rejects_corruption(tmp_path):
     open(path, "w").write("\n".join(lines) + "\n")
     with pytest.raises(ConsistencyError):
         H.load_table(12, 60, cache)
+
+
+def test_cache_rejects_rows_that_split_into_the_right_columns(tmp_path):
+    # "7" and "-16744,8,84480" split on commas and newlines into the same
+    # fields as rows 7 and 8, but row 7 has one field
+    cache = str(tmp_path)
+    H.save_table(H.delta_qexp(60), cache)
+    path = H.cache_path(cache, 12, 60)
+    lines = open(path).read().splitlines()
+    assert lines[7:9] == ["7,-16744", "8,84480"]
+    lines[7:9] = ["7", "-16744,8,84480"]
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ConsistencyError, match="malformed cache row 7"):
+        H.load_table(12, 60, cache)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {3: '3,"252"', 5: "5, 4830"},  # only int() of the a column fails
+        {5: '"+5",4830'},  # the n column is not written as str(n)
+    ],
+)
+def test_cache_parse_keeps_the_csv_rules(edits, tmp_path):
+    # quoted fields and padded or signed integers are what csv.reader and
+    # int() accept
+    cache = str(tmp_path)
+    tab = H.delta_qexp(60)
+    H.save_table(tab, cache)
+    path = H.cache_path(cache, 12, 60)
+    lines = open(path).read().splitlines()
+    for n, line in edits.items():
+        lines[n] = line
+    open(path, "w").write("\n".join(lines))
+    assert H.load_table(12, 60, cache).raw == tab.raw
 
 
 def test_cache_rejects_bad_header(tmp_path):
