@@ -203,7 +203,7 @@ def cmd_euler(args) -> int:
         if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
             raise ValueError(f"--p must be prime, got {p}")
         form = hecke.cached_eigenform(args.weight, max(p, 16), args.cache_dir)
-        series = euler.correction_series(args.l, args.j, form.normalized[p], args.order)
+        series = euler.correction_series(args.l, args.j, form.lam(p), args.order)
         coeffs = list(series.coeffs)
     if args.format == "json":
         _print_json(

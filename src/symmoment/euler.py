@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import ConsistencyError
-from .hecke import _check_power, deligne_t, local_expansion
+from .hecke import deligne_t, local_expansion
 from .symbolic import ONE, IntPolynomial
 
 DEFAULT_ORDER = 6
@@ -115,12 +115,6 @@ def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> Local
 
 # ---------------------------------------------------------------------------
 # exact symbolic mode: the same expansion over Z[t]
-
-
-def sym_prime_power_poly(j: int, a: int) -> IntPolynomial:
-    """Exact polynomial in t giving lam_sym^j(p^a); oracle for the float path."""
-    _check_power(j, a)
-    return local_expansion((1,), j, T, a)[a]
 
 
 def lhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:

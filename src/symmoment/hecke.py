@@ -2,9 +2,10 @@
 
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
-the sparse eta-cube series and one Eisenstein series. Normalized values
-lam(n) = a(n)/n^((k-1)/2) feed the symmetric-power values at prime
-powers and a multiplicative sieve over n <= N.
+the sparse eta-cube series and one Eisenstein series. A table holds only
+these integers. The normalized values lam(n) = a(n)/n^((k-1)/2) are formed
+where they are read: at the primes, for the symmetric-power values at
+prime powers and a multiplicative sieve over n <= N.
 
 The q-expansion is multi-modular. For each of a few primes below 2^21 the
 series products run on int64 residues through numpy float FFTs of 11-bit
@@ -15,12 +16,9 @@ FFT product checks its rounding margin before its residues are used.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
 
@@ -31,6 +29,13 @@ from .errors import CapacityError, ConsistencyError
 HARD_CAP = 1_000_000
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+
+def _check_weight(weight: int) -> None:
+    if weight not in SUPPORTED_WEIGHTS:
+        raise ValueError(
+            f"weight {weight} not supported; choose from {SUPPORTED_WEIGHTS}"
+        )
 
 
 def _check_limit(n: int, limit: int | None = None) -> None:
@@ -252,18 +257,23 @@ def _crt_balanced(primes, residues):
 class EigenformTable:
     """q-expansion of the normalized eigenform of one-dimensional weight.
 
-    raw[n] = a(n) exactly for 1 <= n <= limit (raw[0] = 0 padding);
-    normalized[n] = a(n) / n^((weight-1)/2) in double precision.
+    raw[n] = a(n) exactly for 1 <= n <= limit (raw[0] = 0 padding). The
+    exact integers are the only copy; `lam` gives a normalized value.
     """
 
     weight: int
     limit: int
     raw: tuple
-    normalized: tuple = field(repr=False)
 
     def __post_init__(self):
         if self.raw[1] != 1:
             raise ConsistencyError("eigenform not normalized: a(1) != 1")
+
+    def lam(self, n: int) -> float:
+        """lam_f(n) = a(n) / n^((weight-1)/2) in double precision, 1 <= n <= limit."""
+        if not 1 <= n <= self.limit:
+            raise IndexError(f"n={n} outside 1..{self.limit}")
+        return _lam(self, (n,))[0]
 
     def spot_check(self) -> None:
         """Cheap structural validation: Hecke recursion and multiplicativity.
@@ -287,13 +297,12 @@ class EigenformTable:
                 raise ConsistencyError(f"multiplicativity fails at {m}*{n}")
 
 
-def _table(weight, raw):
-    # raw = [0, a(1), ..., a(N)]; normalized[n] = a(n) / n^((weight-1)/2)
-    e = (weight - 1) / 2
-    normalized = [0.0] + [raw[n] / n**e for n in range(1, len(raw))]
-    return EigenformTable(
-        weight=weight, limit=len(raw) - 1, raw=tuple(raw), normalized=tuple(normalized)
-    )
+def _lam(form, ns):
+    # a(n) / n^((k-1)/2) for each n in ns, as Python float powers: np.power
+    # rounds n**e differently for thousands of n <= 1e5
+    e = (form.weight - 1) / 2
+    raw = form.raw
+    return [raw[n] / n**e for n in ns]
 
 
 def delta_qexp(N: int, limit: int | None = None) -> EigenformTable:
@@ -303,16 +312,12 @@ def delta_qexp(N: int, limit: int | None = None) -> EigenformTable:
 
 def eigenform_qexp(weight: int, N: int, limit: int | None = None) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight."""
-    if weight not in SUPPORTED_WEIGHTS:
-        raise ValueError(
-            f"weight {weight} not supported; choose from {SUPPORTED_WEIGHTS}"
-        )
+    _check_weight(weight)
     _check_limit(N, limit)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
-    return _table(
-        weight, [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
-    )
+    raw = [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
+    return EigenformTable(weight=weight, limit=N, raw=tuple(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +485,7 @@ def _prime_power_values(j, N, primes, form):
     sqrt(N), whose squares exceed N, and order floor(log2 N) for the few
     below. The Deligne check and clamp are those of `deligne_t`.
     """
-    t = np.fromiter(map(form.normalized.__getitem__, primes.tolist()), float, len(primes))
+    t = np.array(_lam(form, primes.tolist()))
     outside = np.flatnonzero(np.abs(t) > _T_MAX)
     if outside.size:
         deligne_t(float(t[outside[0]]))  # raises, naming the least such prime's t
@@ -509,78 +514,52 @@ def cache_path(cache_dir: str, weight: int, N: int) -> str:
 
 
 def save_table(form: EigenformTable, cache_dir: str) -> str:
+    """Write the table as `n,a_n` rows, the bytes of `tau --format csv`."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, form.weight, form.limit)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "a_n"])
-        for n in range(1, form.limit + 1):
-            writer.writerow([n, form.raw[n]])
+        fh.write("n,a_n\n")
+        fh.writelines(f"{n},{a}\n" for n, a in enumerate(form.raw[1:], 1))
     os.replace(tmp, path)
     return path
-
-
-# characters read per parse step; each step's strings and lists are
-# transient, so a smaller chunk keeps the peak RSS of a load lower
-_PARSE_CHUNK = 1 << 14
-
-_TWO_COMMAS = re.compile(r",[^\n]*,")
 
 
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back, re-validating; None when absent.
 
-    Rows must run n = 1..N in order, each with exactly two integer fields.
-    A malformed or failing file raises ConsistencyError rather than being
-    silently recomputed, since stale caches are a real failure mode.
-
-    The rows are read in chunks of about 16 KiB, each ending at a line
-    end. A chunk whose lines each hold one comma and whose n column reads
-    exactly row, row + 1, ... is split in one pass; any other chunk goes
-    through `csv.reader` row by row, which accepts and rejects what it
-    always has, with the same messages.
+    weight and N are checked as `eigenform_qexp` checks them, before any
+    file is opened. Rows must read `n,a(n)` for n = 1..N in order, each
+    field an integer in ASCII digits as int() reads it (a sign and blanks
+    around the digits pass). A malformed or failing file raises
+    ConsistencyError rather than being silently recomputed, since stale
+    caches are a real failure mode.
     """
+    _check_weight(weight)
+    _check_limit(N)
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
     raw = [0]
-    with open(path) as fh:
-        header = next(csv.reader(fh), None)
-        if header != ["n", "a_n"]:
-            raise ConsistencyError(f"bad cache header in {path}: {header}")
-        while text := fh.read(_PARSE_CHUNK):
-            text += fh.readline()  # finish the last line
-            row = len(raw) - 1
-            k = text.count("\n")  # a last line without one takes the csv path
-            fields = text.replace("\n", ",").split(",")
-            if (
-                text.count(",") == k
-                and _TWO_COMMAS.search(text) is None
-                and fields[0:-1:2] == list(map(str, range(row + 1, row + k + 1)))
-            ):
-                try:
-                    raw += map(int, fields[1::2])
-                    continue
-                except ValueError:
-                    del raw[row + 1 :]  # the row-by-row parse names the field
-            _parse_rows(io.StringIO(text), row, raw, path)
+    # the writer writes ASCII; any other byte becomes U+FFFD, which int()
+    # rejects in its own row
+    with open(path, encoding="ascii", errors="replace") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != "n,a_n":
+            raise ConsistencyError(f"bad cache header in {path}: {header!r}")
+        try:
+            for row, line in enumerate(fh, 1):
+                n, a_n = line.rstrip("\n").split(",")
+                if int(n) != row:
+                    raise ConsistencyError(f"cache {path} row {row} holds n={n}")
+                raw.append(int(a_n))
+        except ValueError as exc:
+            raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
     if len(raw) != N + 1:
         raise ConsistencyError(f"cache {path} has {len(raw) - 1} rows, expected {N}")
-    form = _table(weight, raw)
+    form = EigenformTable(weight=weight, limit=N, raw=tuple(raw))
     form.spot_check()
     return form
-
-
-def _parse_rows(lines, row, raw, path):
-    # rows row + 1, ... one at a time, naming the first fault
-    try:
-        for row, (n, a_n) in enumerate(csv.reader(lines), row + 1):
-            if int(n) != row:
-                raise ConsistencyError(f"cache {path} row {row} holds n={n}")
-            raw.append(int(a_n))
-    except ValueError as exc:
-        raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
 
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:

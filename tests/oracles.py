@@ -115,7 +115,7 @@ def naive_sym_coeff_sieve(j, N, form):
                 a += 1
             f = memo.get((p, a))
             if f is None:
-                f = memo[(p, a)] = sym_prime_power(j, a, form.normalized[p])
+                f = memo[(p, a)] = sym_prime_power(j, a, form.lam(p))
             val *= f
         out[n] = val
     return out

@@ -146,7 +146,7 @@ def test_criterion_07_euler_local_certification(delta_1e4):
             series = euler.correction_series(l, j, t, 2)
             assert abs(series.coeffs[1]) <= 1e-9, (l, j, t)
         for p in (2, 3, 5, 7):
-            t = delta_1e4.normalized[p]
+            t = delta_1e4.lam(p)
             series = euler.correction_series(l, j, t, 2)
             assert abs(series.coeffs[1]) <= 1e-9, (l, j, p)
 
@@ -161,7 +161,7 @@ def test_criterion_08_hecke_table(delta_1e4):
     form = delta_1e4
     assert form.raw[1] == 1
     for p in primes_below(10_001):
-        assert abs(form.normalized[p]) <= 2.0 + 1e-12, p
+        assert abs(form.lam(p)) <= 2.0 + 1e-12, p
     rng = random.Random(20240815)
     done = 0
     while done < 500:

@@ -161,16 +161,23 @@ def test_euler_large_prime_p_hits_the_cap_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
-def test_tau_csv_matches_cache_file(capsys, tmp_path):
-    code, out, _ = run(capsys, f"tau --limit 10 --cache-dir {tmp_path} --format csv")
+@pytest.mark.parametrize("weight", hecke.SUPPORTED_WEIGHTS)
+def test_tau_csv_matches_cache_file(capsys, tmp_path, weight):
+    # the cache writer, the cache reader and `tau --format csv` share one format
+    argv = f"tau --weight {weight} --limit 10 --cache-dir {tmp_path} --format csv"
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    cache_file = tmp_path / "tau_12_10.csv"
-    assert cache_file.read_text() == out
+    cache_file = tmp_path / f"tau_{weight}_10.csv"
+    assert cache_file.read_bytes() == out.encode()
     lines = out.splitlines()
     assert lines[0] == "n,a_n"
     assert lines[1] == "1,1"
-    assert lines[2] == "2,-24"
-    assert lines[10] == "10,-115920"
+    a2 = {12: -24, 16: 216, 18: -528, 20: 456, 22: -288, 26: -48}[weight]
+    assert lines[2] == f"2,{a2}"
+    if weight == 12:
+        assert lines[10] == "10,-115920"
+    code, again, err = run(capsys, argv)  # read back from the cache
+    assert code == 0 and err == "" and again == out
 
 
 def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
@@ -255,18 +262,56 @@ def test_tau_cache_crlf_line_ends_load_the_same(capsys, tmp_path):
 def test_tau_cache_fault_past_the_first_parse_chunk_exit_3(
     capsys, tmp_path, corrupt, message
 ):
-    # the cache is parsed in chunks of about hecke._PARSE_CHUNK characters;
-    # the row at twice that offset lies in the second chunk or later
-    limit = 6000
-    code, text, _ = run(capsys, f"tau --limit {limit} --cache-dir {tmp_path} --format csv")
-    assert code == 0
-    row = text[: 2 * hecke._PARSE_CHUNK].count("\n")
-    assert row < limit
+    # row 5000 of 6000 lies well past the first buffered read of the file
+    # (about 118 KiB in)
+    limit, row = 6000, 5000
     code, out, err = corrupt_cache_row(
         capsys, tmp_path, row, lambda lines: corrupt(row), limit=limit
     )
     assert code == 3 and out == ""
     assert message.format(row=row, prev=row - 1) in err
+
+
+@pytest.mark.parametrize(
+    "n, line", [(3, '3,"252"'), (5, '"5",4830'), (5, "5,\uff14\uff18\uff13\uff10")]
+)
+def test_tau_cache_field_save_table_never_writes_exit_3(capsys, tmp_path, n, line):
+    # quoted fields, and digits int() reads but save_table never writes
+    # (here fullwidth 4830), are malformed rows
+    code, out, err = corrupt_cache_row(capsys, tmp_path, n, lambda lines: line)
+    assert code == 3 and out == ""
+    assert f"malformed cache row {n}" in err
+
+
+def test_tau_cache_undecodable_byte_exit_3(capsys, tmp_path):
+    # once a usage error (exit 2) from the decoder, naming no row
+    argv = f"tau --limit 3000 --cache-dir {tmp_path}"
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    cache_file = tmp_path / "tau_12_3000.csv"
+    body = cache_file.read_bytes()
+    assert b"\n2500," in body
+    cache_file.write_bytes(body.replace(b"\n2500,", b"\n2500,\xff", 1))
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "malformed cache row 2500" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, want",
+    [
+        ("--limit 0", "tau_12_0.csv", 2),
+        ("--weight 13 --limit 10", "tau_13_10.csv", 2),
+        ("--limit 1000001", "tau_12_1000001.csv", 4),
+    ],
+)
+def test_tau_planted_cache_file_keeps_argument_checks(capsys, tmp_path, argv, name, want):
+    # weight and N are checked before a cache file is opened; a header-only
+    # tau_12_0.csv once gave an IndexError traceback
+    (tmp_path / name).write_text("n,a_n\n")
+    code, out, err = run(capsys, f"tau {argv} --cache-dir {tmp_path}")
+    assert code == want and out == ""
+    assert err.startswith("error: ")
 
 
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):

@@ -70,7 +70,7 @@ def test_correction_x1_vanishes_floating():
 
 def test_correction_x1_vanishes_at_delta_primes(delta_1e4):
     for p in (2, 3, 5, 7):
-        t = delta_1e4.normalized[p]
+        t = delta_1e4.lam(p)
         for l, j in [(2, 2), (3, 2), (2, 3), (4, 2)]:
             q = E.correction_series(l, j, t, 4)
             assert abs(q[1]) <= 1e-9
@@ -135,22 +135,27 @@ def test_symbolic_first_order_identity():
         assert lhs[1] == rhs[1]
 
 
+def sym_prime_power_poly(j, a):
+    # lam_sym^j(p^a) as a polynomial in t, exactly over Z[t]
+    return H.local_expansion((1,), j, E.T, a)[a]
+
+
 def test_sym_prime_power_poly_base_cases():
     for j in range(1, 9):
-        assert E.sym_prime_power_poly(j, 0) == ONE
-        assert E.sym_prime_power_poly(j, 1) == sym_prime_poly(j)
+        assert sym_prime_power_poly(j, 0) == ONE
+        assert sym_prime_power_poly(j, 1) == sym_prime_poly(j)
 
 
 def test_sym_prime_power_poly_j1_gives_basis():
     # for j = 1 the power-a value is the degree-a basis polynomial
     for a in range(0, 9):
-        assert E.sym_prime_power_poly(1, a) == sym_prime_poly(a)
+        assert sym_prime_power_poly(1, a) == sym_prime_poly(a)
 
 
 def test_sym_prime_power_poly_matches_gaussian_binomial_oracle():
     for j in range(1, 9):
         for a in range(0, 11):
-            assert E.sym_prime_power_poly(j, a) == sym_prime_power_gauss(j, a), (j, a)
+            assert sym_prime_power_poly(j, a) == sym_prime_power_gauss(j, a), (j, a)
 
 
 def test_float_vs_symbolic_agreement():
@@ -190,6 +195,6 @@ def test_domain_errors():
 def test_correction_at_real_satake_parameters_various_weights():
     for weight in (16, 18):
         tab = H.eigenform_qexp(weight, 16)
-        t = tab.normalized[2]
+        t = tab.lam(2)
         q = E.correction_series(2, 2, t, 3)
         assert abs(q[1]) <= 1e-9

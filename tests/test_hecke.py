@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_multiplicativity_random_coprime_pairs(delta_1e4):
 def test_deligne_bound(weight, delta_1e4):
     tab = delta_1e4 if weight == 12 else H.eigenform_qexp(16, 10_000)
     for p in H.primes_up_to(tab.limit):
-        assert abs(tab.normalized[p]) <= 2.0
+        assert abs(tab.lam(p)) <= 2.0
 
 
 def test_eigenform_known_a2_values():
@@ -144,8 +145,11 @@ def test_eigenform_spot_check_passes():
 
 def test_normalization():
     tab = H.eigenform_qexp(16, 100)
-    for n in (2, 10, 97):
-        assert tab.normalized[n] == tab.raw[n] / n**7.5
+    for n in (1, 2, 10, 97, 100):
+        assert tab.lam(n) == tab.raw[n] / n**7.5
+    for n in (0, -1, 101):
+        with pytest.raises(IndexError):
+            tab.lam(n)
 
 
 def test_domain_and_capacity_errors():
@@ -225,7 +229,7 @@ def test_sieve_j1_matches_table(delta_1e4):
     lam = H.sym_coeff_sieve(1, 2000, delta_1e4)
     assert lam[1] == 1.0
     for n in range(1, 2001):
-        assert abs(lam[n] - delta_1e4.normalized[n]) < 1e-9
+        assert abs(lam[n] - delta_1e4.lam(n)) < 1e-9
 
 
 def test_sieve_prime_values_are_a_p_to_the_j(delta_1e4):
@@ -233,7 +237,7 @@ def test_sieve_prime_values_are_a_p_to_the_j(delta_1e4):
     lam = H.sym_coeff_sieve(3, 20, delta_1e4)
     for p in (2, 3, 5, 7, 11, 13):
         if p**3 <= delta_1e4.limit:
-            assert abs(lam[p] - delta_1e4.normalized[p**3]) < 1e-9
+            assert abs(lam[p] - delta_1e4.lam(p**3)) < 1e-9
 
 
 def test_sieve_multiplicative(delta_1e4):
@@ -252,7 +256,7 @@ def test_sieve_sym2_divisor_identity(delta_1e6):
         while d * d <= n:
             if n % (d * d) == 0:
                 m = n // (d * d)
-                want += delta_1e6.normalized[m * m]
+                want += delta_1e6.lam(m * m)
             d += 1
         assert abs(lam[n] - want) < 1e-9, n
 
@@ -289,11 +293,16 @@ def test_sieve_rejects_j_below_one_at_every_n(j, delta_1e4):
 
 
 def test_sieve_rejects_t_outside_the_deligne_interval():
-    # t = 2.5 at p = 3 and -3.0 at p = 7: both sieves name the least prime's t
-    normalized = [0.0, 1.0, 0.5, 2.5, 0.0, 0.25, 0.0, -3.0] + [0.0] * 3
-    form = H.EigenformTable(12, 10, (0, 1) + (0,) * 9, tuple(normalized))
+    # |a(p)| may reach 2 p^5.5 at weight 12: 841.8 at p = 3 and 88943.1 at
+    # p = 7, so t = 2.376 at 3 and -2.249 at 7; both sieves name the least
+    # prime's t
+    raw = (0, 1, 0, 1000, 0, 0, 0, -100_000, 0, 0, 0)
+    form = H.EigenformTable(12, 10, raw)
+    t3 = 1000 / 3**5.5
+    assert 2.3 < t3 < 2.4
+    message = f"t={re.escape(repr(t3))} outside the Deligne interval"
     for sieve in (H.sym_coeff_sieve, naive_sym_coeff_sieve):
-        with pytest.raises(ValueError, match=r"t=2\.5 outside the Deligne interval"):
+        with pytest.raises(ValueError, match=message):
             sieve(2, 10, form)
 
 
@@ -333,7 +342,7 @@ def test_satake_table(delta_1e4):
     primes = H.primes_up_to(delta_1e4.limit)
     assert primes[0] == 2 and primes[-1] == 9973
     for p in primes:
-        t = delta_1e4.normalized[p]
+        t = delta_1e4.lam(p)
         assert abs(t) <= 2.0
         assert H.deligne_t(t) == t
 
@@ -385,13 +394,13 @@ def test_cache_rejects_rows_that_split_into_the_right_columns(tmp_path):
 @pytest.mark.parametrize(
     "edits",
     [
-        {3: '3,"252"', 5: "5, 4830"},  # only int() of the a column fails
-        {5: '"+5",4830'},  # the n column is not written as str(n)
+        {3: "3,+252", 5: "5, 4830"},  # padded or signed a column
+        {5: "+5,4830", 6: " 6 ,-6048"},  # the n column is not written as str(n)
     ],
 )
 def test_cache_parse_keeps_the_csv_rules(edits, tmp_path):
-    # quoted fields and padded or signed integers are what csv.reader and
-    # int() accept
+    # padded or signed integers are what int() accepts; quoted fields, which
+    # save_table never writes, are rejected (test_cli)
     cache = str(tmp_path)
     tab = H.delta_qexp(60)
     H.save_table(tab, cache)
