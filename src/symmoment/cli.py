@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library modules; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. Exit codes: 0 success, 2 usage or domain
-error, 3 internal consistency failure, 4 capacity cap exceeded.
+error (an unusable --cache-dir among them), 3 internal consistency
+failure, 4 capacity cap exceeded.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -86,18 +86,6 @@ def _binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _incl_excl(l: int, j: int, top: int, k: int) -> tuple[int, ...]:
-    """sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + k, k), m = 0..top."""
-    values = []
-    for m in range(top + 1):
-        acc = 0
-        for r in range(m // (j + 1) + 1):
-            term = _binom(l, r) * _binom(m - r * (j + 1) + k, k)
-            acc += -term if r & 1 else term
-        values.append(acc)
-    return tuple(values)
-
-
 def coeffs_bruteforce(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
     """Coefficients of (1 + x + ... + x^j)^l by l-fold exact convolution.
 
@@ -121,7 +109,14 @@ def coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
     """
     _check_pair(l, j, cap)
-    return CoeffVector(l=l, j=j, kind=Kind.C, values=_incl_excl(l, j, l * j, l - 1))
+    values = []
+    for m in range(l * j + 1):
+        acc = 0
+        for r in range(m // (j + 1) + 1):
+            term = _binom(l, r) * _binom(m - r * (j + 1) + l - 1, l - 1)
+            acc += -term if r & 1 else term
+        values.append(acc)
+    return CoeffVector(l=l, j=j, kind=Kind.C, values=tuple(values))
 
 
 def diff_coeffs(c: CoeffVector) -> CoeffVector:
@@ -129,8 +124,8 @@ def diff_coeffs(c: CoeffVector) -> CoeffVector:
 
     Returns kind D for even lj, kind E for odd lj. Unimodality of c makes
     every stored value nonnegative. The difference definition is the
-    authoritative one; the binomial closed form (see
-    `diff_coeffs_closed_form`) only applies for l >= 2.
+    authoritative one; the binomial closed form with lower index l - 2
+    (`diff_coeffs_closed_form` in `tests/oracles.py`) only applies for l >= 2.
     """
     if c.kind is not Kind.C:
         raise ValueError("diff_coeffs expects a kind-C vector")
@@ -148,21 +143,6 @@ def weights(l: int, j: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     per pair: the cap keeps the cache to a few hundred small tuples.
     """
     return diff_coeffs(coeffs_bruteforce(l, j, cap)).values
-
-
-def diff_coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
-    """d_m (or e_m) by the binomial sum with lower index l - 2; needs l >= 2.
-
-    d_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 2, l - 2).
-    For l = 1 the lower index would be -1 and the formula is undefined;
-    use `diff_coeffs` there.
-    """
-    _check_pair(l, j, cap)
-    if l < 2:
-        raise ValueError("closed form for difference coefficients requires l >= 2")
-    lj = l * j
-    kind = Kind.D if lj % 2 == 0 else Kind.E
-    return CoeffVector(l=l, j=j, kind=kind, values=_incl_excl(l, j, lj // 2, l - 2))
 
 
 def structure_report(c: CoeffVector) -> StructureReport:

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 from . import combinatorics
 from .errors import ConsistencyError
 from .hecke import deligne_t, local_expansion
-from .symbolic import ONE, IntPolynomial
+from .symbolic import ONE, T, IntPolynomial
 
 DEFAULT_ORDER = 6
-
-# the polynomial t, at which local_expansion works over Z[t]
-T = IntPolynomial([0, 1])
 
 
 @dataclass(frozen=True)

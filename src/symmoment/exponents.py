@@ -16,8 +16,6 @@ theta = 1 - 1/(j^3 (1 + A)) at build time.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -272,12 +270,11 @@ def report_row(report: ExponentReport) -> dict:
 
 
 def rows_to_csv(rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_ROW_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    # csv writes None as an empty field and a float as its repr
-    writer.writerows(rows)
-    return buf.getvalue()
+    """`_ROW_FIELDS` header and rows; None is an empty field, a float its repr."""
+    lines = [",".join(_ROW_FIELDS)]
+    for row in rows:
+        lines.append(",".join("" if row[f] is None else str(row[f]) for f in _ROW_FIELDS))
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list) -> str:

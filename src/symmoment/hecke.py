@@ -38,12 +38,11 @@ def _check_weight(weight: int) -> None:
         )
 
 
-def _check_limit(n: int, limit: int | None = None) -> None:
+def _check_limit(n: int) -> None:
     if n < 1:
         raise ValueError(f"N must be positive, got {n}")
-    cap = HARD_CAP if limit is None else min(limit, HARD_CAP)
-    if n > cap:
-        raise CapacityError(f"N={n} exceeds limit {cap}")
+    if n > HARD_CAP:
+        raise CapacityError(f"N={n} exceeds limit {HARD_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +304,10 @@ def _lam(form, ns):
     return [raw[n] / n**e for n in ns]
 
 
-def delta_qexp(N: int, limit: int | None = None) -> EigenformTable:
-    """Weight-12 table with raw = Ramanujan tau(1..N)."""
-    return eigenform_qexp(12, N, limit)
-
-
-def eigenform_qexp(weight: int, N: int, limit: int | None = None) -> EigenformTable:
+def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight."""
     _check_weight(weight)
-    _check_limit(N, limit)
+    _check_limit(N)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
     raw = [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
@@ -351,8 +345,8 @@ def local_expansion(weights, top, t, A):
     Newton's identities n h_n = sum_{k=1..n} p_k h_{n-k} give the h_n, in
     O(top A + A^2) ring operations whatever the number of roots.
 
-    t is a float, or the polynomial t itself (symbolic.IntPolynomial([0, 1]))
-    for coefficients in Z[t]. There the division by n is exact, and a
+    t is a float, or the polynomial t itself (`symbolic.T`) for
+    coefficients in Z[t]. There the division by n is exact, and a
     remainder, which correct power sums never leave, raises ConsistencyError.
     """
     one = t**0  # 1.0, or the constant polynomial 1

@@ -3,9 +3,11 @@
 The basis polynomials S_r satisfy S_0 = 1, S_1 = t and the Hecke-type
 recursion S_r = t S_{r-1} - S_{r-2}, so that S_r(2 cos theta) =
 sin((r+1) theta) / sin theta and S_r(lambda_f(p)) is the normalized
-eigenvalue at p of the r-th symmetric power. `verify_decomposition`
-certifies, coefficientwise in exact integers, that the l-th power of S_j
-expands over this basis with the first-difference weights from
+eigenvalue at p of the r-th symmetric power. The recursion runs in one
+place, `hecke.local_expansion`, whose X^1 coefficient over Z[t] is
+sum_m w_m S_{top-2m}(t). `verify_decomposition` reads both sides from it
+and certifies, coefficientwise in exact integers, that the l-th power of
+S_j expands over this basis with the first-difference weights from
 `combinatorics`.
 """
 
@@ -16,13 +18,15 @@ from dataclasses import dataclass
 from . import combinatorics
 from .combinatorics import DEFAULT_CAP
 from .errors import ConsistencyError
+from .hecke import local_expansion
 
 
 class IntPolynomial:
     """Dense polynomial with arbitrary-precision integer coefficients.
 
     Coefficients are indexed by degree and stored normalized: the highest
-    stored coefficient is nonzero unless the polynomial is zero.
+    stored coefficient is nonzero unless the polynomial is zero. They are
+    Python ints, stored as given.
     """
 
     __slots__ = ("coeffs",)
@@ -31,7 +35,7 @@ class IntPolynomial:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     @property
     def degree(self) -> int:
@@ -143,18 +147,8 @@ class IntPolynomial:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
-
-_S_CACHE = [ONE, IntPolynomial([0, 1])]
-
-
-def sym_prime_poly(r: int) -> IntPolynomial:
-    """S_r(t): monic degree-r polynomial from S_r = t S_{r-1} - S_{r-2}."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    t = _S_CACHE[1]
-    while len(_S_CACHE) <= r:
-        _S_CACHE.append(t * _S_CACHE[-1] - _S_CACHE[-2])
-    return _S_CACHE[r]
+# the polynomial t, at which `hecke.local_expansion` works over Z[t]
+T = IntPolynomial([0, 1])
 
 
 @dataclass(frozen=True)
@@ -171,16 +165,16 @@ def verify_decomposition(l: int, j: int, cap: int = DEFAULT_CAP) -> Decompositio
     """Certify S_j(t)^l = sum_m w_m S_{lj-2m}(t) with first-difference weights.
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
-    lj) vector; for even lj the last term is the constant w_{lj/2} S_0. The
+    lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
+    Both sides are X^1 coefficients of `hecke.local_expansion` over Z[t],
+    those of `euler.lhs_local_sym` and `euler.rhs_local_sym`: S_j at the
+    single weight 1, to the l-th power, and the weighted sum at top lj. The
     identity holds for every valid (l, j); `holds` false means a defect in
     this library, never a property of the input.
     """
     w = combinatorics.weights(l, j, cap)
-    lhs = sym_prime_poly(j) ** l
-    rhs = ZERO
-    lj = l * j
-    for m, wm in enumerate(w):
-        rhs = rhs + wm * sym_prime_poly(lj - 2 * m)
+    lhs = local_expansion((1,), j, T, 1)[1] ** l
+    rhs = local_expansion(w, l * j, T, 1)[1]
     return DecompositionCertificate(
         l=l, j=j, holds=(lhs == rhs), lhs=lhs, rhs=rhs, weights=w
     )

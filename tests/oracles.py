@@ -4,7 +4,8 @@ Everything here avoids the library's fast paths on purpose: schoolbook
 convolution instead of multi-modular FFT products, direct divisor
 enumeration instead of sieves, the defining infinite product for the
 weight-12 form instead of the eta-cube route, Gaussian binomials
-instead of Newton's identities for symmetric-power values, and a
+instead of Newton's identities for symmetric-power values, the closed
+binomial form of the basis S_r instead of its recursion, and a
 factorization loop over a smallest-prime-factor sieve instead of the
 library's vectorized multiplicative sieve.
 """
@@ -25,6 +26,30 @@ def random_rational_points(count, seed=0):
         den = rng.randint(1, 97)
         points.append(Fraction(rng.randint(-2 * den, 2 * den), den))
     return points
+
+
+def diff_coeffs_closed_form(l, j):
+    """d_m (or e_m), m = 0..floor(lj/2), by the binomial sum with lower index l - 2.
+
+    d_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 2, l - 2),
+    which needs l >= 2: for l = 1 the lower index would be -1.
+    """
+    assert l >= 2 and j >= 1
+    return tuple(
+        sum(
+            (-1) ** r * math.comb(l, r) * math.comb(m - r * (j + 1) + l - 2, l - 2)
+            for r in range(m // (j + 1) + 1)
+        )
+        for m in range(l * j // 2 + 1)
+    )
+
+
+def chebyshev_s(r):
+    """S_r(t) = sum_k (-1)^k C(r-k, k) t^(r-2k), the closed form, no recursion."""
+    coeffs = [0] * (r + 1)
+    for k in range(r // 2 + 1):
+        coeffs[r - 2 * k] = (-1) ** k * math.comb(r - k, k)
+    return IntPolynomial(coeffs)
 
 
 def naive_series_mul(a, b, n_out):

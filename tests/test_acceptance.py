@@ -153,7 +153,7 @@ def test_criterion_07_euler_local_certification(delta_1e4):
 
 def test_criterion_08_hecke_table(delta_1e4):
     start = time.perf_counter()
-    big = hecke.delta_qexp(100_000)
+    big = hecke.eigenform_qexp(12, 100_000)
     elapsed = time.perf_counter() - start
     assert elapsed <= 60.0, f"tau to 1e5 took {elapsed:.1f}s"
     assert big.raw[:10_001] == delta_1e4.raw

@@ -314,6 +314,22 @@ def test_tau_planted_cache_file_keeps_argument_checks(capsys, tmp_path, argv, na
     assert err.startswith("error: ")
 
 
+def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
+    # os.makedirs in save_table once raised NotADirectoryError, exit 1
+    (tmp_path / "F").write_text("")
+    code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path / 'F' / 'sub'}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
+    # open in load_table once raised IsADirectoryError, exit 1
+    (tmp_path / "tau_12_10.csv").mkdir()
+    code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "tau --limit 10")

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sym_prime_power_gauss
+from oracles import chebyshev_s, sym_prime_power_gauss
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment.errors import ConsistencyError
-from symmoment.symbolic import ONE, ZERO, IntPolynomial, sym_prime_poly
+from symmoment.symbolic import ONE, ZERO, IntPolynomial
 
 LJ_4_TO_12 = [
     (l, j) for l in range(1, 13) for j in range(1, 13) if 4 <= l * j <= 12
@@ -29,7 +29,7 @@ def test_lhs_basic_values():
     for l, j, t in [(2, 2, 0.3), (3, 1, -1.2), (1, 5, 1.1)]:
         lhs = E.lhs_local(l, j, t, 3)
         assert lhs[0] == 1.0
-        want1 = sym_prime_poly(j)(t) ** l
+        want1 = chebyshev_s(j)(t) ** l
         assert lhs[1] == pytest.approx(want1, rel=1e-12, abs=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_rhs_first_order_is_decomposition_value():
 
         d = combinatorics.diff_coeffs(combinatorics.coeffs_bruteforce(l, j))
         want = sum(
-            w * sym_prime_poly(l * j - 2 * m)(t)
+            w * chebyshev_s(l * j - 2 * m)(t)
             for m, w in enumerate(d.values)
         )
         assert rhs[1] == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -143,13 +143,13 @@ def sym_prime_power_poly(j, a):
 def test_sym_prime_power_poly_base_cases():
     for j in range(1, 9):
         assert sym_prime_power_poly(j, 0) == ONE
-        assert sym_prime_power_poly(j, 1) == sym_prime_poly(j)
+        assert sym_prime_power_poly(j, 1) == chebyshev_s(j)
 
 
 def test_sym_prime_power_poly_j1_gives_basis():
     # for j = 1 the power-a value is the degree-a basis polynomial
     for a in range(0, 9):
-        assert sym_prime_power_poly(1, a) == sym_prime_poly(a)
+        assert sym_prime_power_poly(1, a) == chebyshev_s(a)
 
 
 def test_sym_prime_power_poly_matches_gaussian_binomial_oracle():

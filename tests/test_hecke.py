@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    chebyshev_s,
     naive_delta,
     naive_eigenform,
     naive_series_mul,
@@ -16,7 +17,6 @@ from oracles import (
 )
 from symmoment import hecke as H
 from symmoment.errors import CapacityError, ConsistencyError
-from symmoment.symbolic import sym_prime_poly
 
 
 # every prime any supported weight can use up to HARD_CAP
@@ -73,11 +73,11 @@ def test_crt_primes_exceed_twice_the_deligne_bound():
 
 
 def test_delta_matches_product_oracle():
-    assert list(H.delta_qexp(200).raw) == naive_delta(200)
+    assert list(H.eigenform_qexp(12, 200).raw) == naive_delta(200)
 
 
 def test_tau_spot_values():
-    tab = H.delta_qexp(10)
+    tab = H.eigenform_qexp(12, 10)
     assert tab.raw[1] == 1
     assert tab.raw[2] == -24
     assert tab.raw[3] == 252
@@ -156,11 +156,9 @@ def test_domain_and_capacity_errors():
     with pytest.raises(ValueError):
         H.eigenform_qexp(14, 100)
     with pytest.raises(ValueError):
-        H.delta_qexp(0)
+        H.eigenform_qexp(12, 0)
     with pytest.raises(CapacityError):
-        H.delta_qexp(H.HARD_CAP + 1)
-    with pytest.raises(CapacityError):
-        H.delta_qexp(500, limit=100)
+        H.eigenform_qexp(12, H.HARD_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def test_sym_prime_power_trivial_cases():
 def test_sym_prime_power_a1_is_basis_polynomial():
     for j in range(1, 9):
         for t in (-1.9, -0.3, 0.8, 1.7):
-            want = sym_prime_poly(j)(t)
+            want = chebyshev_s(j)(t)
             assert abs(H.sym_prime_power(j, 1, t) - want) < 1e-10 * max(1, abs(want))
 
 
@@ -368,7 +366,7 @@ def test_cache_missing_returns_none(tmp_path):
 
 def test_cache_rejects_corruption(tmp_path):
     cache = str(tmp_path)
-    H.save_table(H.delta_qexp(60), cache)
+    H.save_table(H.eigenform_qexp(12, 60), cache)
     path = H.cache_path(cache, 12, 60)
     lines = open(path).read().splitlines()
     lines[6] = "6,-6049"  # breaks multiplicativity a(6) = a(2)a(3)
@@ -381,7 +379,7 @@ def test_cache_rejects_rows_that_split_into_the_right_columns(tmp_path):
     # "7" and "-16744,8,84480" split on commas and newlines into the same
     # fields as rows 7 and 8, but row 7 has one field
     cache = str(tmp_path)
-    H.save_table(H.delta_qexp(60), cache)
+    H.save_table(H.eigenform_qexp(12, 60), cache)
     path = H.cache_path(cache, 12, 60)
     lines = open(path).read().splitlines()
     assert lines[7:9] == ["7,-16744", "8,84480"]
@@ -402,7 +400,7 @@ def test_cache_parse_keeps_the_csv_rules(edits, tmp_path):
     # padded or signed integers are what int() accepts; quoted fields, which
     # save_table never writes, are rejected (test_cli)
     cache = str(tmp_path)
-    tab = H.delta_qexp(60)
+    tab = H.eigenform_qexp(12, 60)
     H.save_table(tab, cache)
     path = H.cache_path(cache, 12, 60)
     lines = open(path).read().splitlines()
@@ -414,7 +412,7 @@ def test_cache_parse_keeps_the_csv_rules(edits, tmp_path):
 
 def test_cache_rejects_bad_header(tmp_path):
     cache = str(tmp_path)
-    H.save_table(H.delta_qexp(30), cache)
+    H.save_table(H.eigenform_qexp(12, 30), cache)
     path = H.cache_path(cache, 12, 30)
     body = open(path).read().replace("n,a_n", "k,v", 1)
     open(path, "w").write(body)

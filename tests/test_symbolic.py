@@ -3,50 +3,62 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_rational_points
+from oracles import chebyshev_s, random_rational_points
 from symmoment import combinatorics
-from symmoment.symbolic import ONE, ZERO, IntPolynomial, sym_prime_poly, verify_decomposition
+from symmoment import hecke as H
+from symmoment.symbolic import ONE, T, ZERO, IntPolynomial, verify_decomposition
+
+
+def engine_s(r):
+    # the library's S_r: the X^1 coefficient of the engine at the single
+    # weight 1, top r, over Z[t]
+    return H.local_expansion((1,), r, T, 1)[1]
 
 
 def test_basis_polynomials_small():
-    assert sym_prime_poly(0) == ONE
-    assert sym_prime_poly(1) == IntPolynomial([0, 1])
-    assert sym_prime_poly(2) == IntPolynomial([-1, 0, 1])
-    assert sym_prime_poly(3) == IntPolynomial([0, -2, 0, 1])
-    assert sym_prime_poly(4) == IntPolynomial([1, 0, -3, 0, 1])
+    assert engine_s(0) == ONE
+    assert engine_s(1) == IntPolynomial([0, 1])
+    assert engine_s(2) == IntPolynomial([-1, 0, 1])
+    assert engine_s(3) == IntPolynomial([0, -2, 0, 1])
+    assert engine_s(4) == IntPolynomial([1, 0, -3, 0, 1])
+
+
+def test_basis_matches_closed_form_oracle():
+    for r in range(65):
+        assert engine_s(r) == chebyshev_s(r), r
 
 
 @pytest.mark.parametrize("r", range(0, 20))
 def test_basis_monic_of_degree_r(r):
-    p = sym_prime_poly(r)
+    p = engine_s(r)
     assert p.degree == r
     assert p.coeffs[-1] == 1
 
 
 def test_recursion_holds():
-    t = IntPolynomial([0, 1])
     for r in range(2, 25):
-        assert sym_prime_poly(r) == t * sym_prime_poly(r - 1) - sym_prime_poly(r - 2)
+        assert engine_s(r) == T * engine_s(r - 1) - engine_s(r - 2)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 9, 14])
 def test_sine_ratio_identity(r):
     for theta in (0.3, 1.1, 2.0, 2.9):
         want = math.sin((r + 1) * theta) / math.sin(theta)
-        got = sym_prime_poly(r)(2.0 * math.cos(theta))
+        got = engine_s(r)(2.0 * math.cos(theta))
         assert abs(got - want) < 1e-9
 
 
 def test_boundary_values():
     for r in range(12):
-        assert sym_prime_poly(r)(2) == r + 1
-        assert sym_prime_poly(r)(-2) == (-1) ** r * (r + 1)
+        assert engine_s(r)(2) == r + 1
+        assert engine_s(r)(-2) == (-1) ** r * (r + 1)
 
 
 def test_polynomial_arithmetic():
     t = IntPolynomial([0, 1])
+    assert t == T
     p = t * t - ONE
-    assert p == sym_prime_poly(2)
+    assert p == engine_s(2)
     assert p - p == ZERO
     assert -p == ZERO - p
     assert (t**3).coeffs == (0, 0, 0, 1)
@@ -60,7 +72,7 @@ def test_polynomial_arithmetic():
 
 
 def test_exact_rational_evaluation():
-    p = sym_prime_poly(6)
+    p = engine_s(6)
     t = Fraction(3, 2)
     # S_6 at 3/2 via the recursion in exact arithmetic
     vals = [Fraction(1), t]
@@ -85,11 +97,21 @@ def test_decomposition_rational_sample():
     # identity of polynomials implies identity of exact values
     cert = verify_decomposition(3, 3)
     for t in random_rational_points(10, seed=5):
-        lhs = sym_prime_poly(3)(t) ** 3
-        rhs = sum(w * sym_prime_poly(9 - 2 * m)(t) for m, w in enumerate(cert.weights))
+        lhs = engine_s(3)(t) ** 3
+        rhs = sum(w * engine_s(9 - 2 * m)(t) for m, w in enumerate(cert.weights))
         assert lhs == rhs
 
 
-def test_negative_r_rejected():
-    with pytest.raises(ValueError):
-        sym_prime_poly(-1)
+def test_decomposition_reads_the_engine(monkeypatch):
+    # the certificate is the engine's X^1 coefficient: a wrong power sum at
+    # top lj must break it
+    real = H._power_sum
+
+    def wrong_top(weights, top, x):
+        p = real(weights, top, x)
+        return p + ONE if top == 6 else p
+
+    monkeypatch.setattr(H, "_power_sum", wrong_top)
+    cert = verify_decomposition(3, 2)
+    assert not cert.holds
+    assert cert.rhs - cert.lhs == ONE
