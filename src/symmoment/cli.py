@@ -2,14 +2,19 @@
 
 Subcommands map one-to-one onto the library modules; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
-usable as regression artifacts. Exit codes: 0 success, 2 usage or domain
-error (an unusable --cache-dir among them), 3 internal consistency
-failure, 4 capacity cap exceeded.
+usable as regression artifacts. The library returns values and this module
+alone serializes them: `_print_csv` writes every CSV table but tau's, which
+`hecke.write_table` writes as the bytes of the cache file, and `_print_json`
+every JSON document, compact for tau and indented for the rest. The parser
+is built once per process; SYMMOMENT_CACHE is read on every `main` call.
+Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir
+among them), 3 internal consistency failure, 4 capacity cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,13 +38,15 @@ def _add_common(sub):
     sub.add_argument("--format", choices=FORMATS, default="text")
 
 
-def _add_form_opts(sub):
+def _add_form_opts(sub, limit=True):
     sub.add_argument("--weight", type=int, default=12, help="eigenform weight")
-    sub.add_argument("--limit", type=int, default=DEFAULT_N, help="table size N")
-    cache = os.environ.get("SYMMOMENT_CACHE", "./cache")
-    sub.add_argument("--cache-dir", default=cache, help="q-expansion cache directory")
+    if limit:
+        sub.add_argument("--limit", type=int, default=DEFAULT_N, help="table size N")
+    # None stands for SYMMOMENT_CACHE or ./cache, which main reads per call
+    sub.add_argument("--cache-dir", help="q-expansion cache directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmoment",
@@ -66,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2, help="prime for the local factor")
     p.add_argument("--order", type=int, default=euler.DEFAULT_ORDER)
     p.add_argument("--exact", action="store_true", help="exact polynomial mode")
-    _add_form_opts(p)
+    # float mode sizes its table from --p, so euler takes no --limit
+    _add_form_opts(p, limit=False)
     _add_common(p)
 
     p = sub.add_parser("tau", help="eigenform q-expansion table")
@@ -85,8 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _print_csv(header, rows) -> None:
+    """Header line, then one line per row: None as an empty field, else str(v)."""
+    print(",".join(header))
+    for row in rows:
+        print(",".join("" if v is None else str(v) for v in row))
+
+
+def _print_json(doc, indent=2) -> None:
+    print(json.dumps(doc, indent=indent, sort_keys=True))
 
 
 def cmd_coeffs(args) -> int:
@@ -111,10 +126,11 @@ def cmd_coeffs(args) -> int:
             }
         )
     elif args.format == "csv":
-        print("m,c,diff")
-        for m, cm in enumerate(c.values):
-            dm = d.values[m] if m < len(d.values) else ""
-            print(f"{m},{cm},{dm}")
+        rows = [
+            (m, cm, d.values[m] if m < len(d.values) else None)
+            for m, cm in enumerate(c.values)
+        ]
+        _print_csv(("m", "c", "diff"), rows)
     else:
         label = d.kind.value.lower()
         print(f"c: {' '.join(map(str, half))} | {label}: {' '.join(map(str, d.values))}")
@@ -141,8 +157,7 @@ def cmd_identity(args) -> int:
             }
         )
     elif args.format == "csv":
-        print("l,j,holds,degree")
-        print(f"{args.l},{args.j},{cert.holds},{deg}")
+        _print_csv(("l", "j", "holds", "degree"), [(args.l, args.j, cert.holds, deg)])
     else:
         print(f"decomposition holds: {cert.holds}")
         print(f"weights: {' '.join(map(str, cert.weights))}")
@@ -165,19 +180,33 @@ def _exponent_text(report) -> str:
     return "\n".join(lines)
 
 
+def _report_row(report) -> dict:
+    """The exponents row schema; previous/improved refer to the stored baseline."""
+    prev = exponents.PREVIOUS_EXPONENTS.get((report.l, report.j))
+    return {
+        "l": report.l,
+        "j": report.j,
+        "parity": report.parity.value,
+        "D": report.D,
+        "theta": report.theta,
+        "theta_star": report.theta_star,
+        "previous": f"{prev.numerator}/{prev.denominator}" if prev else None,
+        "improved": (report.theta < prev) if prev else None,
+    }
+
+
 def cmd_exponents(args) -> int:
     if args.table:
-        pairs = [(row.l, row.j) for row in exponents.reference_table()]
+        reports = exponents.reference_table()
     elif args.l is None or args.j is None:
         raise ValueError("need --l and --j (or --table)")
     else:
-        pairs = [(args.l, args.j)]
-    reports = [exponents.exponent_report(l, j) for l, j in pairs]
-    rows = [exponents.report_row(report) for report in reports]
+        reports = [exponents.exponent_report(args.l, args.j)]
+    rows = [_report_row(report) for report in reports]
     if args.format == "json":
-        print(exponents.rows_to_json(rows), end="")
+        _print_json(rows)
     elif args.format == "csv":
-        print(exponents.rows_to_csv(rows), end="")
+        _print_csv(rows[0].keys(), (row.values() for row in rows))
     elif not args.table:
         print(_exponent_text(reports[0]))
     else:
@@ -219,9 +248,8 @@ def cmd_euler(args) -> int:
             }
         )
     elif args.format == "csv":
-        print("a,coeff")
-        for a, cv in enumerate(coeffs):
-            print(f"{a},{cv!r}" if not args.exact else f'{a},"{cv}"')
+        quoted = [f'"{cv}"' for cv in coeffs] if args.exact else coeffs
+        _print_csv(("a", "coeff"), enumerate(quoted))
     else:
         print(f"correction series {series.label} to order {args.order}:")
         for a, cv in enumerate(coeffs):
@@ -232,20 +260,16 @@ def cmd_euler(args) -> int:
 def cmd_tau(args) -> int:
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "weight": form.weight,
-                    "limit": form.limit,
-                    "a": [[n, form.raw[n]] for n in range(1, form.limit + 1)],
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "weight": form.weight,
+                "limit": form.limit,
+                "a": [[n, form.raw[n]] for n in range(1, form.limit + 1)],
+            },
+            indent=None,
         )
     elif args.format == "csv":
-        print("n,a_n")
-        for n in range(1, form.limit + 1):
-            print(f"{n},{form.raw[n]}")
+        hecke.write_table(form, sys.stdout)
     else:
         for n in range(1, form.limit + 1):
             print(f"a({n}) = {form.raw[n]}")
@@ -266,9 +290,32 @@ def cmd_partial_sum(args) -> int:
             fit_note = str(exc)
     resid = sums.residual_exponent(series, fit)
     if args.format == "json":
-        print(sums.series_to_json(series, fit, resid), end="")
+        _print_json(
+            {
+                "l": series.l,
+                "j": series.j,
+                "weight": series.weight,
+                "limit": series.limit,
+                "checkpoints": [[x, s] for x, s in series.checkpoints],
+                "fit": None
+                if fit is None
+                else {
+                    "degree": fit.degree,
+                    "coeffs": list(fit.coeffs),
+                    "residuals": [[x, e] for x, e in fit.residuals],
+                },
+                "residual_exponent": None
+                if resid is None
+                else {"slope": resid.slope, "stderr": resid.stderr, "points": resid.points},
+            }
+        )
     elif args.format == "csv":
-        print(sums.series_to_csv(series, fit), end="")
+        if fit is None:
+            rows = [(x, s, None, None) for x, s in series.checkpoints]
+        else:
+            pairs = zip(series.checkpoints, fit.residuals)
+            rows = [(x, s, s - e, e) for (x, s), (_, e) in pairs]
+        _print_csv(("x", "S", "main_fit", "residual"), rows)
     else:
         print(f"S(x) for l={args.l} j={args.j} weight={args.weight} N={args.limit}")
         for x, s in series.checkpoints:
@@ -294,6 +341,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "cache_dir", "") is None:
+        args.cache_dir = os.environ.get("SYMMOMENT_CACHE", "./cache")
     try:
         return _DISPATCH[args.subcommand](args)
     except CapacityError as exc:

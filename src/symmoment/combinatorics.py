@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 
-#: Default ceiling on l*j; bounds the degree of every downstream exact
-#: polynomial identity.
-DEFAULT_CAP = 64
+#: Ceiling on l*j; bounds the degree of every downstream exact polynomial
+#: identity.
+LJ_CAP = 64
 
 
 class Kind(enum.Enum):
@@ -68,11 +68,11 @@ class StructureReport:
     total: int
 
 
-def _check_pair(l: int, j: int, cap: int) -> None:
+def _check_pair(l: int, j: int) -> None:
     if l < 1 or j < 1:
         raise ValueError(f"l and j must be positive integers, got l={l}, j={j}")
-    if l * j > cap:
-        raise CapacityError(f"l*j = {l * j} exceeds the size cap {cap}")
+    if l * j > LJ_CAP:
+        raise CapacityError(f"l*j = {l * j} exceeds the size cap {LJ_CAP}")
 
 
 def _binom(n: int, r: int) -> int:
@@ -86,13 +86,13 @@ def _binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def coeffs_bruteforce(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
+def coeffs_bruteforce(l: int, j: int) -> CoeffVector:
     """Coefficients of (1 + x + ... + x^j)^l by l-fold exact convolution.
 
     This is the counting oracle: each convolution step is a direct
     enumeration of one more summand in [0, j].
     """
-    _check_pair(l, j, cap)
+    _check_pair(l, j)
     values = [1]
     for _ in range(l):
         out = [0] * (len(values) + j)
@@ -103,12 +103,12 @@ def coeffs_bruteforce(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
     return CoeffVector(l=l, j=j, kind=Kind.C, values=tuple(values))
 
 
-def coeffs_closed_form(l: int, j: int, cap: int = DEFAULT_CAP) -> CoeffVector:
+def coeffs_closed_form(l: int, j: int) -> CoeffVector:
     """Coefficients c_m by the inclusion-exclusion binomial sum.
 
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
     """
-    _check_pair(l, j, cap)
+    _check_pair(l, j)
     values = []
     for m in range(l * j + 1):
         acc = 0
@@ -136,13 +136,13 @@ def diff_coeffs(c: CoeffVector) -> CoeffVector:
 
 
 @functools.lru_cache(maxsize=None)
-def weights(l: int, j: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def weights(l: int, j: int) -> tuple[int, ...]:
     """The first-difference weights w_0..w_{floor(lj/2)} of (l, j).
 
     These are the values of `diff_coeffs(coeffs_bruteforce(l, j))`, cached
     per pair: the cap keeps the cache to a few hundred small tuples.
     """
-    return diff_coeffs(coeffs_bruteforce(l, j, cap)).values
+    return diff_coeffs(coeffs_bruteforce(l, j)).values
 
 
 def structure_report(c: CoeffVector) -> StructureReport:

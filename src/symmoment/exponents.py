@@ -16,7 +16,6 @@ theta = 1 - 1/(j^3 (1 + A)) at build time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -210,72 +209,17 @@ PREVIOUS_EXPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    table: str
-    l: int
-    j: int
-    previous: Fraction
-    theta: float
-    theta_star: float
-    improved: bool
-
-
 def reference_table() -> list:
-    """The two comparison tables: varying l at j = 2, varying j at l = 2.
+    """Reports of the two comparison tables: varying l at j = 2, then
+    varying j at l = 2.
 
-    Every row must improve on the stored baseline and the refined column
-    must not exceed theta; violations raise ConsistencyError.
+    Every theta must improve on the stored baseline; a violation raises
+    ConsistencyError, as does a refined column above theta
+    (`exponent_report`).
     """
-    rows = []
-    specs = [("j=2", l, 2) for l in range(2, 9)]
-    specs += [("l=2", 2, j) for j in range(2, 9)]
-    for table, l, j in specs:
-        prev = PREVIOUS_EXPONENTS[(l, j)]
-        th = theta(l, j)
-        ts = theta_star(l, j)
-        improved = th < prev
-        if not improved:
-            raise ConsistencyError(f"no improvement over baseline at (l={l}, j={j})")
-        if ts > th:
-            raise ConsistencyError(f"refined exponent exceeds theta at (l={l}, j={j})")
-        rows.append(
-            ComparisonRow(
-                table=table, l=l, j=j, previous=prev, theta=th, theta_star=ts,
-                improved=improved,
-            )
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_ROW_FIELDS = ("l", "j", "parity", "D", "theta", "theta_star", "previous", "improved")
-
-
-def report_row(report: ExponentReport) -> dict:
-    """Flat schema row; previous/improved refer to the stored baseline."""
-    prev = PREVIOUS_EXPONENTS.get((report.l, report.j))
-    return {
-        "l": report.l,
-        "j": report.j,
-        "parity": report.parity.value,
-        "D": report.D,
-        "theta": report.theta,
-        "theta_star": report.theta_star,
-        "previous": f"{prev.numerator}/{prev.denominator}" if prev else None,
-        "improved": (report.theta < prev) if prev else None,
-    }
-
-
-def rows_to_csv(rows: list) -> str:
-    """`_ROW_FIELDS` header and rows; None is an empty field, a float its repr."""
-    lines = [",".join(_ROW_FIELDS)]
-    for row in rows:
-        lines.append(",".join("" if row[f] is None else str(row[f]) for f in _ROW_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    pairs = [(l, 2) for l in range(2, 9)] + [(2, j) for j in range(2, 9)]
+    reports = [exponent_report(l, j) for l, j in pairs]
+    for r in reports:
+        if r.theta >= PREVIOUS_EXPONENTS[(r.l, r.j)]:
+            raise ConsistencyError(f"no improvement over baseline at (l={r.l}, j={r.j})")
+    return reports

@@ -507,14 +507,19 @@ def cache_path(cache_dir: str, weight: int, N: int) -> str:
     return os.path.join(cache_dir, f"tau_{weight}_{N}.csv")
 
 
+def write_table(form: EigenformTable, fh) -> None:
+    """Write the `n,a_n` header and rows: the cache file and `tau --format csv`."""
+    fh.write("n,a_n\n")
+    fh.writelines(f"{n},{a}\n" for n, a in enumerate(form.raw[1:], 1))
+
+
 def save_table(form: EigenformTable, cache_dir: str) -> str:
-    """Write the table as `n,a_n` rows, the bytes of `tau --format csv`."""
+    """Write the table to its cache file with `write_table`."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, form.weight, form.limit)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write("n,a_n\n")
-        fh.writelines(f"{n},{a}\n" for n, a in enumerate(form.raw[1:], 1))
+        write_table(form, fh)
     os.replace(tmp, path)
     return path
 

@@ -10,7 +10,6 @@ its standard error, as exploratory output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,14 +91,13 @@ def default_fit_degree(l: int, j: int) -> int:
     return combinatorics.weights(l, j)[(l * j) // 2] - 1
 
 
-def fit_main_term(series: PartialSumSeries, degree: int | None = None) -> FitResult:
+def fit_main_term(series: PartialSumSeries) -> FitResult:
     """Least squares of S(x)/x against powers of log x, top half of the grid.
 
-    Early checkpoints are pre-asymptotic and excluded from the fit but
-    still reported in the residual list.
+    The degree is `default_fit_degree`. Early checkpoints are pre-asymptotic
+    and excluded from the fit but still reported in the residual list.
     """
-    if degree is None:
-        degree = default_fit_degree(series.l, series.j)
+    degree = default_fit_degree(series.l, series.j)
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     pts = series.checkpoints
@@ -150,44 +148,3 @@ def residual_exponent(
     stderr = math.sqrt(var / sxx)
     return ResidualReport(slope=slope, stderr=stderr, points=n)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def series_to_csv(series: PartialSumSeries, fit: FitResult | None = None) -> str:
-    """Checkpoint table `x,S,main_fit,residual`; fit columns blank if absent."""
-    lines = ["x,S,main_fit,residual"]
-    res = dict(fit.residuals) if fit is not None else {}
-    for x, s in series.checkpoints:
-        if fit is not None:
-            e = res[x]
-            lines.append(f"{x},{s!r},{s - e!r},{e!r}")
-        else:
-            lines.append(f"{x},{s!r},,")
-    return "\n".join(lines) + "\n"
-
-
-def series_to_json(
-    series: PartialSumSeries,
-    fit: FitResult | None = None,
-    resid: ResidualReport | None = None,
-) -> str:
-    doc = {
-        "l": series.l,
-        "j": series.j,
-        "weight": series.weight,
-        "limit": series.limit,
-        "checkpoints": [[x, s] for x, s in series.checkpoints],
-        "fit": None
-        if fit is None
-        else {
-            "degree": fit.degree,
-            "coeffs": list(fit.coeffs),
-            "residuals": [[x, e] for x, e in fit.residuals],
-        },
-        "residual_exponent": None
-        if resid is None
-        else {"slope": resid.slope, "stderr": resid.stderr, "points": resid.points},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

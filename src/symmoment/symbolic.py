@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import combinatorics
-from .combinatorics import DEFAULT_CAP
 from .errors import ConsistencyError
 from .hecke import local_expansion
 
@@ -161,7 +160,7 @@ class DecompositionCertificate:
     weights: tuple[int, ...]
 
 
-def verify_decomposition(l: int, j: int, cap: int = DEFAULT_CAP) -> DecompositionCertificate:
+def verify_decomposition(l: int, j: int) -> DecompositionCertificate:
     """Certify S_j(t)^l = sum_m w_m S_{lj-2m}(t) with first-difference weights.
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
@@ -172,7 +171,7 @@ def verify_decomposition(l: int, j: int, cap: int = DEFAULT_CAP) -> Decompositio
     identity holds for every valid (l, j); `holds` false means a defect in
     this library, never a property of the input.
     """
-    w = combinatorics.weights(l, j, cap)
+    w = combinatorics.weights(l, j)
     lhs = local_expansion((1,), j, T, 1)[1] ** l
     rhs = local_expansion(w, l * j, T, 1)[1]
     return DecompositionCertificate(

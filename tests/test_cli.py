@@ -331,10 +331,12 @@ def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
 
 
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, "tau --limit 10")
-    assert code == 0
-    assert (tmp_path / "tau_12_10.csv").exists()
+    # the parser is built once per process; the variable is read on every call
+    for name in ("a", "b"):
+        monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path / name))
+        code, _, _ = run(capsys, "tau --limit 10")
+        assert code == 0
+        assert (tmp_path / name / "tau_12_10.csv").exists()
 
 
 def test_partial_sum_csv(capsys, tmp_path):
@@ -385,6 +387,10 @@ def test_argparse_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        # float euler sizes its table from --p; there is no --limit
+        cli.main("euler --l 2 --j 2 --p 2 --limit 5".split())
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -98,6 +98,4 @@ def test_domain_errors():
         with pytest.raises(ValueError):
             C.coeffs_bruteforce(*bad)
     with pytest.raises(CapacityError):
-        C.coeffs_bruteforce(13, 5)  # lj = 65 over the default cap
-    # explicit cap override allows it
-    assert C.coeffs_bruteforce(13, 5, cap=80).values[0] == 1
+        C.coeffs_bruteforce(13, 5)  # lj = 65 over the cap

@@ -101,7 +101,7 @@ def test_symbolic_correction_x1_is_zero_polynomial(l, j):
 
 @pytest.mark.parametrize("l,j", [(8, 8), (16, 4), (4, 16), (64, 1), (1, 64)])
 def test_symbolic_correction_x1_is_zero_at_the_size_cap(l, j):
-    # lj = 64 is combinatorics.DEFAULT_CAP; (8, 8) has 43 million roots
+    # lj = 64 is combinatorics.LJ_CAP; (8, 8) has 43 million roots
     q = E.correction_series_sym(l, j, 6)
     assert q[0] == ONE
     assert q[1] == ZERO

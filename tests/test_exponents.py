@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symmoment import cli
 from symmoment import exponents as X
 from symmoment.errors import ConsistencyError
 
@@ -172,8 +173,8 @@ def test_reference_table_rows():
     rows = X.reference_table()
     assert len(rows) == 14
     for row in rows:
-        assert row.improved
-        assert row.theta < row.previous  # float vs Fraction, compared exactly
+        previous = X.PREVIOUS_EXPONENTS[(row.l, row.j)]
+        assert row.theta < previous  # float vs Fraction, compared exactly
         assert row.theta_star < row.theta
 
 
@@ -208,19 +209,26 @@ def test_domain_errors():
         X.proof_exponents(1, 5)
 
 
-def test_serialization_deterministic():
-    rows = [X.report_row(X.exponent_report(l, 2)) for l in range(2, 9)]
-    assert X.rows_to_csv(rows) == X.rows_to_csv(rows)
-    assert X.rows_to_json(rows) == X.rows_to_json(rows)
-    header = X.rows_to_csv(rows).splitlines()[0]
+def exponents_out(capsys, argv):
+    assert cli.main(f"exponents {argv}".split()) == 0
+    return capsys.readouterr().out
+
+
+def test_serialization_deterministic(capsys):
+    # the table starts with the j = 2 rows, l = 2..8
+    csv = exponents_out(capsys, "--table --format csv")
+    doc = exponents_out(capsys, "--table --format json")
+    assert exponents_out(capsys, "--table --format csv") == csv
+    assert exponents_out(capsys, "--table --format json") == doc
+    header = csv.splitlines()[0]
     assert header == "l,j,parity,D,theta,theta_star,previous,improved"
-    parsed = json.loads(X.rows_to_json(rows))
+    parsed = json.loads(doc)
     assert parsed[0]["previous"] == "389/509"
     assert parsed[1]["theta"] == X.theta(3, 2)
 
 
-def test_report_row_odd_case_nulls():
-    row = X.report_row(X.exponent_report(3, 3))
+def test_report_row_odd_case_nulls(capsys):
+    [row] = json.loads(exponents_out(capsys, "--l 3 --j 3 --format json"))
     assert row["theta_star"] is None
     assert row["previous"] is None and row["improved"] is None
 

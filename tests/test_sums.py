@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from symmoment import hecke, sums
+from symmoment import cli, hecke, sums
 from symmoment.errors import FitError
 
 
@@ -99,9 +99,10 @@ def test_fit_constant_is_window_mean_ratio(delta_1e4):
 
 
 def test_fit_too_few_checkpoints(delta_1e4):
-    series = sums.partial_sum(2, 2, 5, delta_1e4)
+    # degree 14 needs 17 window points; N = 5 has a grid of 5
+    series = sums.partial_sum(6, 2, 5, delta_1e4)
     with pytest.raises(FitError):
-        sums.fit_main_term(series, degree=2)
+        sums.fit_main_term(series)
 
 
 def test_fit_deterministic(delta_1e4):
@@ -145,38 +146,46 @@ def test_residual_exponent_uses_fit_residuals(delta_1e4):
     assert report.slope < 1.0  # residuals grow slower than the main term
 
 
-def test_series_to_csv_schema(delta_1e4):
-    series = sums.partial_sum(2, 2, 1000, delta_1e4)
-    bare = sums.series_to_csv(series)
+def partial_sum_out(capsys, cache, l, j, N, fmt):
+    argv = f"partial-sum --l {l} --j {j} --limit {N} --cache-dir {cache} --format {fmt}"
+    assert cli.main(argv.split()) == 0
+    return capsys.readouterr().out
+
+
+def test_series_to_csv_schema(capsys, tmp_path, delta_1e4):
+    # odd l*j has no fit
+    series = sums.partial_sum(1, 3, 1000, delta_1e4)
+    bare = partial_sum_out(capsys, tmp_path, 1, 3, 1000, "csv")
     lines = bare.splitlines()
     assert lines[0] == "x,S,main_fit,residual"
     assert len(lines) == len(series.checkpoints) + 1
     assert all(line.endswith(",,") for line in lines[1:])
-    fit = sums.fit_main_term(series)
-    full = sums.series_to_csv(series, fit)
+    series = sums.partial_sum(2, 2, 1000, delta_1e4)
+    full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv")
     last = full.splitlines()[-1].split(",")
     x, s = series.checkpoints[-1]
     assert last[0] == str(x) and last[1] == repr(s)
     assert float(last[2]) + float(last[3]) == pytest.approx(s, rel=1e-12)
-    assert sums.series_to_csv(series, fit) == full
+    assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv") == full
 
 
-def test_series_to_json_schema(delta_1e4):
-    series = sums.partial_sum(2, 2, 1000, delta_1e4)
-    doc = json.loads(sums.series_to_json(series))
-    assert doc["l"] == 2 and doc["j"] == 2
-    assert doc["weight"] == 12 and doc["limit"] == 1000
+def test_series_to_json_schema(capsys, tmp_path, delta_1e4):
+    # odd l*j has no fit, and N < 100 no residual slope
+    series = sums.partial_sum(1, 3, 99, delta_1e4)
+    doc = json.loads(partial_sum_out(capsys, tmp_path, 1, 3, 99, "json"))
+    assert doc["l"] == 1 and doc["j"] == 3
+    assert doc["weight"] == 12 and doc["limit"] == 99
     assert doc["fit"] is None and doc["residual_exponent"] is None
     assert doc["checkpoints"] == [[x, s] for x, s in series.checkpoints]
+    series = sums.partial_sum(2, 2, 1000, delta_1e4)
     fit = sums.fit_main_term(series)
     resid = sums.residual_exponent(series, fit)
-    doc2 = json.loads(sums.series_to_json(series, fit, resid))
+    full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json")
+    doc2 = json.loads(full)
     assert doc2["fit"]["degree"] == 0
     assert doc2["fit"]["coeffs"] == list(fit.coeffs)
     assert doc2["residual_exponent"]["points"] == resid.points
-    assert sums.series_to_json(series, fit, resid) == sums.series_to_json(
-        series, fit, resid
-    )
+    assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json") == full
 
 
 def test_partial_sum_domain_errors(delta_1e4):
