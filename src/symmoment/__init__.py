@@ -3,8 +3,13 @@ eigenvalues: exact composition-count coefficients, certified polynomial
 identities, local Euler factor expansions, error-term exponents, and a
 desk-scale partial-sum harness around the weight-12 eigenform."""
 
-from . import combinatorics, euler, exponents, hecke, sums, symbolic
+import importlib
+
+from . import combinatorics, euler, exponents, symbolic
 from .errors import CapacityError, ConsistencyError, FitError
+
+# the numpy layers load on first access, so the exact core starts without numpy
+_LAZY = ("hecke", "sums")
 
 __version__ = "0.1.0"
 
@@ -20,3 +25,9 @@ __all__ = [
     "FitError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,9 @@ alone serializes them: `_print_csv` writes every CSV table but tau's, which
 `hecke.write_table` writes as the bytes of the cache file, and `_print_json`
 every JSON document, compact for tau and indented for the rest. The parser
 is built once per process; SYMMOMENT_CACHE is read on every `main` call.
+Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
+with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
+on the exact core alone and never load it.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir
 among them), 3 internal consistency failure, 4 capacity cap exceeded.
 """
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 
-from . import combinatorics, euler, exponents, hecke, sums
+from . import combinatorics, euler, exponents
 from .errors import CapacityError, ConsistencyError, FitError
 from .symbolic import verify_decomposition
 
@@ -71,7 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("euler", help="local factor correction series at a prime")
     _add_pair(p)
     p.add_argument("--p", type=int, default=2, help="prime for the local factor")
-    p.add_argument("--order", type=int, default=euler.DEFAULT_ORDER)
+    p.add_argument(
+        "--order",
+        type=int,
+        default=euler.DEFAULT_ORDER,
+        help=f"series order A, 0 <= A <= {euler.ORDER_CAP}",
+    )
     p.add_argument("--exact", action="store_true", help="exact polynomial mode")
     # float mode sizes its table from --p, so euler takes no --limit
     _add_form_opts(p, limit=False)
@@ -222,10 +230,15 @@ def cmd_exponents(args) -> int:
 def cmd_euler(args) -> int:
     if args.order < 0:
         raise ValueError(f"--order must be nonnegative, got {args.order}")
+    # before the float branch reads a table, so a capped run stops at once
+    if args.order > euler.ORDER_CAP:
+        raise CapacityError(f"--order {args.order} exceeds limit {euler.ORDER_CAP}")
     if args.exact:
         series = euler.correction_series_sym(args.l, args.j, args.order)
         coeffs = [str(c) for c in series.coeffs]
     else:
+        from . import hecke
+
         p = args.p
         # the cap comes first, so that trial division stays below sqrt(HARD_CAP);
         # p < 2 passes it here and is rejected as not prime
@@ -258,6 +271,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    from . import hecke
+
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     if args.format == "json":
         _print_json(
@@ -277,6 +292,8 @@ def cmd_tau(args) -> int:
 
 
 def cmd_partial_sum(args) -> int:
+    from . import hecke, sums
+
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     series = sums.partial_sum(args.l, args.j, args.limit, form)
     fit = None

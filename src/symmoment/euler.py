@@ -7,9 +7,9 @@ the first-difference weights from `combinatorics`: weight w_m attaches w_m
 copies of the roots alpha^(lj-2m-2i), i = 0..lj-2m. The even-parity m =
 lj/2 term degenerates to (1 - X)^(-w) and plays the zeta role.
 
-Both sides are expanded by `hecke.local_expansion`: power sums of the roots
-computed from the weights, then Newton's identities. The moment side uses
-the single weight 1 at top j, raised to the l-th power coefficientwise.
+Both sides are expanded by `symbolic.local_expansion`: power sums of the
+roots computed from the weights, then Newton's identities. The moment side
+uses the single weight 1 at top j, raised to the l-th power coefficientwise.
 Floating mode runs it in real doubles and returns the X^1 cancellation as
 computed; symbolic mode runs the same recurrence over Z[t], where every
 division in Newton's identities must be exact, and certifies the
@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import combinatorics
-from .errors import ConsistencyError
-from .hecke import deligne_t, local_expansion
-from .symbolic import ONE, T, IntPolynomial
+from .errors import CapacityError, ConsistencyError
+from .symbolic import ONE, T, IntPolynomial, deligne_t, local_expansion
 
 DEFAULT_ORDER = 6
+# exact mode grows about as A^4: every lj = 64 pair takes 4-6 s at order 16
+# and 20-27 s at order 24 on 2 CPUs, so 16 bounds the worst case
+ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ def _check(l: int, j: int, A: int) -> None:
         raise ValueError(f"l and j must be positive, got l={l}, j={j}")
     if A < 0:
         raise ValueError(f"series order must be nonnegative, got {A}")
+    if A > ORDER_CAP:
+        raise CapacityError(f"series order {A} exceeds limit {ORDER_CAP}")
 
 
 def _lhs(l, j, t, A):

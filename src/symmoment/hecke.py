@@ -25,6 +25,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError
+from .symbolic import deligne_t, local_expansion
 
 HARD_CAP = 1_000_000
 
@@ -318,68 +319,11 @@ def eigenform_qexp(weight: int, N: int) -> EigenformTable:
 # symmetric-power coefficients
 
 
-def _power_sum(weights, top, x):
-    """sum_m w_m S_{top-2m}(x), S_r by the recursion S_{r+1} = x S_r - S_{r-1}.
-
-    With x = alpha^k + alpha^(-k) this is the k-th power sum of the root
-    multiset of `local_expansion`, since S_r(alpha^k + alpha^(-k)) sums
-    alpha^(k(r-2i)) over i = 0..r.
-    """
-    s_prev, s = 0 * x, x**0
-    acc = 0 * x
-    for r in range(top + 1):
-        m, odd = divmod(top - r, 2)
-        if not odd and m < len(weights) and weights[m]:
-            acc = acc + weights[m] * s
-        s_prev, s = s, x * s - s_prev
-    return acc
-
-
-def local_expansion(weights, top, t, A):
-    """h_0..h_A, the coefficients of prod (1 - beta X)^(-1) over a root multiset.
-
-    For each m, weight w_m = weights[m] brings w_m copies of the r + 1 roots
-    beta = alpha^(r-2i), i = 0..r, with r = top - 2m and alpha + 1/alpha = t.
-    The power sums p_k of the roots come from the weights by `_power_sum`
-    at x_k = alpha^k + alpha^(-k), where x_{k+1} = t x_k - x_{k-1}, and
-    Newton's identities n h_n = sum_{k=1..n} p_k h_{n-k} give the h_n, in
-    O(top A + A^2) ring operations whatever the number of roots.
-
-    t is a float, or the polynomial t itself (`symbolic.T`) for
-    coefficients in Z[t]. There the division by n is exact, and a
-    remainder, which correct power sums never leave, raises ConsistencyError.
-    """
-    one = t**0  # 1.0, or the constant polynomial 1
-    x_prev, x = 2 * one, t
-    p = []
-    for _ in range(A):
-        p.append(_power_sum(weights, top, x))
-        x_prev, x = x, t * x - x_prev
-    h = [one]
-    for n in range(1, A + 1):
-        acc = p[n - 1]
-        for k in range(1, n):
-            acc = acc + p[k - 1] * h[n - k]
-        h.append(acc / n)
-    return h
-
-
-# |t| above this is outside the Deligne interval by more than rounding
-_T_MAX = 2.0 + 1e-6
-
-
-def deligne_t(t) -> float:
-    """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6."""
-    if abs(t) > _T_MAX:
-        raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
-    return max(-2.0, min(2.0, float(t)))
-
-
 def sym_prime_power(j: int, a: int, t: float) -> float:
     """lam_sym^j(p^a) given t = lam_f(p).
 
-    This is h_a of the roots alpha^(j-2m), m = 0..j: `local_expansion` with
-    the single weight 1 at top = j, in real doubles.
+    This is h_a of the roots alpha^(j-2m), m = 0..j: `symbolic.local_expansion`
+    with the single weight 1 at top = j, in real doubles.
     """
     _check_power(j, a)
     return local_expansion((1,), j, deligne_t(t), a)[a]
@@ -475,14 +419,13 @@ def _prime_power_values(j, N, primes, form):
     """f[p^a] = lam_sym^j(p^a) for every prime power p^a <= N, f[1] = 1.0
     and 0.0 elsewhere.
 
-    Two vector calls of `local_expansion`: order 1 for the primes above
-    sqrt(N), whose squares exceed N, and order floor(log2 N) for the few
-    below. The Deligne check and clamp are those of `deligne_t`.
+    Two vector calls of `symbolic.local_expansion`: order 1 for the primes
+    above sqrt(N), whose squares exceed N, and order floor(log2 N) for the
+    few below. The Deligne check and clamp are those of `symbolic.deligne_t`.
     """
     t = np.array(_lam(form, primes.tolist()))
-    outside = np.flatnonzero(np.abs(t) > _T_MAX)
-    if outside.size:
-        deligne_t(float(t[outside[0]]))  # raises, naming the least such prime's t
+    for x in t[np.abs(t) > 2.0].tolist():
+        deligne_t(x)  # raises at the least prime whose t is past the slack
     np.clip(t, -2.0, 2.0, out=t)
     f = np.zeros(N + 1)
     f[1] = 1.0

@@ -1,14 +1,17 @@
-"""Exact integer polynomial arithmetic in t = lambda_f(p).
+"""Exact integer polynomial arithmetic in t = lambda_f(p), and the
+local-factor engine.
 
 The basis polynomials S_r satisfy S_0 = 1, S_1 = t and the Hecke-type
 recursion S_r = t S_{r-1} - S_{r-2}, so that S_r(2 cos theta) =
 sin((r+1) theta) / sin theta and S_r(lambda_f(p)) is the normalized
 eigenvalue at p of the r-th symmetric power. The recursion runs in one
-place, `hecke.local_expansion`, whose X^1 coefficient over Z[t] is
-sum_m w_m S_{top-2m}(t). `verify_decomposition` reads both sides from it
-and certifies, coefficientwise in exact integers, that the l-th power of
-S_j expands over this basis with the first-difference weights from
-`combinatorics`.
+place, `local_expansion`, whose X^1 coefficient over Z[t] is
+sum_m w_m S_{top-2m}(t). The same engine, in doubles at a float t, gives
+`euler` its local factors and `hecke` its symmetric-power values at prime
+powers. `verify_decomposition` reads both sides from it and certifies,
+coefficientwise in exact integers, that the l-th power of S_j expands over
+this basis with the first-difference weights from `combinatorics`. The
+module imports no numpy, so the exact command-line paths never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import ConsistencyError
-from .hecke import local_expansion
 
 
 class IntPolynomial:
@@ -146,8 +148,73 @@ class IntPolynomial:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
-# the polynomial t, at which `hecke.local_expansion` works over Z[t]
+# the polynomial t, at which `local_expansion` works over Z[t]
 T = IntPolynomial([0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the local-factor engine, over Z[t] at T or in doubles at a float t
+
+
+def _power_sum(weights, top, x):
+    """sum_m w_m S_{top-2m}(x), S_r by the recursion S_{r+1} = x S_r - S_{r-1}.
+
+    With x = alpha^k + alpha^(-k) this is the k-th power sum of the root
+    multiset of `local_expansion`, since S_r(alpha^k + alpha^(-k)) sums
+    alpha^(k(r-2i)) over i = 0..r.
+    """
+    s_prev, s = 0 * x, x**0
+    acc = 0 * x
+    for r in range(top + 1):
+        m, odd = divmod(top - r, 2)
+        if not odd and m < len(weights) and weights[m]:
+            acc = acc + weights[m] * s
+        s_prev, s = s, x * s - s_prev
+    return acc
+
+
+def local_expansion(weights, top, t, A):
+    """h_0..h_A, the coefficients of prod (1 - beta X)^(-1) over a root multiset.
+
+    For each m, weight w_m = weights[m] brings w_m copies of the r + 1 roots
+    beta = alpha^(r-2i), i = 0..r, with r = top - 2m and alpha + 1/alpha = t.
+    The power sums p_k of the roots come from the weights by `_power_sum`
+    at x_k = alpha^k + alpha^(-k), where x_{k+1} = t x_k - x_{k-1}, and
+    Newton's identities n h_n = sum_{k=1..n} p_k h_{n-k} give the h_n, in
+    O(top A + A^2) ring operations whatever the number of roots.
+
+    t is a float (or a numpy array of floats), or the polynomial t itself
+    (`T`) for coefficients in Z[t]. There the division by n is exact, and a
+    remainder, which correct power sums never leave, raises ConsistencyError.
+    """
+    one = t**0  # 1.0, or the constant polynomial 1
+    x_prev, x = 2 * one, t
+    p = []
+    for _ in range(A):
+        p.append(_power_sum(weights, top, x))
+        x_prev, x = x, t * x - x_prev
+    h = [one]
+    for n in range(1, A + 1):
+        acc = p[n - 1]
+        for k in range(1, n):
+            acc = acc + p[k - 1] * h[n - k]
+        h.append(acc / n)
+    return h
+
+
+# |t| above this is outside the Deligne interval by more than rounding
+_T_MAX = 2.0 + 1e-6
+
+
+def deligne_t(t) -> float:
+    """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6."""
+    if abs(t) > _T_MAX:
+        raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
+    return max(-2.0, min(2.0, float(t)))
+
+
+# ---------------------------------------------------------------------------
+# the decomposition certificate
 
 
 @dataclass(frozen=True)
@@ -165,7 +232,7 @@ def verify_decomposition(l: int, j: int) -> DecompositionCertificate:
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
-    Both sides are X^1 coefficients of `hecke.local_expansion` over Z[t],
+    Both sides are X^1 coefficients of `local_expansion` over Z[t],
     those of `euler.lhs_local_sym` and `euler.rhs_local_sym`: S_j at the
     single weight 1, to the l-th power, and the weighted sum at top lj. The
     identity holds for every valid (l, j); `holds` false means a defect in

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symmoment import cli, exponents, hecke
+from symmoment import cli, euler, exponents, hecke
 
 
 def run(capsys, argv):
@@ -159,6 +159,20 @@ def test_euler_large_prime_p_hits_the_cap_at_once(capsys, tmp_path):
     )
     assert code == 4 and "exceeds limit 1000000" in err
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--p 2"])
+def test_euler_order_above_the_cap_exits_4_at_once(capsys, tmp_path, mode):
+    # (8, 8) at order 24 ran for over 20 s; float mode reads no table first
+    order = euler.ORDER_CAP + 1
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, f"euler --l 8 --j 8 {mode} --order {order} --cache-dir {tmp_path}"
+    )
+    assert code == 4 and out == ""
+    assert f"--order {order} exceeds limit {euler.ORDER_CAP}" in err
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("weight", hecke.SUPPORTED_WEIGHTS)

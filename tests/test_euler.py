@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from oracles import chebyshev_s, sym_prime_power_gauss
 from symmoment import euler as E
 from symmoment import hecke as H
-from symmoment.errors import ConsistencyError
+from symmoment import symbolic as S
+from symmoment.errors import CapacityError, ConsistencyError
 from symmoment.symbolic import ONE, ZERO, IntPolynomial
 
 LJ_4_TO_12 = [
@@ -110,13 +112,13 @@ def test_symbolic_correction_x1_is_zero_at_the_size_cap(l, j):
 def test_symbolic_integrality_guard(monkeypatch):
     # a wrong p_2 leaves 2 h_2 with an odd constant term, which Newton's
     # identities cannot divide by 2 in Z[t]
-    real = H._power_sum
+    real = S._power_sum
 
     def wrong_p2(weights, top, x):
         p = real(weights, top, x)
         return p + ONE if x.degree == 2 else p
 
-    monkeypatch.setattr(H, "_power_sum", wrong_p2)
+    monkeypatch.setattr(S, "_power_sum", wrong_p2)
     with pytest.raises(ConsistencyError):
         E.rhs_local_sym(2, 2, 4)
     with pytest.raises(ConsistencyError):
@@ -190,6 +192,25 @@ def test_domain_errors():
         E.rhs_local(2, 2, 2.7)
     with pytest.raises(ValueError):
         E.lhs_local(2, 2, 0.5, -1)
+
+
+def test_order_cap_raises_before_any_work():
+    # (8, 8) at lj = 64 takes 4-6 s at the cap, and over 20 s at order 24
+    A = E.ORDER_CAP + 1
+    start = time.perf_counter()
+    for fn in (E.lhs_local_sym, E.rhs_local_sym, E.correction_series_sym):
+        with pytest.raises(CapacityError, match=f"order {A} exceeds limit"):
+            fn(8, 8, A)
+    for fn in (E.lhs_local, E.rhs_local, E.correction_series):
+        with pytest.raises(CapacityError, match=f"order {A} exceeds limit"):
+            fn(2, 2, 0.5, A)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_float_series_at_the_order_cap():
+    q = E.correction_series(2, 2, 0.5, E.ORDER_CAP)
+    assert len(q.coeffs) == E.ORDER_CAP + 1
+    assert abs(q[1]) <= 1e-12
 
 
 def test_correction_at_real_satake_parameters_various_weights():

@@ -5,14 +5,14 @@ import pytest
 
 from oracles import chebyshev_s, random_rational_points
 from symmoment import combinatorics
-from symmoment import hecke as H
+from symmoment import symbolic as S
 from symmoment.symbolic import ONE, T, ZERO, IntPolynomial, verify_decomposition
 
 
 def engine_s(r):
     # the library's S_r: the X^1 coefficient of the engine at the single
     # weight 1, top r, over Z[t]
-    return H.local_expansion((1,), r, T, 1)[1]
+    return S.local_expansion((1,), r, T, 1)[1]
 
 
 def test_basis_polynomials_small():
@@ -105,13 +105,13 @@ def test_decomposition_rational_sample():
 def test_decomposition_reads_the_engine(monkeypatch):
     # the certificate is the engine's X^1 coefficient: a wrong power sum at
     # top lj must break it
-    real = H._power_sum
+    real = S._power_sum
 
     def wrong_top(weights, top, x):
         p = real(weights, top, x)
         return p + ONE if top == 6 else p
 
-    monkeypatch.setattr(H, "_power_sum", wrong_top)
+    monkeypatch.setattr(S, "_power_sum", wrong_top)
     cert = verify_decomposition(3, 2)
     assert not cert.holds
     assert cert.rhs - cert.lhs == ONE
