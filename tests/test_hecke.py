@@ -48,9 +48,9 @@ def test_series_mul_squaring_aliasing():
 
 
 def test_series_mul_rounding_guard_raises():
-    # inputs up to 2^31 instead of residues below p < 2^21 give half-product
-    # sums near 2^52, where a double no longer resolves the FFT's rounding
-    # error; the same inputs reduced mod p multiply without complaint
+    # inputs up to 2^31 instead of residues mod p bound the exact sums by
+    # 2^76, far past the 2^50 that series_mul checks before any transform;
+    # the same inputs reduced mod p multiply without complaint
     rng = random.Random(3)
     p = PRIMES[0]
     wide = [rng.randrange(1 << 31) for _ in range(1 << 14)]
@@ -60,16 +60,30 @@ def test_series_mul_rounding_guard_raises():
     H.series_mul(reduced, reduced, len(reduced), p)
 
 
+def test_series_mul_magnitude_bound_raises():
+    # all-(p-1)/2 residues at a prime near 2^21 are valid inputs, but the
+    # exact sums reach ((p-1)/2)^2 2^14, about 2^54
+    p = H.crt_primes(26, 1)[0]
+    assert p > H.PRIME_CEIL - 100
+    a = [(p - 1) // 2] * (1 << 14)
+    with pytest.raises(ConsistencyError, match="exceeds 2\\^50"):
+        H.series_mul(a, a, len(a), p)
+
+
 def test_crt_primes_exceed_twice_the_deligne_bound():
-    # |a(n)| <= d(n) n^((k-1)/2) and d(n) <= 2 sqrt(n), so |a(n)| <= 2 N^(k/2)
-    N = H.HARD_CAP
-    for weight in H.SUPPORTED_WEIGHTS:
-        primes = H.crt_primes(weight, N)
-        assert len(set(primes)) == len(primes)
-        for q in primes:
-            assert q < H.PRIME_CEIL
-            assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
-        assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), weight
+    # |a(n)| <= d(n) n^((k-1)/2) and d(n) <= 2 sqrt(n), so |a(n)| <= 2 N^(k/2);
+    # the ceiling min(PRIME_CEIL, isqrt(2^52 // N)) first drops below
+    # PRIME_CEIL at N = 1025, where it is even (2096128)
+    assert math.isqrt(2**52 // 1025) % 2 == 0
+    for N in (1, 16, 1000, 1024, 1025, 5000, 10**5, H.HARD_CAP):
+        for weight in H.SUPPORTED_WEIGHTS:
+            primes = H.crt_primes(weight, N)
+            assert len(set(primes)) == len(primes)
+            for q in primes:
+                assert q < H.PRIME_CEIL
+                assert N * ((q - 1) // 2) ** 2 <= 2**50, (N, q)
+                assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
+            assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), (N, weight)
 
 
 def test_delta_matches_product_oracle():
@@ -136,6 +150,32 @@ def test_eigenform_matches_naive_across_fft_sizes(N):
     for weight in H.SUPPORTED_WEIGHTS:
         got = H.eigenform_qexp(weight, N).raw
         assert list(got) == naive_eigenform(weight, N), weight
+
+
+@pytest.mark.parametrize("weight", [12, 26])
+def test_eigenform_matches_naive_below_the_full_prime_ceiling(weight):
+    # from N = 1025 on, crt_primes takes its primes below 2^21
+    N = 1100
+    assert H.crt_primes(weight, N)[0] < H.crt_primes(weight, 1024)[-1]
+    assert list(H.eigenform_qexp(weight, N).raw) == naive_eigenform(weight, N)
+
+
+@pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
+def test_multiplicativity_and_hecke_recursion_at_every_n(weight):
+    # n = p^a m with p the least prime factor of n and p coprime to m:
+    # a(n) = a(p^a) a(m) when m > 1, else the prime-power recursion
+    N = 5000
+    raw = H.eigenform_qexp(weight, N).raw
+    spf = smallest_prime_factors(N)
+    for n in range(2, N + 1):
+        p = spf[n]
+        q, m = p, n // p
+        while m % p == 0:
+            q, m = q * p, m // p
+        if m > 1:
+            assert raw[n] == raw[q] * raw[m], n
+        elif q > p:
+            assert raw[n] == raw[p] * raw[n // p] - p ** (weight - 1) * raw[n // p // p], n
 
 
 def test_eigenform_spot_check_passes():
