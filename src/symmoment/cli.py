@@ -3,10 +3,10 @@
 Subcommands map one-to-one onto the library modules; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. The library returns values and this module
-alone serializes them: `_print_csv` writes every CSV table but tau's, which
-`hecke.write_table` writes as the bytes of the cache file, and `_print_json`
-every JSON document, compact for tau and indented for the rest. The parser
-is built once per process; SYMMOMENT_CACHE is read on every `main` call.
+alone serializes them as text: `_print_csv` every CSV table (tau's a chunk
+of rows per write), and `_print_json` every JSON document, compact for tau
+and indented for the rest. The parser is built once per process;
+SYMMOMENT_CACHE is read on every `main` call.
 Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
 with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
 on the exact core alone and never load it.
@@ -284,7 +284,10 @@ def cmd_tau(args) -> int:
             indent=None,
         )
     elif args.format == "csv":
-        hecke.write_table(form, sys.stdout)
+        print("n,a_n")
+        for lo in range(1, form.limit + 1, 1 << 16):  # one string per chunk of rows
+            rows = enumerate(form.raw[lo : lo + (1 << 16)], lo)
+            sys.stdout.write("".join([f"{n},{a}\n" for n, a in rows]))
     else:
         for n in range(1, form.limit + 1):
             print(f"a({n}) = {form.raw[n]}")

@@ -2,21 +2,24 @@
 
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
-the sparse eta-cube series and one Eisenstein series. A table holds only
-these integers. The normalized values lam(n) = a(n)/n^((k-1)/2) are formed
+the sparse eta-cube series and one Eisenstein series. A table holds them
+as CRT digits, the bytes of its cache file, and is checked at every n
+against a congruence. Integers, and lam(n) = a(n)/n^((k-1)/2), are formed
 where they are read: at the primes, for the symmetric-power values at
 prime powers and a multiplicative sieve over n <= N.
 
 The q-expansion is multi-modular. For each of a few primes, below 2^21 and
 small enough for N that exact convolution values stay within 2^50, each
 series product is one numpy float FFT product of balanced int64 residues,
-and the integers are rebuilt by Garner's CRT. The number of primes comes
-from the Deligne bound, so the rebuilt integers are exact, and every FFT
-product checks its magnitude and rounding margin before it is used.
+and Garner's CRT turns the residues into the digits. The number of primes
+comes from the Deligne bound, so the digits fix the integers exactly, and
+every FFT product checks its magnitude and rounding margin before it is
+used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +61,8 @@ _ROUND_GUARD = 0.25
 _CHUNK = 1 << 16
 
 
-def crt_primes(weight: int, N: int) -> list:
+@functools.lru_cache(maxsize=None)  # a cache load needs them before any table
+def crt_primes(weight: int, N: int) -> tuple:
     """Primes below a ceiling, largest first, whose product exceeds 2B.
 
     B = 2 N^(k/2) is the Deligne bound: |a(n)| <= d(n) n^((k-1)/2) with
@@ -74,11 +78,13 @@ def crt_primes(weight: int, N: int) -> list:
     prod = 1
     cand = (ceil - 2) | 1  # the largest odd number below ceil
     while prod <= need:
-        if all(cand % q for q in small):
+        # a prime dividing the congruence modulus would hide the digits above
+        # it from `EigenformTable.check`
+        if all(cand % q for q in small) and _CONGRUENCE[weight] % cand:
             primes.append(cand)
             prod *= cand
         cand -= 2
-    return primes
+    return tuple(primes)
 
 
 def _fft_size(n):
@@ -202,46 +208,51 @@ def _eigenform_mod(weight, eta6, p):
     return s
 
 
-def _crt_balanced(primes, residues):
-    """Integers x with |x| < M/2, M = prod(primes), from their residues.
-
-    `residues` yields one int64 array per prime, in order. Garner's
-    method turns each into a mixed-radix digit as it arrives, so only the
-    digits are kept; the offset H = (M-1)/2 makes every digit string that
-    of x + H >= 0. Digits are packed three to an int64 limb (three primes
-    below 2^21 multiply to less than 2^63), H is subtracted limb by limb,
-    and the signed limbs are combined as Python ints one chunk at a time.
+def _garner(primes, residues, n):
+    """Mixed-radix digits of x + H, H = (M-1)/2, M = prod(primes), for n
+    integers |x| < M/2 from their residues, one int64 array per prime in
+    order. Each array becomes a row as it arrives: row i of the int32 result
+    lies in [0, p_i), and x + H = d_0 + p_0 (d_1 + p_1 (d_2 + ...)).
     """
     half = math.prod(primes) // 2
-    digits = []
+    digits = np.empty((len(primes), n), dtype=np.int32)
     for i, (p, v) in enumerate(zip(primes, residues)):
         v = v + half % p
-        if digits:
+        if i:
             # v -= (digits so far, evaluated mod p); v /= p_0 ... p_{i-1}
-            t = digits[-1].astype(np.int64)
-            for d, q in zip(reversed(digits[:-1]), reversed(primes[: i - 1])):
-                t *= q
-                t += d
-                t %= p
-            v -= t
+            v -= _digits_mod(primes[:i], digits[:i], p)
             v *= pow(math.prod(primes[:i]), -1, p)
         v %= p
-        digits.append(v.astype(np.int32))
+        digits[i] = v
+    return digits
+
+
+def _digits_mod(primes, digits, q):
+    # the integers whose mixed-radix digits are the columns of `digits`, mod q
+    acc = np.zeros(digits.shape[1], dtype=np.int64)
+    for d, p in zip(digits[::-1], primes[::-1]):
+        acc *= p
+        acc += d
+        acc %= q
+    return acc
+
+
+def _combine(primes, digits):
+    """The integers whose `_garner` digits are the columns of `digits`: three
+    digits to an int64 limb (three primes below 2^21 multiply to under 2^63),
+    H subtracted from each limb as R // 2, R its radix, since every digit of
+    H is (p_i - 1)/2, and the limbs combined as Python ints per chunk."""
     groups = [(primes[g : g + 3], digits[g : g + 3]) for g in range(0, len(primes), 3)]
     radices = [math.prod(ps) for ps, _ in groups]
-    offsets = []
-    for radix in radices:
-        half, h = divmod(half, radix)
-        offsets.append(h)
     out = []
-    for lo in range(0, len(digits[0]), _CHUNK):
+    for lo in range(0, digits.shape[1], _CHUNK):
         limbs = []
-        for (ps, ds), h in zip(groups, offsets):
+        for (ps, ds), radix in zip(groups, radices):
             limb = ds[-1][lo : lo + _CHUNK].astype(np.int64)
             for d, q in zip(reversed(ds[:-1]), reversed(ps[:-1])):
                 limb *= q
                 limb += d[lo : lo + _CHUNK]
-            limb -= h
+            limb -= radix // 2
             limbs.append(limb.tolist())
         acc = limbs[-1]
         for limb, radix in zip(reversed(limbs[:-1]), reversed(radices[:-1])):
@@ -250,21 +261,29 @@ def _crt_balanced(primes, residues):
     return out
 
 
-@dataclass(frozen=True)
+# weight k -> the numerator m of B_k / 2k: the eigenform is congruent to
+# E_k mod m, so a(n) = sigma_{k-1}(n) mod m for every n (Swinnerton-Dyer 1973)
+_CONGRUENCE = {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
+
+
+@dataclass(frozen=True, eq=False)
 class EigenformTable:
     """q-expansion of the normalized eigenform of one-dimensional weight.
 
-    raw[n] = a(n) exactly for 1 <= n <= limit (raw[0] = 0 padding). The
-    exact integers are the only copy; `lam` gives a normalized value.
+    `digits` is the (len(crt_primes(weight, limit)), limit + 1) int32
+    matrix of `_garner` digits of a(0..limit), a(0) = 0. The digits are the
+    only copy; exact integers are formed where they are read: all of them
+    by `raw`, the primes for the sieve, one column by `lam`.
     """
 
     weight: int
     limit: int
-    raw: tuple
+    digits: np.ndarray
 
-    def __post_init__(self):
-        if self.raw[1] != 1:
-            raise ConsistencyError("eigenform not normalized: a(1) != 1")
+    @functools.cached_property
+    def raw(self) -> tuple:
+        """raw[n] = a(n) exactly for 0 <= n <= limit."""
+        return tuple(_combine(crt_primes(self.weight, self.limit), self.digits))
 
     def lam(self, n: int) -> float:
         """lam_f(n) = a(n) / n^((weight-1)/2) in double precision, 1 <= n <= limit."""
@@ -272,34 +291,27 @@ class EigenformTable:
             raise IndexError(f"n={n} outside 1..{self.limit}")
         return _lam(self, (n,))[0]
 
-    def spot_check(self) -> None:
-        """Cheap structural validation: Hecke recursion and multiplicativity.
-
-        Raises ConsistencyError on any mismatch; used both after
-        construction in tests and when re-reading cached tables.
-        """
-        kk = self.weight - 1
-        for p in (2, 3, 5):
-            c = 1
-            while p ** (c + 1) <= self.limit:
-                lhs = self.raw[p ** (c + 1)]
-                rhs = self.raw[p] * self.raw[p**c] - p**kk * self.raw[p ** (c - 1)]
-                if lhs != rhs:
-                    raise ConsistencyError(
-                        f"Hecke recursion fails at p={p}, c={c}, weight={self.weight}"
-                    )
-                c += 1
-        for m, n in ((2, 3), (3, 4), (2, 9), (5, 8)):
-            if m * n <= self.limit and self.raw[m * n] != self.raw[m] * self.raw[n]:
-                raise ConsistencyError(f"multiplicativity fails at {m}*{n}")
+    def check(self) -> None:
+        """Raise ConsistencyError unless a(1) = 1 and, with m = _CONGRUENCE[k],
+        a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
+        if self.lam(1) != 1.0:  # as floats, only the integer 1 is 1.0
+            raise ConsistencyError("eigenform not normalized: a(1) != 1")
+        primes = crt_primes(self.weight, self.limit)
+        m = _CONGRUENCE[self.weight]
+        acc = _digits_mod(primes, self.digits, m)
+        acc -= math.prod(primes) // 2 % m
+        bad = np.flatnonzero(acc % m != _sigma_mod(self.weight - 1, self.limit + 1, m))
+        if bad.size:
+            n, k = bad[0], self.weight
+            raise ConsistencyError(f"a({n}) != sigma_{k - 1}({n}) mod {m} at weight {k}")
 
 
 def _lam(form, ns):
     # a(n) / n^((k-1)/2) for each n in ns, as Python float powers: np.power
     # rounds n**e differently for thousands of n <= 1e5
     e = (form.weight - 1) / 2
-    raw = form.raw
-    return [raw[n] / n**e for n in ns]
+    raw = _combine(crt_primes(form.weight, form.limit), form.digits[:, ns])
+    return [a / n**e for a, n in zip(raw, ns)]
 
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
@@ -308,8 +320,10 @@ def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     _check_limit(N)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
-    raw = [0] + _crt_balanced(primes, (_eigenform_mod(weight, eta6, p) for p in primes))
-    return EigenformTable(weight=weight, limit=N, raw=tuple(raw))
+    residues = (np.concatenate(([0], _eigenform_mod(weight, eta6, p))) for p in primes)
+    form = EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
+    form.check()
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -444,62 +458,45 @@ def _prime_power_values(j, N, primes, form):
 
 
 def cache_path(cache_dir: str, weight: int, N: int) -> str:
-    return os.path.join(cache_dir, f"tau_{weight}_{N}.csv")
-
-
-def write_table(form: EigenformTable, fh) -> None:
-    """Write the `n,a_n` header and rows: the cache file and `tau --format csv`."""
-    fh.write("n,a_n\n")
-    raw = form.raw
-    for lo in range(1, len(raw), _CHUNK):  # one string per chunk bounds the temporary
-        fh.write("".join([f"{n},{a}\n" for n, a in enumerate(raw[lo : lo + _CHUNK], lo)]))
+    return os.path.join(cache_dir, f"tau_{weight}_{N}.i32")
 
 
 def save_table(form: EigenformTable, cache_dir: str) -> str:
-    """Write the table to its cache file with `write_table`."""
+    """Write the table's digits to its cache file as little-endian int32."""
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, form.weight, form.limit)
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        write_table(form, fh)
+    form.digits.astype("<i4", copy=False).tofile(tmp)
     os.replace(tmp, path)
     return path
 
 
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
-    """Read a cached table back, re-validating; None when absent.
+    """Read a cached table back and check it; None when absent.
 
-    weight and N are checked as `eigenform_qexp` checks them, before any
-    file is opened. Rows must read `n,a(n)` for n = 1..N in order, each
-    field an integer in ASCII digits as int() reads it (a sign and blanks
-    around the digits pass). A malformed or failing file raises
-    ConsistencyError rather than being silently recomputed, since stale
-    caches are a real failure mode.
+    weight and N are checked first, as `eigenform_qexp` checks them. A file
+    that is not exactly the digit matrix, with each digit below its prime,
+    or fails `EigenformTable.check` raises ConsistencyError: stale caches
+    are a real failure mode, so they are not silently rebuilt.
     """
     _check_weight(weight)
     _check_limit(N)
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
-    raw = [0]
-    # the writer writes ASCII; any other byte becomes U+FFFD, which int()
-    # rejects in its own row
-    with open(path, encoding="ascii", errors="replace") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "n,a_n":
-            raise ConsistencyError(f"bad cache header in {path}: {header!r}")
-        try:
-            for row, line in enumerate(fh, 1):
-                n, a_n = line.rstrip("\n").split(",")
-                if int(n) != row:
-                    raise ConsistencyError(f"cache {path} row {row} holds n={n}")
-                raw.append(int(a_n))
-        except ValueError as exc:
-            raise ConsistencyError(f"malformed cache row {row} in {path}: {exc}") from None
-    if len(raw) != N + 1:
-        raise ConsistencyError(f"cache {path} has {len(raw) - 1} rows, expected {N}")
-    form = EigenformTable(weight=weight, limit=N, raw=tuple(raw))
-    form.spot_check()
+    primes = crt_primes(weight, N)
+    want = 4 * len(primes) * (N + 1)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            raise ConsistencyError(f"cache {path} has {size} bytes, expected {want}")
+        digits = np.fromfile(fh, dtype="<i4").reshape(len(primes), N + 1)
+    for i, (row, p) in enumerate(zip(digits, primes)):
+        if row.min() < 0 or row.max() >= p:
+            n = np.flatnonzero((row < 0) | (row >= p))[0]
+            raise ConsistencyError(f"cache {path} digit {i} of a({n}) outside [0, {p})")
+    form = EigenformTable(weight=weight, limit=N, digits=digits)
+    form.check()
     return form
 
 

@@ -7,14 +7,17 @@ weight-12 form instead of the eta-cube route, Gaussian binomials
 instead of Newton's identities for symmetric-power values, the closed
 binomial form of the basis S_r instead of its recursion, and a
 factorization loop over a smallest-prime-factor sieve instead of the
-library's vectorized multiplicative sieve.
+library's vectorized multiplicative sieve, and repeated division for the
+mixed-radix digits of a table instead of Garner's method.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from symmoment.hecke import sym_prime_power
+import numpy as np
+
+from symmoment.hecke import crt_primes, sym_prime_power
 from symmoment.symbolic import ZERO, IntPolynomial
 
 
@@ -101,6 +104,20 @@ def naive_eigenform(weight, N):
     return series[: N + 1]
 
 
+def digits_of(weight, raw):
+    """The `EigenformTable.digits` of raw = a(0..N): column n holds the
+    mixed-radix digits of a(n) + H, H = (M-1)/2, M the product of the
+    table's primes, found by dividing by each prime in turn."""
+    primes = crt_primes(weight, len(raw) - 1)
+    half = math.prod(primes) // 2
+    digits = np.zeros((len(primes), len(raw)), dtype=np.int32)
+    for n, a in enumerate(raw):
+        x = a + half
+        for i, p in enumerate(primes):
+            x, digits[i, n] = divmod(x, p)
+    return digits
+
+
 def primes_below(n):
     return [p for p in range(2, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
 
@@ -122,9 +139,11 @@ def naive_sym_coeff_sieve(j, N, form):
     """lam_sym^j(n) for n = 0..N, factoring each n by its smallest primes.
 
     val = ((f(p1^a1) f(p2^a2)) ...) from the smallest prime up, each
-    f(p^a) one scalar `sym_prime_power` call, memoized per (p, a).
+    f(p^a) one scalar `sym_prime_power` call at t = a(p) / p^((k-1)/2)
+    from `form.raw`, memoized per (p, a).
     """
     spf = smallest_prime_factors(N)
+    raw, e = form.raw, (form.weight - 1) / 2
     memo = {}
     out = [0.0] * (N + 1)
     if N >= 1:
@@ -140,7 +159,7 @@ def naive_sym_coeff_sieve(j, N, form):
                 a += 1
             f = memo.get((p, a))
             if f is None:
-                f = memo[(p, a)] = sym_prime_power(j, a, form.lam(p))
+                f = memo[(p, a)] = sym_prime_power(j, a, raw[p] / p**e)
             val *= f
         out[n] = val
     return out

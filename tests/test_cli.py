@@ -2,8 +2,10 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracles import digits_of
 from symmoment import cli, euler, exponents, hecke
 
 
@@ -175,14 +177,17 @@ def test_euler_order_above_the_cap_exits_4_at_once(capsys, tmp_path, mode):
     assert list(tmp_path.iterdir()) == []
 
 
+def digit_bytes(weight, raw):
+    """The cache file of the table raw = a(0..N)."""
+    return digits_of(weight, raw).astype("<i4").tobytes()
+
+
 @pytest.mark.parametrize("weight", hecke.SUPPORTED_WEIGHTS)
 def test_tau_csv_matches_cache_file(capsys, tmp_path, weight):
-    # the cache writer, the cache reader and `tau --format csv` share one format
+    # the cache file holds the digits of the integers `tau --format csv` prints
     argv = f"tau --weight {weight} --limit 10 --cache-dir {tmp_path} --format csv"
     code, out, _ = run(capsys, argv)
     assert code == 0
-    cache_file = tmp_path / f"tau_{weight}_10.csv"
-    assert cache_file.read_bytes() == out.encode()
     lines = out.splitlines()
     assert lines[0] == "n,a_n"
     assert lines[1] == "1,1"
@@ -190,142 +195,105 @@ def test_tau_csv_matches_cache_file(capsys, tmp_path, weight):
     assert lines[2] == f"2,{a2}"
     if weight == 12:
         assert lines[10] == "10,-115920"
+    raw = [0] + [int(line.split(",")[1]) for line in lines[1:]]
+    assert (tmp_path / f"tau_{weight}_10.i32").read_bytes() == digit_bytes(weight, raw)
     code, again, err = run(capsys, argv)  # read back from the cache
     assert code == 0 and err == "" and again == out
 
 
-def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
-    code, _, _ = run(capsys, f"tau --limit 20 --cache-dir {tmp_path}")
-    assert code == 0
-    capsys.readouterr()
-    cache_file = tmp_path / "tau_12_20.csv"
-    text = cache_file.read_text()
-    assert "\n6,-6048\n" in text
-    cache_file.write_text(text.replace("\n6,-6048\n", "\n6,-6049\n"))
-    code, out, err = run(capsys, f"tau --limit 20 --cache-dir {tmp_path}")
-    assert code == 3
-    assert "internal error" in err
-
-
-def corrupt_cache_row(capsys, tmp_path, n, replacement, limit=1000):
-    """Build the weight-12 cache to `limit`, then replace the row of n."""
+def corrupt_cache(capsys, tmp_path, edit, limit=1000):
+    """Build the weight-12 cache to `limit`, pass its bytes through `edit`,
+    and run tau again."""
     argv = f"tau --limit {limit} --cache-dir {tmp_path}"
     code, _, _ = run(capsys, argv)
     assert code == 0
-    cache_file = tmp_path / f"tau_12_{limit}.csv"
-    lines = cache_file.read_text().splitlines()
-    assert lines[n].startswith(f"{n},")
-    lines[n] = replacement(lines)
-    cache_file.write_text("\n".join(lines) + "\n")
+    cache_file = tmp_path / f"tau_12_{limit}.i32"
+    cache_file.write_bytes(edit(cache_file.read_bytes()))
     return run(capsys, argv)
 
 
-def test_tau_cache_duplicate_row_exit_3(capsys, tmp_path):
-    # a second row 17 in place of row 19 once loaded silently with a(19) = 0
-    code, out, err = corrupt_cache_row(capsys, tmp_path, 19, lambda lines: lines[17])
+def test_tau_corrupted_cache_exit_3(capsys, tmp_path):
+    raw = list(hecke.eigenform_qexp(12, 20).raw)
+    assert raw[6] == -6048
+    raw[6] = -6049
+    code, out, err = corrupt_cache(capsys, tmp_path, lambda body: digit_bytes(12, raw), 20)
     assert code == 3 and out == ""
-    assert "internal error" in err and "row 19 holds n=17" in err
+    assert "internal error: a(6) != sigma_11(6) mod 691" in err
 
 
-def test_tau_cache_non_integer_field_exit_3(capsys, tmp_path):
-    # once reported as a usage error (exit 2)
-    code, out, err = corrupt_cache_row(capsys, tmp_path, 5, lambda lines: "5,4830.5")
+def test_tau_cache_a_99991_plus_one_exit_3(capsys, tmp_path, delta_1e5):
+    # a(99991) + 1 once loaded and tau exited 0: the spot check read only
+    # p = 2, 3, 5 and four products
+    raw = list(delta_1e5.raw)
+    raw[99991] += 1
+    hecke.save_table(hecke.EigenformTable(12, 100_000, digits_of(12, raw)), str(tmp_path))
+    code, out, err = run(capsys, f"tau --limit 100000 --cache-dir {tmp_path}")
     assert code == 3 and out == ""
-    assert "internal error" in err and "row 5" in err
+    assert "a(99991) != sigma_11(99991) mod 691" in err
 
 
-def test_tau_cache_missing_field_exit_3(capsys, tmp_path):
-    # once an IndexError traceback
-    code, out, err = corrupt_cache_row(capsys, tmp_path, 7, lambda lines: "7")
+def test_tau_cache_a_p_plus_one_past_half_of_n_exit_3(capsys, tmp_path):
+    # no multiple of 997 but itself lies below 1000, so multiplicativity
+    # cannot see a(997)
+    raw = list(hecke.eigenform_qexp(26, 1000).raw)
+    raw[997] += 1
+    hecke.save_table(hecke.EigenformTable(26, 1000, digits_of(26, raw)), str(tmp_path))
+    code, out, err = run(capsys, f"tau --weight 26 --limit 1000 --cache-dir {tmp_path}")
     assert code == 3 and out == ""
-    assert "internal error" in err and "row 7" in err
+    assert "a(997) != sigma_25(997) mod 657931" in err
 
 
-def test_tau_cache_three_fields_exit_3(capsys, tmp_path):
-    code, out, err = corrupt_cache_row(capsys, tmp_path, 9, lambda lines: lines[9] + ",0")
+def test_tau_cache_truncated_file_exit_3(capsys, tmp_path):
+    code, out, err = corrupt_cache(capsys, tmp_path, lambda body: body[:-4])
     assert code == 3 and out == ""
-    assert "internal error" in err and "row 9" in err
+    assert "internal error" in err and "has 12008 bytes, expected 12012" in err
 
 
-def test_tau_cache_extra_row_exit_3(capsys, tmp_path):
-    code, out, err = corrupt_cache_row(
-        capsys, tmp_path, 1000, lambda lines: lines[1000] + "\n1001,0"
-    )
+def test_tau_cache_trailing_bytes_exit_3(capsys, tmp_path):
+    # np.fromfile would drop a partial int32 without a word
+    code, out, err = corrupt_cache(capsys, tmp_path, lambda body: body + b"\0\0")
     assert code == 3 and out == ""
-    assert "has 1001 rows, expected 1000" in err
+    assert "internal error" in err and "has 12014 bytes, expected 12012" in err
 
 
-def test_tau_cache_crlf_line_ends_load_the_same(capsys, tmp_path):
-    argv = f"tau --limit 1000 --cache-dir {tmp_path} --format csv"
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    cache_file = tmp_path / "tau_12_1000.csv"
-    text = cache_file.read_text()
-    cache_file.write_bytes(text.replace("\n", "\r\n").encode())
-    code, second, err = run(capsys, argv)
-    assert code == 0 and err == "" and second == first
+@pytest.mark.parametrize("value", ["prime", -1])
+def test_tau_cache_digit_outside_its_prime_exit_3(capsys, tmp_path, value):
+    primes = hecke.crt_primes(12, 1000)
+    digit = primes[1] if value == "prime" else value
 
+    def edit(body):
+        digits = np.frombuffer(body, "<i4").reshape(len(primes), 1001).copy()
+        digits[1, 500] = digit
+        return digits.tobytes()
 
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (lambda row: f"{row},1.5", "malformed cache row {row}"),
-        (lambda row: f"{row - 1},0", "row {row} holds n={prev}"),
-    ],
-)
-def test_tau_cache_fault_past_the_first_parse_chunk_exit_3(
-    capsys, tmp_path, corrupt, message
-):
-    # row 5000 of 6000 lies well past the first buffered read of the file
-    # (about 118 KiB in)
-    limit, row = 6000, 5000
-    code, out, err = corrupt_cache_row(
-        capsys, tmp_path, row, lambda lines: corrupt(row), limit=limit
-    )
+    code, out, err = corrupt_cache(capsys, tmp_path, edit)
     assert code == 3 and out == ""
-    assert message.format(row=row, prev=row - 1) in err
-
-
-@pytest.mark.parametrize(
-    "n, line", [(3, '3,"252"'), (5, '"5",4830'), (5, "5,\uff14\uff18\uff13\uff10")]
-)
-def test_tau_cache_field_save_table_never_writes_exit_3(capsys, tmp_path, n, line):
-    # quoted fields, and digits int() reads but save_table never writes
-    # (here fullwidth 4830), are malformed rows
-    code, out, err = corrupt_cache_row(capsys, tmp_path, n, lambda lines: line)
-    assert code == 3 and out == ""
-    assert f"malformed cache row {n}" in err
-
-
-def test_tau_cache_undecodable_byte_exit_3(capsys, tmp_path):
-    # once a usage error (exit 2) from the decoder, naming no row
-    argv = f"tau --limit 3000 --cache-dir {tmp_path}"
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    cache_file = tmp_path / "tau_12_3000.csv"
-    body = cache_file.read_bytes()
-    assert b"\n2500," in body
-    cache_file.write_bytes(body.replace(b"\n2500,", b"\n2500,\xff", 1))
-    code, out, err = run(capsys, argv)
-    assert code == 3 and out == ""
-    assert "malformed cache row 2500" in err
+    assert f"digit 1 of a(500) outside [0, {primes[1]})" in err
 
 
 @pytest.mark.parametrize(
     "argv, name, want",
     [
-        ("--limit 0", "tau_12_0.csv", 2),
-        ("--weight 13 --limit 10", "tau_13_10.csv", 2),
-        ("--limit 1000001", "tau_12_1000001.csv", 4),
+        ("--limit 0", "tau_12_0.i32", 2),
+        ("--weight 13 --limit 10", "tau_13_10.i32", 2),
+        ("--limit 1000001", "tau_12_1000001.i32", 4),
     ],
 )
 def test_tau_planted_cache_file_keeps_argument_checks(capsys, tmp_path, argv, name, want):
     # weight and N are checked before a cache file is opened; a header-only
     # tau_12_0.csv once gave an IndexError traceback
-    (tmp_path / name).write_text("n,a_n\n")
+    (tmp_path / name).write_bytes(bytes(4))
     code, out, err = run(capsys, f"tau {argv} --cache-dir {tmp_path}")
     assert code == want and out == ""
     assert err.startswith("error: ")
+
+
+def test_tau_ignores_an_old_csv_cache(capsys, tmp_path):
+    (tmp_path / "tau_12_10.csv").write_text("n,a_n\n1,2\n")
+    code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path} --format csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "1,1"
+    assert (tmp_path / "tau_12_10.i32").exists()
 
 
 def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
@@ -338,7 +306,7 @@ def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
 
 def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
     # open in load_table once raised IsADirectoryError, exit 1
-    (tmp_path / "tau_12_10.csv").mkdir()
+    (tmp_path / "tau_12_10.i32").mkdir()
     code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path}")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -350,7 +318,7 @@ def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path / name))
         code, _, _ = run(capsys, "tau --limit 10")
         assert code == 0
-        assert (tmp_path / name / "tau_12_10.csv").exists()
+        assert (tmp_path / name / "tau_12_10.i32").exists()
 
 
 def test_partial_sum_csv(capsys, tmp_path):

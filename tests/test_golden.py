@@ -76,8 +76,9 @@ partial-sum --l 2 --j 0 --limit 1
 partial-sum --l 2 --j 2 --limit 2000000
 """
 
-# bad/ holds a two-row table where N = 20 is expected, so loading it exits 3
-BAD_TABLE = ("bad", "tau_12_20.csv", "n,a_n\n1,1\n2,-24\n")
+# bad/ holds 24 zero bytes, three columns of two digits, where the table to
+# N = 20 has 21 columns (168 bytes), so loading it exits 3
+BAD_TABLE = ("bad", "tau_12_20.i32", bytes(24))
 
 
 def _cases():
@@ -109,7 +110,7 @@ def record(argv, workdir) -> str:
 def prepare(workdir):
     bad = pathlib.Path(workdir, BAD_TABLE[0])
     bad.mkdir()
-    (bad / BAD_TABLE[1]).write_text(BAD_TABLE[2])
+    (bad / BAD_TABLE[1]).write_bytes(BAD_TABLE[2])
     return workdir
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     chebyshev_s,
+    digits_of,
     naive_delta,
     naive_eigenform,
     naive_series_mul,
@@ -75,7 +76,7 @@ def test_crt_primes_exceed_twice_the_deligne_bound():
     # the ceiling min(PRIME_CEIL, isqrt(2^52 // N)) first drops below
     # PRIME_CEIL at N = 1025, where it is even (2096128)
     assert math.isqrt(2**52 // 1025) % 2 == 0
-    for N in (1, 16, 1000, 1024, 1025, 5000, 10**5, H.HARD_CAP):
+    for N in (1, 16, 1000, 1024, 1025, 5000, 10401, 10**5, H.HARD_CAP):
         for weight in H.SUPPORTED_WEIGHTS:
             primes = H.crt_primes(weight, N)
             assert len(set(primes)) == len(primes)
@@ -84,6 +85,7 @@ def test_crt_primes_exceed_twice_the_deligne_bound():
                 assert N * ((q - 1) // 2) ** 2 <= 2**50, (N, q)
                 assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
             assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), (N, weight)
+            assert all(H._CONGRUENCE[weight] % q for q in primes), (N, weight)
 
 
 def test_delta_matches_product_oracle():
@@ -178,9 +180,42 @@ def test_multiplicativity_and_hecke_recursion_at_every_n(weight):
             assert raw[n] == raw[p] * raw[n // p] - p ** (weight - 1) * raw[n // p // p], n
 
 
-def test_eigenform_spot_check_passes():
+def test_eigenform_congruence_check_passes(delta_1e6):
     for weight in H.SUPPORTED_WEIGHTS:
-        H.eigenform_qexp(weight, 600).spot_check()
+        H.eigenform_qexp(weight, 600).check()
+    delta_1e6.check()
+
+
+@pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
+def test_check_catches_one_changed_coefficient(weight):
+    # a(p) for a prime p > N/2 has no other multiple below N, so only an
+    # O(N) check sees it; a(1) is checked exactly
+    raw = list(H.eigenform_qexp(weight, 600).raw)
+    for n, message in ((599, r"a\(599\) != sigma_"), (1, "not normalized")):
+        bumped = raw[:n] + [raw[n] + 1] + raw[n + 1 :]
+        with pytest.raises(ConsistencyError, match=message):
+            H.EigenformTable(weight, 600, digits_of(weight, bumped)).check()
+
+
+def test_check_sees_the_top_digit_row():
+    # at N = 10401 the weight-26 primes pass m = 657931, which is prime; a
+    # CRT prime equal to m would make every digit above it vanish mod m
+    primes = H.crt_primes(26, 10401)
+    assert primes[-1] < 657931 < primes[0]
+    digits = H.eigenform_qexp(26, 10401).digits.copy()
+    n = 10399
+    assert digits[-1, n] + 1 < primes[-1]
+    digits[-1, n] += 1
+    with pytest.raises(ConsistencyError, match=r"a\(10399\) != sigma_25"):
+        H.EigenformTable(26, 10401, digits).check()
+
+
+def test_digits_combine_to_the_table():
+    tab = H.eigenform_qexp(26, 300)
+    primes = H.crt_primes(26, 300)
+    assert tab.digits.shape == (len(primes), 301) and tab.digits.dtype == np.int32
+    assert (tab.digits == digits_of(26, tab.raw)).all()
+    assert tab.raw[0] == 0
 
 
 def test_normalization():
@@ -335,7 +370,7 @@ def test_sieve_rejects_t_outside_the_deligne_interval():
     # p = 7, so t = 2.376 at 3 and -2.249 at 7; both sieves name the least
     # prime's t
     raw = (0, 1, 0, 1000, 0, 0, 0, -100_000, 0, 0, 0)
-    form = H.EigenformTable(12, 10, raw)
+    form = H.EigenformTable(12, 10, digits_of(12, raw))
     t3 = 1000 / 3**5.5
     assert 2.3 < t3 < 2.4
     message = f"t={re.escape(repr(t3))} outside the Deligne interval"
@@ -393,7 +428,9 @@ def test_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
     tab = H.eigenform_qexp(16, 120)
     path = H.save_table(tab, cache)
-    assert path.endswith("tau_16_120.csv")
+    assert path.endswith("tau_16_120.i32")
+    with open(path, "rb") as fh:
+        assert fh.read() == tab.digits.astype("<i4").tobytes()
     back = H.load_table(16, 120, cache)
     assert back is not None
     assert back.raw == tab.raw
@@ -406,58 +443,11 @@ def test_cache_missing_returns_none(tmp_path):
 
 def test_cache_rejects_corruption(tmp_path):
     cache = str(tmp_path)
-    H.save_table(H.eigenform_qexp(12, 60), cache)
-    path = H.cache_path(cache, 12, 60)
-    lines = open(path).read().splitlines()
-    lines[6] = "6,-6049"  # breaks multiplicativity a(6) = a(2)a(3)
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(ConsistencyError):
+    raw = list(H.eigenform_qexp(12, 60).raw)
+    raw[6] -= 1  # breaks multiplicativity a(6) = a(2)a(3)
+    H.save_table(H.EigenformTable(12, 60, digits_of(12, raw)), cache)
+    with pytest.raises(ConsistencyError, match=r"a\(6\) != sigma_11\(6\) mod 691"):
         H.load_table(12, 60, cache)
-
-
-def test_cache_rejects_rows_that_split_into_the_right_columns(tmp_path):
-    # "7" and "-16744,8,84480" split on commas and newlines into the same
-    # fields as rows 7 and 8, but row 7 has one field
-    cache = str(tmp_path)
-    H.save_table(H.eigenform_qexp(12, 60), cache)
-    path = H.cache_path(cache, 12, 60)
-    lines = open(path).read().splitlines()
-    assert lines[7:9] == ["7,-16744", "8,84480"]
-    lines[7:9] = ["7", "-16744,8,84480"]
-    open(path, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(ConsistencyError, match="malformed cache row 7"):
-        H.load_table(12, 60, cache)
-
-
-@pytest.mark.parametrize(
-    "edits",
-    [
-        {3: "3,+252", 5: "5, 4830"},  # padded or signed a column
-        {5: "+5,4830", 6: " 6 ,-6048"},  # the n column is not written as str(n)
-    ],
-)
-def test_cache_parse_keeps_the_csv_rules(edits, tmp_path):
-    # padded or signed integers are what int() accepts; quoted fields, which
-    # save_table never writes, are rejected (test_cli)
-    cache = str(tmp_path)
-    tab = H.eigenform_qexp(12, 60)
-    H.save_table(tab, cache)
-    path = H.cache_path(cache, 12, 60)
-    lines = open(path).read().splitlines()
-    for n, line in edits.items():
-        lines[n] = line
-    open(path, "w").write("\n".join(lines))
-    assert H.load_table(12, 60, cache).raw == tab.raw
-
-
-def test_cache_rejects_bad_header(tmp_path):
-    cache = str(tmp_path)
-    H.save_table(H.eigenform_qexp(12, 30), cache)
-    path = H.cache_path(cache, 12, 30)
-    body = open(path).read().replace("n,a_n", "k,v", 1)
-    open(path, "w").write(body)
-    with pytest.raises(ConsistencyError):
-        H.load_table(12, 30, cache)
 
 
 def test_cached_eigenform_creates_then_reuses(tmp_path):
