@@ -3,9 +3,10 @@
 Subcommands map one-to-one onto the library modules; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. The library returns values and this module
-alone serializes them as text: `_print_csv` every CSV table (tau's a chunk
-of rows per write), and `_print_json` every JSON document, compact for tau
-and indented for the rest. The parser is built once per process;
+alone turns them into text: it names the d or e vector of `coeffs` and
+labels the `euler` series, `_print_csv` writes every CSV table (tau's a
+chunk of rows per write), and `_print_json` every JSON document, compact
+for tau and indented for the rest. The parser is built once per process;
 SYMMOMENT_CACHE is read on every `main` call.
 Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
 with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
@@ -114,34 +115,30 @@ def _print_json(doc, indent=2) -> None:
 
 def cmd_coeffs(args) -> int:
     c = combinatorics.coeffs_bruteforce(args.l, args.j)
-    c2 = combinatorics.coeffs_closed_form(args.l, args.j)
-    if c.values != c2.values:
+    if c != combinatorics.coeffs_closed_form(args.l, args.j):
         raise ConsistencyError("closed form disagrees with convolution oracle")
-    d = combinatorics.diff_coeffs(c)
+    d = combinatorics.weights(args.l, args.j)
     rep = combinatorics.structure_report(c)
-    half = c.values[: c.half + 1]
+    kind = "E" if args.l * args.j % 2 else "D"
     if args.format == "json":
         _print_json(
             {
                 "l": args.l,
                 "j": args.j,
-                "c": list(c.values),
-                "diff_kind": d.kind.value,
-                "diff": list(d.values),
+                "c": list(c),
+                "diff_kind": kind,
+                "diff": list(d),
                 "palindromic": rep.palindromic,
                 "unimodal": rep.unimodal,
                 "total": rep.total,
             }
         )
     elif args.format == "csv":
-        rows = [
-            (m, cm, d.values[m] if m < len(d.values) else None)
-            for m, cm in enumerate(c.values)
-        ]
+        rows = [(m, cm, d[m] if m < len(d) else None) for m, cm in enumerate(c)]
         _print_csv(("m", "c", "diff"), rows)
     else:
-        label = d.kind.value.lower()
-        print(f"c: {' '.join(map(str, half))} | {label}: {' '.join(map(str, d.values))}")
+        half = c[: len(d)]
+        print(f"c: {' '.join(map(str, half))} | {kind.lower()}: {' '.join(map(str, d))}")
         print(
             f"palindromic: {rep.palindromic}  unimodal: {rep.unimodal}  total: {rep.total}"
         )
@@ -235,6 +232,7 @@ def cmd_euler(args) -> int:
         raise CapacityError(f"--order {args.order} exceeds limit {euler.ORDER_CAP}")
     if args.exact:
         series = euler.correction_series_sym(args.l, args.j, args.order)
+        label = f"correction_sym(l={args.l},j={args.j})"
         coeffs = [str(c) for c in series.coeffs]
     else:
         from . import hecke
@@ -246,7 +244,9 @@ def cmd_euler(args) -> int:
         if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
             raise ValueError(f"--p must be prime, got {p}")
         form = hecke.cached_eigenform(args.weight, max(p, 16), args.cache_dir)
-        series = euler.correction_series(args.l, args.j, form.lam(p), args.order)
+        t = form.lam(p)
+        series = euler.correction_series(args.l, args.j, t, args.order)
+        label = f"correction(l={args.l},j={args.j},t={t})"
         coeffs = list(series.coeffs)
     if args.format == "json":
         _print_json(
@@ -257,14 +257,14 @@ def cmd_euler(args) -> int:
                 "p": None if args.exact else args.p,
                 "order": args.order,
                 "coeffs": coeffs,
-                "label": series.label,
+                "label": label,
             }
         )
     elif args.format == "csv":
         quoted = [f'"{cv}"' for cv in coeffs] if args.exact else coeffs
         _print_csv(("a", "coeff"), enumerate(quoted))
     else:
-        print(f"correction series {series.label} to order {args.order}:")
+        print(f"correction series {label} to order {args.order}:")
         for a, cv in enumerate(coeffs):
             print(f"  X^{a}: {cv!r}" if not args.exact else f"  X^{a}: {cv}")
     return 0

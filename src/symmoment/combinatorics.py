@@ -7,15 +7,15 @@ differences d_m = c_m - c_{m-1} (written e_m when lj is odd) are the weights
 that expand an l-th power of a symmetric-power coefficient in the
 symmetric-power basis.
 
-Two independent routes compute c_m: repeated exact polynomial convolution
-(`coeffs_bruteforce`, the oracle) and an inclusion-exclusion binomial sum
-(`coeffs_closed_form`). All arithmetic is arbitrary-precision integer; the
-values overflow 32-bit words already at l = j = 8.
+Two independent routes compute c_0..c_lj as a plain tuple: repeated exact
+polynomial convolution (`coeffs_bruteforce`, the oracle) and an
+inclusion-exclusion binomial sum (`coeffs_closed_form`); `weights` is the
+one first-difference function. All arithmetic is arbitrary-precision
+integer; the values overflow 32-bit words already at l = j = 8.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -25,40 +25,6 @@ from .errors import CapacityError
 #: Ceiling on l*j; bounds the degree of every downstream exact polynomial
 #: identity.
 LJ_CAP = 64
-
-
-class Kind(enum.Enum):
-    C = "C"
-    D = "D"
-    E = "E"
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """An exact coefficient vector attached to a pair (l, j).
-
-    kind C holds c_0..c_lj; kind D (even lj) holds d_0..d_{lj/2}; kind E
-    (odd lj) holds e_0..e_{(lj-1)/2}.
-    """
-
-    l: int
-    j: int
-    kind: Kind
-    values: tuple[int, ...]
-
-    @property
-    def lj(self) -> int:
-        return self.l * self.j
-
-    @property
-    def half(self) -> int:
-        return self.lj // 2
-
-    def __getitem__(self, m: int) -> int:
-        return self.values[m]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +52,7 @@ def _binom(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def coeffs_bruteforce(l: int, j: int) -> CoeffVector:
+def coeffs_bruteforce(l: int, j: int) -> tuple[int, ...]:
     """Coefficients of (1 + x + ... + x^j)^l by l-fold exact convolution.
 
     This is the counting oracle: each convolution step is a direct
@@ -100,10 +66,10 @@ def coeffs_bruteforce(l: int, j: int) -> CoeffVector:
             for k in range(j + 1):
                 out[i + k] += v
         values = out
-    return CoeffVector(l=l, j=j, kind=Kind.C, values=tuple(values))
+    return tuple(values)
 
 
-def coeffs_closed_form(l: int, j: int) -> CoeffVector:
+def coeffs_closed_form(l: int, j: int) -> tuple[int, ...]:
     """Coefficients c_m by the inclusion-exclusion binomial sum.
 
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
@@ -116,45 +82,31 @@ def coeffs_closed_form(l: int, j: int) -> CoeffVector:
             term = _binom(l, r) * _binom(m - r * (j + 1) + l - 1, l - 1)
             acc += -term if r & 1 else term
         values.append(acc)
-    return CoeffVector(l=l, j=j, kind=Kind.C, values=tuple(values))
-
-
-def diff_coeffs(c: CoeffVector) -> CoeffVector:
-    """First differences d_m = c_m - c_{m-1} (with c_{-1} = 0) on 0..floor(lj/2).
-
-    Returns kind D for even lj, kind E for odd lj. Unimodality of c makes
-    every stored value nonnegative. The difference definition is the
-    authoritative one; the binomial closed form with lower index l - 2
-    (`diff_coeffs_closed_form` in `tests/oracles.py`) only applies for l >= 2.
-    """
-    if c.kind is not Kind.C:
-        raise ValueError("diff_coeffs expects a kind-C vector")
-    half = c.half
-    values = tuple(c.values[m] - (c.values[m - 1] if m else 0) for m in range(half + 1))
-    kind = Kind.D if c.lj % 2 == 0 else Kind.E
-    return CoeffVector(l=c.l, j=c.j, kind=kind, values=values)
+    return tuple(values)
 
 
 @functools.lru_cache(maxsize=None)
 def weights(l: int, j: int) -> tuple[int, ...]:
-    """The first-difference weights w_0..w_{floor(lj/2)} of (l, j).
+    """First differences w_m = c_m - c_{m-1} (with c_{-1} = 0) on 0..floor(lj/2).
 
-    These are the values of `diff_coeffs(coeffs_bruteforce(l, j))`, cached
-    per pair: the cap keeps the cache to a few hundred small tuples.
+    This is the d vector for even lj and the e vector for odd lj; the
+    unimodality of c makes every value nonnegative. It is cached per pair:
+    the cap keeps the cache to a few hundred small tuples. The difference
+    definition is the authoritative one; the binomial closed form with
+    lower index l - 2 (`weights_closed_form` in `tests/oracles.py`)
+    only applies for l >= 2.
     """
-    return diff_coeffs(coeffs_bruteforce(l, j)).values
+    c = coeffs_bruteforce(l, j)
+    return tuple(c[m] - (c[m - 1] if m else 0) for m in range(l * j // 2 + 1))
 
 
-def structure_report(c: CoeffVector) -> StructureReport:
-    """Check palindromicity and unimodality, and total the vector.
+def structure_report(v: tuple[int, ...]) -> StructureReport:
+    """Check palindromicity and unimodality of c_0..c_lj, and total them.
 
-    For every valid kind-C vector both flags are true and the total is
-    (j+1)^l; a false flag signals a library defect, not a usage error.
+    For every valid (l, j) both flags are true and the total is (j+1)^l;
+    a false flag signals a library defect, not a usage error.
     """
-    if c.kind is not Kind.C:
-        raise ValueError("structure_report expects a kind-C vector")
-    v = c.values
-    lj = c.lj
+    lj = len(v) - 1
     palindromic = all(v[m] == v[lj - m] for m in range(lj + 1))
     rise = all(v[m] <= v[m + 1] for m in range(lj // 2))
     fall = all(v[m] >= v[m + 1] for m in range(lj // 2, lj))

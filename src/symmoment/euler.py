@@ -10,10 +10,11 @@ lj/2 term degenerates to (1 - X)^(-w) and plays the zeta role.
 Both sides are expanded by `symbolic.local_expansion`: power sums of the
 roots computed from the weights, then Newton's identities. The moment side
 uses the single weight 1 at top j, raised to the l-th power coefficientwise.
-Floating mode runs it in real doubles and returns the X^1 cancellation as
-computed; symbolic mode runs the same recurrence over Z[t], where every
-division in Newton's identities must be exact, and certifies the
-cancellation as a polynomial identity.
+`lhs_local` and `rhs_local` take t as a float, for real doubles, or as
+`symbolic.T`, for the same recurrence over Z[t], where every division in
+Newton's identities must be exact. `correction_series` returns the float
+X^1 cancellation as computed; `correction_series_sym` certifies it as a
+polynomial identity. The series hold values only: `cli` writes every label.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import CapacityError, ConsistencyError
-from .symbolic import ONE, T, IntPolynomial, deligne_t, local_expansion
+from .symbolic import ONE, ZERO, T, IntPolynomial, deligne_t, local_expansion
 
 DEFAULT_ORDER = 6
 # exact mode grows about as A^4: every lj = 64 pair takes 4-6 s at order 16
@@ -34,15 +35,13 @@ ORDER_CAP = 16
 class LocalFactorSeries:
     """Truncated expansion in X = p^(-s): coeffs[a] multiplies X^a."""
 
-    order: int
     coeffs: tuple
-    label: str
 
     def __post_init__(self):
         lead = self.coeffs[0]
         ok = lead == ONE if isinstance(lead, IntPolynomial) else abs(lead - 1.0) < 1e-12
         if not ok:
-            raise ConsistencyError(f"local factor not normalized: {self.label}")
+            raise ConsistencyError(f"local factor not normalized: X^0 coefficient {lead}")
 
     def __getitem__(self, a):
         return self.coeffs[a]
@@ -70,69 +69,55 @@ def _check(l: int, j: int, A: int) -> None:
         raise CapacityError(f"series order {A} exceeds limit {ORDER_CAP}")
 
 
-def _lhs(l, j, t, A):
+def lhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
+    """Moment side: coeffs[a] = lam_sym^j(p^a)^l.
+
+    t is a float in the Deligne interval, or `symbolic.T` for coefficients
+    in Z[t].
+    """
+    _check(l, j, A)
+    t = t if t is T else deligne_t(t)
     # lam_sym^j(p^a) for a = 0..A is one expansion at the single weight 1
-    return tuple(h**l for h in local_expansion((1,), j, t, A))
+    return LocalFactorSeries(tuple(h**l for h in local_expansion((1,), j, t, A)))
 
 
-def _rhs(l, j, t, A):
-    return tuple(local_expansion(combinatorics.weights(l, j), l * j, t, A))
-
-
-def lhs_local(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Moment side: coeffs[a] = lam_sym^j(p^a)^l."""
+def rhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
+    """Factored side, expanded from the weights' power sums; t as in `lhs_local`."""
     _check(l, j, A)
-    coeffs = _lhs(l, j, deligne_t(t), A)
-    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"lhs(l={l},j={j},t={t})")
+    t = t if t is T else deligne_t(t)
+    w = combinatorics.weights(l, j)
+    return LocalFactorSeries(tuple(local_expansion(w, l * j, t, A)))
 
 
-def rhs_local(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Factored side, expanded in real doubles from the weights' power sums."""
-    _check(l, j, A)
-    coeffs = _rhs(l, j, deligne_t(t), A)
-    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"rhs(l={l},j={j},t={t})")
-
-
-def _quotient(lhs, rhs, label):
+def _quotient(lhs, rhs):
     # formal quotient; rhs constant term is 1 so no division happens
     q = []
-    for n in range(lhs.order + 1):
+    for n in range(len(lhs.coeffs)):
         acc = lhs[n]
         for k in range(n):
             acc = acc - q[k] * rhs[n - k]
         q.append(acc)
-    return LocalFactorSeries(order=lhs.order, coeffs=tuple(q), label=label)
+    return LocalFactorSeries(tuple(q))
 
 
 def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Formal quotient lhs/rhs; equals 1 + O(X^2) when the library is right.
+    """Formal quotient lhs/rhs at a float t; 1 + O(X^2) when the library is right.
 
     The X^1 coefficient is the difference of the two first-order terms and
     must vanish; it is returned as computed (tests pin the tolerance).
     """
-    lhs, rhs = lhs_local(l, j, t, A), rhs_local(l, j, t, A)
-    return _quotient(lhs, rhs, f"correction(l={l},j={j},t={t})")
-
-
-# ---------------------------------------------------------------------------
-# exact symbolic mode: the same expansion over Z[t]
-
-
-def lhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Moment side with exact polynomial coefficients in t."""
-    _check(l, j, A)
-    coeffs = _lhs(l, j, T, A)
-    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"lhs_sym(l={l},j={j})")
-
-
-def rhs_local_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Factored side with exact polynomial coefficients in t."""
-    _check(l, j, A)
-    coeffs = _rhs(l, j, T, A)
-    return LocalFactorSeries(order=A, coeffs=coeffs, label=f"rhs_sym(l={l},j={j})")
+    return _quotient(lhs_local(l, j, t, A), rhs_local(l, j, t, A))
 
 
 def correction_series_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
-    """Exact correction factor: X^1 coefficient is the zero polynomial."""
-    lhs, rhs = lhs_local_sym(l, j, A), rhs_local_sym(l, j, A)
-    return _quotient(lhs, rhs, f"correction_sym(l={l},j={j})")
+    """Exact correction factor over Z[t], certified to be 1 + O(X^2).
+
+    A nonzero X^1 coefficient is a defect in this library and raises
+    ConsistencyError.
+    """
+    q = _quotient(lhs_local(l, j, T, A), rhs_local(l, j, T, A))
+    if A >= 1 and q[1] != ZERO:
+        raise ConsistencyError(
+            f"X^1 of the correction at (l={l}, j={j}) is {q[1]}, not 0"
+        )
+    return q

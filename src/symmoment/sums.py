@@ -62,23 +62,19 @@ def partial_sum(l: int, j: int, N: int, form: EigenformTable) -> PartialSumSerie
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     lam = sym_coeff_sieve(j, N, form)
-    targets = checkpoint_grid(N)
     out = []
-    ti = 0
     total = 0.0
     comp = 0.0
-    for n in range(1, N + 1):
-        # Kahan step keeps the accumulation error near one ulp of the sum
-        y = lam[n] ** l - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        while ti < len(targets) and targets[ti] == n:
-            out.append((n, total))
-            ti += 1
-    # checkpoints below 1 cannot occur; every target is hit exactly once
-    if ti != len(targets):
-        raise AssertionError("checkpoint grid not exhausted")
+    lo = 1
+    for x in checkpoint_grid(N):
+        for v in lam[lo : x + 1]:
+            # Kahan step keeps the accumulation error near one ulp of the sum
+            y = v**l - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        out.append((x, total))
+        lo = x + 1
     return PartialSumSeries(
         l=l, j=j, weight=form.weight, limit=N, checkpoints=tuple(out)
     )

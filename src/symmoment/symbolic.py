@@ -233,7 +233,7 @@ def verify_decomposition(l: int, j: int) -> DecompositionCertificate:
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
     Both sides are X^1 coefficients of `local_expansion` over Z[t],
-    those of `euler.lhs_local_sym` and `euler.rhs_local_sym`: S_j at the
+    those of `euler.lhs_local` and `euler.rhs_local` at `T`: S_j at the
     single weight 1, to the l-th power, and the weighted sum at top lj. The
     identity holds for every valid (l, j); `holds` false means a defect in
     this library, never a property of the input.

@@ -31,7 +31,7 @@ def random_rational_points(count, seed=0):
     return points
 
 
-def diff_coeffs_closed_form(l, j):
+def weights_closed_form(l, j):
     """d_m (or e_m), m = 0..floor(lj/2), by the binomial sum with lower index l - 2.
 
     d_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 2, l - 2),

@@ -32,19 +32,17 @@ def test_criterion_01_coefficient_oracle_equivalence():
         for j in range(1, 9):
             a = combinatorics.coeffs_bruteforce(l, j)
             b = combinatorics.coeffs_closed_form(l, j)
-            assert a.values == b.values, (l, j)
+            assert a == b, (l, j)
     elapsed = time.perf_counter() - start
     # seven printed (c, d) half-lists at j = 2 plus the closed l = 2 family
     for l, (c_half, d_half) in J2_LISTS.items():
         c = combinatorics.coeffs_bruteforce(l, 2)
-        d = combinatorics.diff_coeffs(c)
-        assert list(c.values[: c.half + 1]) == c_half
-        assert list(d.values) == d_half
+        assert list(c[: l + 1]) == c_half
+        assert list(combinatorics.weights(l, 2)) == d_half
     for j in range(1, 9):
         c = combinatorics.coeffs_bruteforce(2, j)
-        d = combinatorics.diff_coeffs(c)
-        assert list(c.values[: c.half + 1]) == [m + 1 for m in range(j + 1)]
-        assert list(d.values) == [1] * (j + 1)
+        assert list(c[: j + 1]) == [m + 1 for m in range(j + 1)]
+        assert list(combinatorics.weights(2, j)) == [1] * (j + 1)
     assert elapsed < 1.0, f"oracle sweep took {elapsed:.3f}s"
 
 
@@ -112,8 +110,7 @@ def test_criterion_06_proof_consistency():
         A, B, _ = exponents.proof_exponents(l, j)
         th = exponents.theta(l, j)
         assert abs(th - (1 - 1 / (j**3 * (1 + A)))) <= 1e-12, (l, j)
-        c = combinatorics.coeffs_bruteforce(l, j)
-        d_half = combinatorics.diff_coeffs(c).values[(l * j) // 2]
+        d_half = combinatorics.weights(l, j)[(l * j) // 2]
         if d_half > 0:
             assert B < A, (l, j)
         else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import digits_of
-from symmoment import cli, euler, exponents, hecke
+from symmoment import cli, euler, exponents, hecke, symbolic
 
 
 def run(capsys, argv):
@@ -130,6 +130,21 @@ def test_euler_exact_csv(capsys):
     code, out, _ = run(capsys, "euler --l 2 --j 2 --exact --order 1 --format csv")
     assert code == 0
     assert out.splitlines() == ["a,coeff", '0,"1"', '1,"0"']
+
+
+def test_euler_exact_exits_3_when_x1_does_not_cancel(capsys, monkeypatch):
+    # a wrong p_1 shifts the factored side's X^1 term by 1; order 1 stops
+    # before Newton's identities divide, so only the X^1 check can see it
+    real = symbolic._power_sum
+
+    def wrong_p1(weights, top, x):
+        p = real(weights, top, x)
+        return p + symbolic.ONE if x.degree == 1 else p
+
+    monkeypatch.setattr(symbolic, "_power_sum", wrong_p1)
+    code, out, err = run(capsys, "euler --l 2 --j 2 --exact --order 1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: X^1 of the correction at (l=2, j=2)")
 
 
 def test_euler_float_at_prime(capsys, tmp_path):

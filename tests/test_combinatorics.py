@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import diff_coeffs_closed_form
+from oracles import weights_closed_form
 from symmoment import combinatorics as C
 from symmoment.errors import CapacityError
 
@@ -25,25 +25,25 @@ J2_LISTS = {
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)
 def test_closed_form_matches_bruteforce(l, j):
-    assert C.coeffs_closed_form(l, j).values == C.coeffs_bruteforce(l, j).values
+    assert C.coeffs_closed_form(l, j) == C.coeffs_bruteforce(l, j)
 
 
 @pytest.mark.parametrize("l", sorted(J2_LISTS))
 def test_reference_lists_j2(l):
     c = C.coeffs_bruteforce(l, 2)
-    d = C.diff_coeffs(c)
+    d = C.weights(l, 2)
     want_c, want_d = J2_LISTS[l]
-    assert list(c.values[: c.half + 1]) == want_c
-    assert list(d.values) == want_d
+    assert list(c[: l + 1]) == want_c
+    assert list(d) == want_d
 
 
 @pytest.mark.parametrize("j", range(2, 9))
 def test_reference_family_l2(j):
     # at l = 2 the half-vector is 1, 2, ..., j+1 and all differences are 1
     c = C.coeffs_bruteforce(2, j)
-    d = C.diff_coeffs(c)
-    assert list(c.values[: c.half + 1]) == [m + 1 for m in range(j + 1)]
-    assert all(v == 1 for v in d.values)
+    d = C.weights(2, j)
+    assert list(c[: j + 1]) == [m + 1 for m in range(j + 1)]
+    assert all(v == 1 for v in d)
 
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)
@@ -52,31 +52,25 @@ def test_structure(l, j):
     rep = C.structure_report(c)
     assert rep.palindromic and rep.unimodal
     assert rep.total == (j + 1) ** l
-    assert sum(c.values) == (j + 1) ** l
+    assert sum(c) == (j + 1) ** l
     lj = l * j
     for m in range(lj + 1):
-        assert c.values[m] == c.values[lj - m]
+        assert c[m] == c[lj - m]
 
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)
 def test_first_difference_defining_property(l, j):
     c = C.coeffs_bruteforce(l, j)
-    d = C.diff_coeffs(c)
-    assert len(d.values) == c.half + 1
-    for m, dm in enumerate(d.values):
-        prev = c.values[m - 1] if m >= 1 else 0
-        assert dm == c.values[m] - prev
+    d = C.weights(l, j)
+    assert len(d) == l * j // 2 + 1
+    for m, dm in enumerate(d):
+        prev = c[m - 1] if m >= 1 else 0
+        assert dm == c[m] - prev
 
 
 @pytest.mark.parametrize("l,j", [(l, j) for l in range(2, 9) for j in range(1, 9)])
 def test_diff_closed_form(l, j):
-    want = C.diff_coeffs(C.coeffs_bruteforce(l, j)).values
-    assert diff_coeffs_closed_form(l, j) == want
-
-
-def test_kind_assignment():
-    assert C.diff_coeffs(C.coeffs_bruteforce(2, 2)).kind is C.Kind.D
-    assert C.diff_coeffs(C.coeffs_bruteforce(3, 3)).kind is C.Kind.E
+    assert weights_closed_form(l, j) == C.weights(l, j)
 
 
 def test_small_prefix_binomials():
@@ -84,13 +78,12 @@ def test_small_prefix_binomials():
     for l in (2, 5, 8):
         c = C.coeffs_bruteforce(l, 6)
         for m in range(0, 7):
-            assert c.values[m] == math.comb(m + l - 1, l - 1)
+            assert c[m] == math.comb(m + l - 1, l - 1)
 
 
 def test_l1_degenerate_row():
-    c = C.coeffs_bruteforce(1, 4)
-    assert c.values == (1, 1, 1, 1, 1)
-    assert C.diff_coeffs(c).values == (1, 0, 0)
+    assert C.coeffs_bruteforce(1, 4) == (1, 1, 1, 1, 1)
+    assert C.weights(1, 4) == (1, 0, 0)
 
 
 def test_domain_errors():

@@ -9,7 +9,7 @@ from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment import symbolic as S
 from symmoment.errors import CapacityError, ConsistencyError
-from symmoment.symbolic import ONE, ZERO, IntPolynomial
+from symmoment.symbolic import ONE, T, ZERO, IntPolynomial
 
 LJ_4_TO_12 = [
     (l, j) for l in range(1, 13) for j in range(1, 13) if 4 <= l * j <= 12
@@ -48,10 +48,9 @@ def test_rhs_first_order_is_decomposition_value():
         # independent evaluation through the basis decomposition weights
         from symmoment import combinatorics
 
-        d = combinatorics.diff_coeffs(combinatorics.coeffs_bruteforce(l, j))
         want = sum(
             w * chebyshev_s(l * j - 2 * m)(t)
-            for m, w in enumerate(d.values)
+            for m, w in enumerate(combinatorics.weights(l, j))
         )
         assert rhs[1] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -120,7 +119,7 @@ def test_symbolic_integrality_guard(monkeypatch):
 
     monkeypatch.setattr(S, "_power_sum", wrong_p2)
     with pytest.raises(ConsistencyError):
-        E.rhs_local_sym(2, 2, 4)
+        E.rhs_local(2, 2, T, 4)
     with pytest.raises(ConsistencyError):
         E.correction_series_sym(3, 2, 4)
 
@@ -132,8 +131,8 @@ def test_symbolic_x2_values_are_recorded_polynomials():
 
 def test_symbolic_first_order_identity():
     for l, j in [(2, 2), (3, 2), (2, 3), (4, 1)]:
-        lhs = E.lhs_local_sym(l, j, 1)
-        rhs = E.rhs_local_sym(l, j, 1)
+        lhs = E.lhs_local(l, j, T, 1)
+        rhs = E.rhs_local(l, j, T, 1)
         assert lhs[1] == rhs[1]
 
 
@@ -165,7 +164,7 @@ def test_float_vs_symbolic_agreement():
     cases = [(2, 2, 3), (3, 2, 3), (2, 3, 3), (6, 4, 6), (7, 4, 6), (8, 3, 6), (10, 2, 6)]
     for l, j, order in cases:
         fs = E.correction_series_sym(l, j, order)
-        rs = E.rhs_local_sym(l, j, order)
+        rs = E.rhs_local(l, j, T, order)
         for _ in range(5):
             den = rng.randint(1, 50)
             tf = Fraction(rng.randint(-2 * den, 2 * den), den)
@@ -182,7 +181,7 @@ def test_float_vs_symbolic_agreement():
 
 def test_series_normalization_guard():
     with pytest.raises(ConsistencyError):
-        E.LocalFactorSeries(order=1, coeffs=(0.5, 1.0), label="bad")
+        E.LocalFactorSeries((0.5, 1.0))
 
 
 def test_domain_errors():
@@ -198,9 +197,13 @@ def test_order_cap_raises_before_any_work():
     # (8, 8) at lj = 64 takes 4-6 s at the cap, and over 20 s at order 24
     A = E.ORDER_CAP + 1
     start = time.perf_counter()
-    for fn in (E.lhs_local_sym, E.rhs_local_sym, E.correction_series_sym):
+    for call in (
+        lambda: E.lhs_local(8, 8, T, A),
+        lambda: E.rhs_local(8, 8, T, A),
+        lambda: E.correction_series_sym(8, 8, A),
+    ):
         with pytest.raises(CapacityError, match=f"order {A} exceeds limit"):
-            fn(8, 8, A)
+            call()
     for fn in (E.lhs_local, E.rhs_local, E.correction_series):
         with pytest.raises(CapacityError, match=f"order {A} exceeds limit"):
             fn(2, 2, 0.5, A)

@@ -137,8 +137,7 @@ def test_balance_identity(l, j):
 def test_saving_orders_A_and_B(l, j):
     from symmoment import combinatorics
 
-    d = combinatorics.diff_coeffs(combinatorics.coeffs_bruteforce(l, j))
-    d_half = d.values[(l * j) // 2]
+    d_half = combinatorics.weights(l, j)[(l * j) // 2]
     A, B, _ = X.proof_exponents(l, j)
     if d_half > 0:
         assert B < A

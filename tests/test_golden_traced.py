@@ -1,0 +1,39 @@
+"""The golden records replayed under the benchmark's span tracer.
+
+`bench/tracer.py` wraps every public function of the seven layers that
+`bench/worker.py` traces, and its hooks read the arguments and results of
+named functions. This replays every golden command in-process with that
+tracer installed, so a change to a traced name or call path that breaks a
+hook, or a wrapper that changes an output, fails here and not only in a
+benchmark run.
+"""
+
+import pathlib
+import sys
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from test_golden import CASES, GOLDEN, prepare, record  # noqa: E402
+from tracer import HOOKS, Tracer  # noqa: E402
+from worker import LAYERS  # noqa: E402
+
+
+def test_golden_records_replay_under_the_tracer(tmp_path):
+    tracer = Tracer(LAYERS, HOOKS)
+    tracer.install()
+    try:
+        workdir = prepare(tmp_path)
+        got = {name: record(argv, workdir) for name, argv in CASES.items()}
+    finally:
+        tracer.uninstall()
+    for name, text in got.items():
+        assert text == (GOLDEN / f"{name}.txt").read_text(), name
+    # every hook ran, on the float and the exact local factors alike
+    names = {span[0] for span in tracer.spans}
+    assert {"euler.correction_series", "euler.correction_series_sym"} <= names
+    assert {"hecke.series_mul", "hecke.save_table", "euler.rhs_local"} <= names
+    assert tracer.counters["euler.rhs_local.root_steps"] > 0
+    assert tracer.counters["hecke.series_mul.out_terms"] > 0
+    assert tracer.counters["hecke.cache_bytes"] > 0
+    assert tracer.peaks["euler.x1_residual_max"] < 1e-9
