@@ -6,7 +6,9 @@ usable as regression artifacts. The library returns values and this module
 alone turns them into text: it names the d or e vector of `coeffs` and
 labels the `euler` series, `_print_csv` writes every CSV table (tau's a
 chunk of rows per write), and `_print_json` every JSON document, compact
-for tau and indented for the rest. The parser is built once per process;
+for tau and indented for the rest. A failed certificate raises in the
+library before anything prints, so the verdicts of `coeffs` and `identity`
+print as the constant True. The parser is built once per process;
 SYMMOMENT_CACHE is read on every `main` call.
 Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
 with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
@@ -115,10 +117,8 @@ def _print_json(doc, indent=2) -> None:
 
 def cmd_coeffs(args) -> int:
     c = combinatorics.coeffs_bruteforce(args.l, args.j)
-    if c != combinatorics.coeffs_closed_form(args.l, args.j):
-        raise ConsistencyError("closed form disagrees with convolution oracle")
+    combinatorics.check_coeffs(args.l, args.j, c)
     d = combinatorics.weights(args.l, args.j)
-    rep = combinatorics.structure_report(c)
     kind = "E" if args.l * args.j % 2 else "D"
     if args.format == "json":
         _print_json(
@@ -128,9 +128,9 @@ def cmd_coeffs(args) -> int:
                 "c": list(c),
                 "diff_kind": kind,
                 "diff": list(d),
-                "palindromic": rep.palindromic,
-                "unimodal": rep.unimodal,
-                "total": rep.total,
+                "palindromic": True,
+                "unimodal": True,
+                "total": sum(c),
             }
         )
     elif args.format == "csv":
@@ -139,40 +139,37 @@ def cmd_coeffs(args) -> int:
     else:
         half = c[: len(d)]
         print(f"c: {' '.join(map(str, half))} | {kind.lower()}: {' '.join(map(str, d))}")
-        print(
-            f"palindromic: {rep.palindromic}  unimodal: {rep.unimodal}  total: {rep.total}"
-        )
+        print(f"palindromic: True  unimodal: True  total: {sum(c)}")
     return 0
 
 
 def cmd_identity(args) -> int:
-    cert = verify_decomposition(args.l, args.j)
+    lhs = verify_decomposition(args.l, args.j)
     deg = euler.degree(args.l, args.j)
-    if not cert.holds:
-        raise ConsistencyError(f"decomposition fails at (l={args.l}, j={args.j})")
+    w = combinatorics.weights(args.l, args.j)
     if args.format == "json":
         _print_json(
             {
                 "l": args.l,
                 "j": args.j,
-                "holds": cert.holds,
+                "holds": True,
                 "degree": deg,
-                "weights": list(cert.weights),
-                "lhs_coeffs": list(cert.lhs.coeffs),
+                "weights": list(w),
+                "lhs_coeffs": list(lhs.coeffs),
             }
         )
     elif args.format == "csv":
-        _print_csv(("l", "j", "holds", "degree"), [(args.l, args.j, cert.holds, deg)])
+        _print_csv(("l", "j", "holds", "degree"), [(args.l, args.j, True, deg)])
     else:
-        print(f"decomposition holds: {cert.holds}")
-        print(f"weights: {' '.join(map(str, cert.weights))}")
+        print("decomposition holds: True")
+        print(f"weights: {' '.join(map(str, w))}")
         print(f"degree: {deg} = (j+1)^l")
     return 0
 
 
 def _exponent_text(report) -> str:
     lines = [
-        f"l: {report.l}  j: {report.j}  parity: {report.parity.value}  D: {report.D}",
+        f"l: {report.l}  j: {report.j}  parity: {report.parity}  D: {report.D}",
         f"theta: {report.theta!r}",
     ]
     if report.theta_star is not None:
@@ -191,7 +188,7 @@ def _report_row(report) -> dict:
     return {
         "l": report.l,
         "j": report.j,
-        "parity": report.parity.value,
+        "parity": report.parity,
         "D": report.D,
         "theta": report.theta,
         "theta_star": report.theta_star,

@@ -10,28 +10,23 @@ symmetric-power basis.
 Two independent routes compute c_0..c_lj as a plain tuple: repeated exact
 polynomial convolution (`coeffs_bruteforce`, the oracle) and an
 inclusion-exclusion binomial sum (`coeffs_closed_form`); `weights` is the
-one first-difference function. All arithmetic is arbitrary-precision
-integer; the values overflow 32-bit words already at l = j = 8.
+one first-difference function. `check_coeffs` certifies a vector against
+the closed form and the structure above and raises ConsistencyError where
+it fails, so a caller only ever sees certified values. All arithmetic is
+arbitrary-precision integer; the values overflow 32-bit words already at
+l = j = 8.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .errors import CapacityError
+from .errors import CapacityError, ConsistencyError
 
 #: Ceiling on l*j; bounds the degree of every downstream exact polynomial
 #: identity.
 LJ_CAP = 64
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    palindromic: bool
-    unimodal: bool
-    total: int
 
 
 def _check_pair(l: int, j: int) -> None:
@@ -100,14 +95,19 @@ def weights(l: int, j: int) -> tuple[int, ...]:
     return tuple(c[m] - (c[m - 1] if m else 0) for m in range(l * j // 2 + 1))
 
 
-def structure_report(v: tuple[int, ...]) -> StructureReport:
-    """Check palindromicity and unimodality of c_0..c_lj, and total them.
+def check_coeffs(l: int, j: int, c: tuple[int, ...]) -> None:
+    """Certify c as c_0..c_lj: the closed form, palindromic, unimodal, total (j+1)^l.
 
-    For every valid (l, j) both flags are true and the total is (j+1)^l;
-    a false flag signals a library defect, not a usage error.
+    Every valid (l, j) passes, so a failure is a defect in this library,
+    not a usage error, and raises ConsistencyError.
     """
-    lj = len(v) - 1
-    palindromic = all(v[m] == v[lj - m] for m in range(lj + 1))
-    rise = all(v[m] <= v[m + 1] for m in range(lj // 2))
-    fall = all(v[m] >= v[m + 1] for m in range(lj // 2, lj))
-    return StructureReport(palindromic=palindromic, unimodal=rise and fall, total=sum(v))
+    if c != coeffs_closed_form(l, j):
+        raise ConsistencyError("closed form disagrees with convolution oracle")
+    lj = l * j
+    if any(c[m] != c[lj - m] for m in range(lj + 1)):
+        raise ConsistencyError(f"c is not palindromic at (l={l}, j={j})")
+    # a palindromic vector that rises to the middle falls after it
+    if any(c[m] > c[m + 1] for m in range(lj // 2)):
+        raise ConsistencyError(f"c is not unimodal at (l={l}, j={j})")
+    if sum(c) != (j + 1) ** l:
+        raise ConsistencyError(f"c totals {sum(c)}, not (j+1)^l, at (l={l}, j={j})")

@@ -10,15 +10,19 @@ at the delta -> 0 limit of its free parameter.
 The even branch arises from balancing x^(1-1/j^3) T^A against x/T, where
 A aggregates the convexity inputs; B = A minus the square-root saving on
 the central L-factors, and B < A whenever that saving is present (top
-weight d_half > 0). `exponent_report` certifies the balancing identity
-theta = 1 - 1/(j^3 (1 + A)) at build time.
+weight d_half > 0).
+
+`exponent_report` is the one engine: it reads the top weights once, computes
+the saving, theta, A, B and theta_star in one pass, and raises
+ConsistencyError where the balancing identity theta = 1 - 1/(j^3 (1 + A))
+or an ordering invariant fails. `theta`, `theta_star` and `proof_exponents`
+read their values from its report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import combinatorics
@@ -31,105 +35,30 @@ K_SAVING = 8.0 * SQRT15 / 63.0
 BALANCE_TOL = 1e-12
 
 
-class Parity(Enum):
-    EVEN4 = "even4"
-    EVEN_BIG = "evenBig"
-    ODD = "odd"
-
-
 def _top_weights(l: int, j: int):
-    """(D, w_half, w_half_minus_1) from the first-difference vector.
+    """(D, w_half, w_half_minus_1) from the first-difference vector w, lj >= 4.
 
-    w is d for even lj, e for odd; w_half_minus_1 is only meaningful in
-    the even branch and is reported as 0 when lj = 2 leaves no such index.
+    w is d for even lj, e for odd; only the even branch reads w_half_minus_1.
     """
     w = combinatorics.weights(l, j)
-    D = (j + 1) ** l
     half = (l * j) // 2
-    w_half = w[half]
-    w_half_m1 = w[half - 1] if half >= 1 else 0
-    return D, w_half, w_half_m1
-
-
-def _require_lj(l: int, j: int, minimum: int) -> int:
-    if l < 1 or j < 1:
-        raise ValueError(f"l and j must be positive, got ({l}, {j})")
-    lj = l * j
-    if lj < minimum:
-        raise ValueError(f"l*j = {lj} below supported minimum {minimum}")
-    return lj
-
-
-def _star_saving(D: int, w_half: int, w_half_m1: int) -> float:
-    """1 - theta_star; also the saving itself at l = 1, where w_half = 0."""
-    return 630.0 / (315 * D - 315 * w_half - 189 * w_half_m1)
-
-
-def _saving(l: int, j: int) -> float:
-    """1 - theta, the saving below the trivial exponent 1.
-
-    At j = 1 and l >= 56 it is below half an ulp of 1.0, so theta rounds
-    to 1.0 there and only the saving itself shows that it is positive.
-    """
-    lj = _require_lj(l, j, 4)
-    if lj == 4:
-        return 63.0 * SQRT2 / (252.0 * SQRT2 + 4.0 * SQRT15)
-    D, w_half, w_half_m1 = _top_weights(l, j)
-    if lj % 2 == 0:
-        if w_half == 0:
-            # l = 1: the sqrt-saving term vanishes and theta collapses to
-            # theta_star; evaluate the shared expression so they agree in
-            # floats bit for bit, not just mathematically
-            return _star_saving(D, w_half, w_half_m1)
-        j32 = j**1.5
-        den = j32 * (315 * D - 315 * w_half - 189 * w_half_m1) + 80.0 * SQRT15 * w_half
-        return 630.0 * j32 / den
-    return 6.0 / (3 * D - 2 * w_half)
-
-
-def theta(l: int, j: int) -> float:
-    """Error exponent of the l-th moment of lam_sym^j."""
-    return 1.0 - _saving(l, j)
-
-
-def theta_star(l: int, j: int) -> float:
-    """Refined even-case exponent at the limit of its free parameter."""
-    lj = _require_lj(l, j, 4)
-    if lj % 2:
-        raise ValueError(f"refined exponent needs even l*j, got {lj}")
-    if lj == 4:
-        return 0.75
-    return 1.0 - _star_saving(*_top_weights(l, j))
-
-
-def proof_exponents(l: int, j: int) -> tuple:
-    """(A, B, T_exp) for the generic even branch (lj >= 6).
-
-    A drives the balancing of the truncation parameter T = x^T_exp; B
-    drops the central square-root saving and satisfies B <= A with
-    equality exactly when the top weight vanishes (l = 1).
-    """
-    lj = _require_lj(l, j, 6)
-    if lj % 2:
-        raise ValueError(f"proof exponents need even l*j, got {lj}")
-    D, w_half, w_half_m1 = _top_weights(l, j)
-    j3 = float(j**3)
-    saving = w_half * K_SAVING * j**-4.5
-    A = (D - w_half - 3 * w_half_m1) / (2 * j3) + saving + 6 * w_half_m1 / (5 * j3) - 1.0
-    return A, A - saving, _saving(l, j)
+    return (j + 1) ** l, w[half], w[half - 1]
 
 
 @dataclass(frozen=True)
 class ExponentReport:
+    """One pair's exponents. parity is "even4" (lj = 4), "evenBig" (even
+    lj >= 6) or "odd"; A and B exist only for "evenBig", theta_star only
+    for even lj. saving is 1 - theta as computed, positive even where theta
+    rounds to 1.0; T_exp is 1.0 - theta."""
+
     l: int
     j: int
-    parity: Parity
+    parity: str
     D: int
-    d_half: int | None
-    d_half_minus_1: int | None
-    e_half: int | None
     A: float | None
     B: float | None
+    saving: float
     T_exp: float
     theta: float
     theta_star: float | None
@@ -137,39 +66,57 @@ class ExponentReport:
 
 
 def exponent_report(l: int, j: int) -> ExponentReport:
-    """Full per-pair report with internal consistency certified.
+    """Every exponent of the pair in one pass, its consistency certified.
 
-    Raises ConsistencyError if the balancing identity or the ordering
-    invariants fail; that indicates a defect here, not bad input.
+    Raises ValueError below lj = 4, and ConsistencyError if the balancing
+    identity or an ordering invariant fails: a defect here, not bad input.
     """
-    lj = _require_lj(l, j, 4)
+    if l < 1 or j < 1:
+        raise ValueError(f"l and j must be positive, got ({l}, {j})")
+    lj = l * j
+    if lj < 4:
+        raise ValueError(f"l*j = {lj} below supported minimum 4")
     D, w_half, w_half_m1 = _top_weights(l, j)
     flags = []
-    saving = _saving(l, j)
-    th = 1.0 - saving
-    A = B = None
+    A = B = ts = None
     if lj % 2:
-        parity = Parity.ODD
+        parity = "odd"
+        saving = 6.0 / (3 * D - 2 * w_half)
         flags.append("no-reference-value")
     elif lj == 4:
-        parity = Parity.EVEN4
+        parity = "even4"
+        saving = 63.0 * SQRT2 / (252.0 * SQRT2 + 4.0 * SQRT15)
+        ts = 0.75
         if (l, j) != (2, 2):
             # the seed constant is derived at (2, 2); other splits reuse it
             flags.append("extrapolated")
     else:
-        parity = Parity.EVEN_BIG
-        A, B, _ = proof_exponents(l, j)
-        balanced = 1.0 - 1.0 / (j**3 * (1.0 + A))
-        if abs(th - balanced) > BALANCE_TOL:
-            raise ConsistencyError(
-                f"balancing identity off by {th - balanced!r} at (l={l}, j={j})"
-            )
+        parity = "evenBig"
+        star_den = 315 * D - 315 * w_half - 189 * w_half_m1
+        ts = 1.0 - 630.0 / star_den
+        if w_half == 0:
+            # l = 1: the sqrt-saving term vanishes and theta collapses to
+            # theta_star; evaluate the shared expression so they agree in
+            # floats bit for bit, not just mathematically
+            saving = 630.0 / star_den
+        else:
+            j32 = j**1.5
+            saving = 630.0 * j32 / (j32 * star_den + 80.0 * SQRT15 * w_half)
+        j3 = float(j**3)
+        root_saving = w_half * K_SAVING * j**-4.5
+        A = (D - w_half - 3 * w_half_m1) / (2 * j3) + root_saving + 6 * w_half_m1 / (5 * j3) - 1.0
+        B = A - root_saving
+        off = 1.0 - saving - (1.0 - 1.0 / (j**3 * (1.0 + A)))
+        if abs(off) > BALANCE_TOL:
+            raise ConsistencyError(f"balancing identity off by {off!r} at (l={l}, j={j})")
         if B > A:
             raise ConsistencyError(f"B > A at (l={l}, j={j})")
-    ts = None if lj % 2 else theta_star(l, j)
+    th = 1.0 - saving
     if j == 1:
         # the contour line 1 - 1/j^3 sits at the edge of the valid strip
         flags.append("j1-degenerate")
+    # the range check reads the saving, so it stays strict where theta
+    # alone rounds to 1.0 (j = 1, l >= 56)
     if not 0.0 < saving < 1.0:
         raise ConsistencyError(f"theta out of range at (l={l}, j={j}): 1 - {saving!r}")
     if ts is not None and ts > th:
@@ -179,16 +126,41 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         j=j,
         parity=parity,
         D=D,
-        d_half=None if lj % 2 else w_half,
-        d_half_minus_1=None if lj % 2 else w_half_m1,
-        e_half=w_half if lj % 2 else None,
         A=A,
         B=B,
+        saving=saving,
         T_exp=1.0 - th,
         theta=th,
         theta_star=ts,
         flags=tuple(flags),
     )
+
+
+def theta(l: int, j: int) -> float:
+    """Error exponent of the l-th moment of lam_sym^j."""
+    return exponent_report(l, j).theta
+
+
+def theta_star(l: int, j: int) -> float:
+    """Refined even-case exponent at the limit of its free parameter."""
+    ts = exponent_report(l, j).theta_star
+    if ts is None:
+        raise ValueError(f"refined exponent needs even l*j, got {l * j}")
+    return ts
+
+
+def proof_exponents(l: int, j: int) -> tuple:
+    """(A, B, T_exp) for the generic even branch (lj >= 6).
+
+    A drives the balancing of the truncation parameter T = x^T_exp, where
+    T_exp is the report's saving, 1 - theta before rounding; B drops the
+    central square-root saving and satisfies B <= A with equality exactly
+    when the top weight vanishes (l = 1).
+    """
+    r = exponent_report(l, j)
+    if r.A is None:
+        raise ValueError(f"proof exponents need even l*j >= 6, got {l * j}")
+    return r.A, r.B, r.saving
 
 
 # comparison baseline: best previously published exponents, exact fractions

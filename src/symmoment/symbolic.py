@@ -10,13 +10,12 @@ sum_m w_m S_{top-2m}(t). The same engine, in doubles at a float t, gives
 `euler` its local factors and `hecke` its symmetric-power values at prime
 powers. `verify_decomposition` reads both sides from it and certifies,
 coefficientwise in exact integers, that the l-th power of S_j expands over
-this basis with the first-difference weights from `combinatorics`. The
+this basis with the first-difference weights from `combinatorics`; it
+returns that power and raises ConsistencyError where the two differ. The
 module imports no numpy, so the exact command-line paths never load it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import ConsistencyError
@@ -217,31 +216,19 @@ def deligne_t(t) -> float:
 # the decomposition certificate
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
-    l: int
-    j: int
-    holds: bool
-    lhs: IntPolynomial
-    rhs: IntPolynomial
-    weights: tuple[int, ...]
-
-
-def verify_decomposition(l: int, j: int) -> DecompositionCertificate:
-    """Certify S_j(t)^l = sum_m w_m S_{lj-2m}(t) with first-difference weights.
+def verify_decomposition(l: int, j: int) -> IntPolynomial:
+    """S_j(t)^l over Z[t], certified equal to sum_m w_m S_{lj-2m}(t).
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
     Both sides are X^1 coefficients of `local_expansion` over Z[t],
     those of `euler.lhs_local` and `euler.rhs_local` at `T`: S_j at the
     single weight 1, to the l-th power, and the weighted sum at top lj. The
-    identity holds for every valid (l, j); `holds` false means a defect in
-    this library, never a property of the input.
+    identity holds for every valid (l, j), so a mismatch is a defect in
+    this library, never a property of the input, and raises
+    ConsistencyError.
     """
-    w = combinatorics.weights(l, j)
     lhs = local_expansion((1,), j, T, 1)[1] ** l
-    rhs = local_expansion(w, l * j, T, 1)[1]
-    return DecompositionCertificate(
-        l=l, j=j, holds=(lhs == rhs), lhs=lhs, rhs=rhs, weights=w
-    )
-
+    if lhs != local_expansion(combinatorics.weights(l, j), l * j, T, 1)[1]:
+        raise ConsistencyError(f"decomposition fails at (l={l}, j={j})")
+    return lhs

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import naive_delta, primes_below
+from oracles import chebyshev_s, naive_delta, primes_below
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums
 from symmoment.symbolic import ZERO, verify_decomposition
 from test_combinatorics import J2_LISTS
@@ -50,10 +50,14 @@ def test_criterion_02_structural_properties():
     for l in range(1, 9):
         for j in range(1, 9):
             c = combinatorics.coeffs_bruteforce(l, j)
-            rep = combinatorics.structure_report(c)
-            assert rep.palindromic, (l, j)
-            assert rep.unimodal, (l, j)
-            assert rep.total == (j + 1) ** l, (l, j)
+            # raises ConsistencyError unless c is palindromic, unimodal and
+            # totals (j+1)^l
+            combinatorics.check_coeffs(l, j, c)
+            lj = l * j
+            assert all(c[m] == c[lj - m] for m in range(lj + 1)), (l, j)
+            assert all(c[m] <= c[m + 1] for m in range(lj // 2)), (l, j)
+            assert all(c[m] >= c[m + 1] for m in range(lj // 2, lj)), (l, j)
+            assert sum(c) == (j + 1) ** l, (l, j)
 
 
 def test_criterion_03_decomposition_identity():
@@ -62,9 +66,11 @@ def test_criterion_03_decomposition_identity():
     ]
     start = time.perf_counter()
     for l, j in pairs:
-        cert = verify_decomposition(l, j)
-        assert cert.holds, (l, j)
-        assert cert.lhs == cert.rhs, (l, j)
+        # raises ConsistencyError unless the two sides agree over Z[t]
+        lhs = verify_decomposition(l, j)
+        w = combinatorics.weights(l, j)
+        rhs = sum((wm * chebyshev_s(l * j - 2 * m) for m, wm in enumerate(w)), ZERO)
+        assert lhs == rhs, (l, j)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"{len(pairs)} certificates took {elapsed:.3f}s"
 

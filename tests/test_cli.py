@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import digits_of
-from symmoment import cli, euler, exponents, hecke, symbolic
+from symmoment import cli, combinatorics, euler, exponents, hecke, symbolic
 
 
 def run(capsys, argv):
@@ -45,6 +45,18 @@ def test_coeffs_csv(capsys):
     assert out.splitlines() == ["m,c,diff", "0,1,1", "1,2,1", "2,3,1", "3,2,", "4,1,"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_coeffs_exits_3_on_a_failed_structure_check(capsys, monkeypatch, fmt):
+    # both routes agree on a palindromic vector with total 9 that is not
+    # unimodal, so only the structure check can see it
+    bad = (1, 3, 1, 3, 1)
+    monkeypatch.setattr(combinatorics, "coeffs_bruteforce", lambda l, j: bad)
+    monkeypatch.setattr(combinatorics, "coeffs_closed_form", lambda l, j: bad)
+    code, out, err = run(capsys, f"coeffs --l 2 --j 2 --format {fmt}")
+    assert code == 3 and out == ""
+    assert err == "internal error: c is not unimodal at (l=2, j=2)\n"
+
+
 def test_identity_text(capsys):
     code, out, _ = run(capsys, "identity --l 2 --j 3")
     assert code == 0
@@ -61,6 +73,21 @@ def test_identity_json(capsys):
     assert doc["holds"] is True
     assert doc["degree"] == 9
     assert doc["weights"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_identity_exits_3_when_the_decomposition_fails(capsys, monkeypatch, fmt):
+    # a wrong power sum at top lj = 6 shifts the weighted side by 1
+    real = symbolic._power_sum
+
+    def wrong_top(weights, top, x):
+        p = real(weights, top, x)
+        return p + symbolic.ONE if top == 6 else p
+
+    monkeypatch.setattr(symbolic, "_power_sum", wrong_top)
+    code, out, err = run(capsys, f"identity --l 3 --j 2 --format {fmt}")
+    assert code == 3 and out == ""
+    assert err == "internal error: decomposition fails at (l=3, j=2)\n"
 
 
 def test_exponents_single_text(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import weights_closed_form
 from symmoment import combinatorics as C
-from symmoment.errors import CapacityError
+from symmoment.errors import CapacityError, ConsistencyError
 
 ALL_PAIRS = [(l, j) for l in range(1, 9) for j in range(1, 9)]
 
@@ -49,13 +49,40 @@ def test_reference_family_l2(j):
 @pytest.mark.parametrize("l,j", ALL_PAIRS)
 def test_structure(l, j):
     c = C.coeffs_bruteforce(l, j)
-    rep = C.structure_report(c)
-    assert rep.palindromic and rep.unimodal
-    assert rep.total == (j + 1) ** l
+    C.check_coeffs(l, j, c)  # raises on any failed property
     assert sum(c) == (j + 1) ** l
     lj = l * j
     for m in range(lj + 1):
         assert c[m] == c[lj - m]
+    assert all(c[m] <= c[m + 1] for m in range(lj // 2))
+    assert all(c[m] >= c[m + 1] for m in range(lj // 2, lj))
+
+
+# each vector breaks exactly one property at (l, j) = (2, 2), whose
+# certified c is (1, 2, 3, 2, 1)
+CORRUPTED = {
+    "not palindromic": (1, 2, 3, 1, 2),
+    "not unimodal": (1, 3, 1, 3, 1),
+    "totals 10": (1, 2, 4, 2, 1),
+}
+
+
+@pytest.mark.parametrize("message", sorted(CORRUPTED))
+def test_check_coeffs_raises_on_each_corruption(monkeypatch, message):
+    # the closed form agrees with the corrupted vector, so only the named
+    # structural property can fail
+    bad = CORRUPTED[message]
+    monkeypatch.setattr(C, "coeffs_closed_form", lambda l, j: bad)
+    with pytest.raises(ConsistencyError, match=message):
+        C.check_coeffs(2, 2, bad)
+
+
+def test_check_coeffs_raises_on_closed_form_mismatch():
+    c = C.coeffs_bruteforce(3, 2)
+    C.check_coeffs(3, 2, c)
+    wrong = c[:3] + (c[3] + 1,) + c[4:]
+    with pytest.raises(ConsistencyError, match="closed form disagrees"):
+        C.check_coeffs(3, 2, wrong)
 
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symmoment import cli
+from symmoment import cli, combinatorics
 from symmoment import exponents as X
 from symmoment.errors import ConsistencyError
 
@@ -135,8 +135,6 @@ def test_balance_identity(l, j):
 
 @pytest.mark.parametrize("l,j", EVEN_PAIRS_6_32)
 def test_saving_orders_A_and_B(l, j):
-    from symmoment import combinatorics
-
     d_half = combinatorics.weights(l, j)[(l * j) // 2]
     A, B, _ = X.proof_exponents(l, j)
     if d_half > 0:
@@ -152,13 +150,50 @@ def test_theta_in_unit_interval_and_below_star():
         assert ts <= th
 
 
+# top weights (D, e_half) at which the odd saving 6 / (3 D - 2 e_half)
+# evaluates to each bad value
+BAD_SAVING_WEIGHTS = {0.0: (math.inf, 0), -1e-17: (0, 3 * 10**17), 1.0: (2, 0)}
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-17, 1.0])
 def test_exponent_report_rejects_saving_outside_unit_interval(monkeypatch, bad):
     # the range check reads 1 - theta itself, so it stays strict where
     # theta alone would round to 1.0
-    monkeypatch.setattr(X, "_saving", lambda l, j: bad)
-    with pytest.raises(ConsistencyError):
+    D, e_half = BAD_SAVING_WEIGHTS[bad]
+    assert 6.0 / (3 * D - 2 * e_half) == bad
+    monkeypatch.setattr(X, "_top_weights", lambda l, j: (D, e_half, 0))
+    with pytest.raises(ConsistencyError, match="theta out of range"):
         X.exponent_report(3, 3)
+
+
+PAIRS_4_64 = [(l, j) for l in range(1, 65) for j in range(1, 65) if 4 <= l * j <= 64]
+
+
+def test_one_exponent_engine():
+    # theta, theta_star and proof_exponents read the report bit for bit
+    for l, j in PAIRS_4_64:
+        r = X.exponent_report(l, j)
+        assert X.theta(l, j) == r.theta, (l, j)
+        if l * j % 2 == 0:
+            assert X.theta_star(l, j) == r.theta_star, (l, j)
+        if l * j % 2 == 0 and l * j >= 6:
+            assert X.proof_exponents(l, j) == (r.A, r.B, r.saving), (l, j)
+        assert r.T_exp == 1.0 - r.theta, (l, j)
+
+
+def test_exponent_report_reads_the_top_weights_once(monkeypatch):
+    reads = []
+    real = X._top_weights
+
+    def counted(l, j):
+        reads.append((l, j))
+        return real(l, j)
+
+    monkeypatch.setattr(X, "_top_weights", counted)
+    for l, j in [(2, 2), (3, 3), (3, 2), (1, 6)]:
+        reads.clear()
+        X.exponent_report(l, j)
+        assert reads == [(l, j)]
 
 
 def test_monotone_along_table_directions():
@@ -183,10 +218,10 @@ def test_exponent_report_flags():
     r41 = X.exponent_report(4, 1)
     assert "extrapolated" in r41.flags and "j1-degenerate" in r41.flags
     odd = X.exponent_report(3, 3)
-    assert odd.parity is X.Parity.ODD
+    assert odd.parity == "odd"
     assert "no-reference-value" in odd.flags
     assert odd.theta_star is None and odd.A is None
-    assert odd.e_half == 2
+    assert combinatorics.weights(3, 3)[9 // 2] == 2  # e_half
 
 
 def test_exponent_report_T_exp_complement():

@@ -5,10 +5,15 @@
 named functions. This replays every golden command in-process with that
 tracer installed, so a change to a traced name or call path that breaks a
 hook, or a wrapper that changes an output, fails here and not only in a
-benchmark run.
+benchmark run. The benchmark's per-layer metric names are checked against
+the library here as well.
 """
 
+import importlib
+import inspect
+import json
 import pathlib
+import re
 import sys
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -37,3 +42,20 @@ def test_golden_records_replay_under_the_tracer(tmp_path):
     assert tracer.counters["hecke.series_mul.out_terms"] > 0
     assert tracer.counters["hecke.cache_bytes"] > 0
     assert tracer.peaks["euler.x1_residual_max"] < 1e-9
+
+
+def test_benchmark_layer_names_resolve():
+    # a `<module>.<function>.<s|self_s|calls>` metric reads the tracer's spans
+    # of that function; after a rename it would be empty in every run, and
+    # no benchmark check would fail
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"]]
+    traced = [re.fullmatch(r"(\w+)\.(\w+)\.(s|self_s|calls)", n) for n in names]
+    traced = [m for m in traced if m]
+    assert traced
+    for m in traced:
+        module = importlib.import_module(f"symmoment.{m[1]}")
+        fn = getattr(module, m[2], None)
+        # the tracer names a span after the module that defines the function
+        assert not m[2].startswith("_") and inspect.isfunction(fn), m[0]
+        assert fn.__module__ == module.__name__, m[0]

@@ -6,6 +6,7 @@ import pytest
 from oracles import chebyshev_s, random_rational_points
 from symmoment import combinatorics
 from symmoment import symbolic as S
+from symmoment.errors import ConsistencyError
 from symmoment.symbolic import ONE, T, ZERO, IntPolynomial, verify_decomposition
 
 
@@ -85,22 +86,25 @@ def test_exact_rational_evaluation():
     "l,j", [(2, 2), (3, 2), (2, 3), (1, 4), (4, 1), (5, 2), (3, 4), (2, 7)]
 )
 def test_decomposition_certificates(l, j):
-    cert = verify_decomposition(l, j)
-    assert cert.holds
-    assert cert.lhs == cert.rhs
-    assert cert.lhs.degree == l * j
+    lhs = verify_decomposition(l, j)  # raises unless the two sides agree
     c = combinatorics.coeffs_bruteforce(l, j)
     diffs = [c[m] - (c[m - 1] if m else 0) for m in range(l * j // 2 + 1)]
-    assert cert.weights == tuple(diffs)
+    assert combinatorics.weights(l, j) == tuple(diffs)
+    # both sides against the closed-form S_r oracle
+    assert lhs == chebyshev_s(j) ** l
+    assert lhs == sum((w * chebyshev_s(l * j - 2 * m) for m, w in enumerate(diffs)), ZERO)
+    assert lhs.degree == l * j
 
 
 def test_decomposition_rational_sample():
     # identity of polynomials implies identity of exact values
-    cert = verify_decomposition(3, 3)
+    lhs_poly = verify_decomposition(3, 3)
+    weights = combinatorics.weights(3, 3)
     for t in random_rational_points(10, seed=5):
         lhs = engine_s(3)(t) ** 3
-        rhs = sum(w * engine_s(9 - 2 * m)(t) for m, w in enumerate(cert.weights))
+        rhs = sum(w * engine_s(9 - 2 * m)(t) for m, w in enumerate(weights))
         assert lhs == rhs
+        assert lhs_poly(t) == lhs
 
 
 def test_decomposition_reads_the_engine(monkeypatch):
@@ -113,6 +117,9 @@ def test_decomposition_reads_the_engine(monkeypatch):
         return p + ONE if top == 6 else p
 
     monkeypatch.setattr(S, "_power_sum", wrong_top)
-    cert = verify_decomposition(3, 2)
-    assert not cert.holds
-    assert cert.rhs - cert.lhs == ONE
+    with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=3, j=2\)"):
+        verify_decomposition(3, 2)
+    # the two sides the certificate compares differ by exactly the fault
+    lhs = S.local_expansion((1,), 2, T, 1)[1] ** 3
+    rhs = S.local_expansion(combinatorics.weights(3, 2), 6, T, 1)[1]
+    assert rhs - lhs == ONE
