@@ -8,8 +8,10 @@ labels the `euler` series, `_print_csv` writes every CSV table (tau's a
 chunk of rows per write), and `_print_json` every JSON document, compact
 for tau and indented for the rest. A failed certificate raises in the
 library before anything prints, so the verdicts of `coeffs` and `identity`
-print as the constant True. The parser is built once per process;
-SYMMOMENT_CACHE is read on every `main` call.
+and the `improved` column of `exponents` print as the constant True.
+`sums` returns bare checkpoints, fit coefficients and residuals, and
+`partial-sum` labels them from its flags. The parser is built once per
+process; SYMMOMENT_CACHE is read on every `main` call.
 Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
 with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
 on the exact core alone and never load it.
@@ -176,14 +178,15 @@ def _exponent_text(report) -> str:
         lines.append(f"theta_star: {report.theta_star!r}")
     if report.A is not None:
         lines.append(f"A: {report.A!r}  B: {report.B!r}")
-    lines.append(f"T_exp: {report.T_exp!r}")
+    lines.append(f"T_exp: {report.saving!r}")
     if report.flags:
         lines.append(f"flags: {', '.join(report.flags)}")
     return "\n".join(lines)
 
 
 def _report_row(report) -> dict:
-    """The exponents row schema; previous/improved refer to the stored baseline."""
+    """The exponents row schema; previous/improved refer to the stored baseline,
+    which `exponent_report` has already checked theta improves on."""
     prev = exponents.PREVIOUS_EXPONENTS.get((report.l, report.j))
     return {
         "l": report.l,
@@ -193,7 +196,7 @@ def _report_row(report) -> dict:
         "theta": report.theta,
         "theta_star": report.theta_star,
         "previous": f"{prev.numerator}/{prev.denominator}" if prev else None,
-        "improved": (report.theta < prev) if prev else None,
+        "improved": True if prev else None,
     }
 
 
@@ -295,54 +298,50 @@ def cmd_partial_sum(args) -> int:
     from . import hecke, sums
 
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
-    series = sums.partial_sum(args.l, args.j, args.limit, form)
-    fit = None
-    fit_note = None
+    points = sums.partial_sum(args.l, args.j, args.limit, form)
+    coeffs = residuals = fit_note = None
     if (args.l * args.j) % 2 == 0:
         try:
-            fit = sums.fit_main_term(series)
-        except (FitError, ValueError) as exc:
-            # ValueError covers the l = 1 case, where the main-term degree
-            # degenerates to -1 and there is nothing to fit
+            coeffs, residuals = sums.fit_main_term(args.l, args.j, points)
+        except FitError as exc:
             fit_note = str(exc)
-    resid = sums.residual_exponent(series, fit)
+    resid = sums.residual_exponent(points if residuals is None else residuals)
     if args.format == "json":
         _print_json(
             {
-                "l": series.l,
-                "j": series.j,
-                "weight": series.weight,
-                "limit": series.limit,
-                "checkpoints": [[x, s] for x, s in series.checkpoints],
+                "l": args.l,
+                "j": args.j,
+                "weight": args.weight,
+                "limit": args.limit,
+                "checkpoints": [[x, s] for x, s in points],
                 "fit": None
-                if fit is None
+                if coeffs is None
                 else {
-                    "degree": fit.degree,
-                    "coeffs": list(fit.coeffs),
-                    "residuals": [[x, e] for x, e in fit.residuals],
+                    "degree": len(coeffs) - 1,
+                    "coeffs": list(coeffs),
+                    "residuals": [[x, e] for x, e in residuals],
                 },
                 "residual_exponent": None
                 if resid is None
-                else {"slope": resid.slope, "stderr": resid.stderr, "points": resid.points},
+                else {"slope": resid[0], "stderr": resid[1], "points": resid[2]},
             }
         )
     elif args.format == "csv":
-        if fit is None:
-            rows = [(x, s, None, None) for x, s in series.checkpoints]
+        if residuals is None:
+            rows = [(x, s, None, None) for x, s in points]
         else:
-            pairs = zip(series.checkpoints, fit.residuals)
-            rows = [(x, s, s - e, e) for (x, s), (_, e) in pairs]
+            rows = [(x, s, s - e, e) for (x, s), (_, e) in zip(points, residuals)]
         _print_csv(("x", "S", "main_fit", "residual"), rows)
     else:
         print(f"S(x) for l={args.l} j={args.j} weight={args.weight} N={args.limit}")
-        for x, s in series.checkpoints:
+        for x, s in points:
             print(f"  S({x}) = {s!r}")
-        if fit is not None:
-            print(f"fit degree {fit.degree}: coeffs {[repr(c) for c in fit.coeffs]}")
+        if coeffs is not None:
+            print(f"fit degree {len(coeffs) - 1}: coeffs {[repr(c) for c in coeffs]}")
         elif fit_note is not None:
             print(f"fit unavailable: {fit_note}")
         if resid is not None:
-            print(f"residual slope {resid.slope!r} stderr {resid.stderr!r}")
+            print(f"residual slope {resid[0]!r} stderr {resid[1]!r}")
     return 0
 
 

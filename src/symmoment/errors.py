@@ -15,5 +15,5 @@ class ConsistencyError(RuntimeError):
 
 
 class FitError(RuntimeError):
-    """A least-squares fit could not be carried out (rank deficiency or
-    too few points); reported rather than papered over."""
+    """A least-squares fit could not be carried out (a negative degree,
+    rank deficiency or too few points); reported rather than papered over."""

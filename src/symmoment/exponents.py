@@ -12,11 +12,11 @@ A aggregates the convexity inputs; B = A minus the square-root saving on
 the central L-factors, and B < A whenever that saving is present (top
 weight d_half > 0).
 
-`exponent_report` is the one engine: it reads the top weights once, computes
-the saving, theta, A, B and theta_star in one pass, and raises
-ConsistencyError where the balancing identity theta = 1 - 1/(j^3 (1 + A))
-or an ordering invariant fails. `theta`, `theta_star` and `proof_exponents`
-read their values from its report.
+`exponent_report` is the one public exponent function: it reads the top
+weights once, computes the saving, theta, A, B and theta_star in one pass,
+and raises ConsistencyError where the balancing identity
+theta = 1 - 1/(j^3 (1 + A)) or an ordering invariant fails, or where theta
+does not improve on the stored previously published exponent of its pair.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ExponentReport:
     """One pair's exponents. parity is "even4" (lj = 4), "evenBig" (even
     lj >= 6) or "odd"; A and B exist only for "evenBig", theta_star only
     for even lj. saving is 1 - theta as computed, positive even where theta
-    rounds to 1.0; T_exp is 1.0 - theta."""
+    rounds to 1.0."""
 
     l: int
     j: int
@@ -59,7 +59,6 @@ class ExponentReport:
     A: float | None
     B: float | None
     saving: float
-    T_exp: float
     theta: float
     theta_star: float | None
     flags: tuple
@@ -69,7 +68,8 @@ def exponent_report(l: int, j: int) -> ExponentReport:
     """Every exponent of the pair in one pass, its consistency certified.
 
     Raises ValueError below lj = 4, and ConsistencyError if the balancing
-    identity or an ordering invariant fails: a defect here, not bad input.
+    identity or an ordering invariant fails, or if theta does not improve
+    on the pair's entry in PREVIOUS_EXPONENTS: a defect here, not bad input.
     """
     if l < 1 or j < 1:
         raise ValueError(f"l and j must be positive, got ({l}, {j})")
@@ -121,6 +121,9 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         raise ConsistencyError(f"theta out of range at (l={l}, j={j}): 1 - {saving!r}")
     if ts is not None and ts > th:
         raise ConsistencyError(f"refined exponent exceeds theta at (l={l}, j={j})")
+    previous = PREVIOUS_EXPONENTS.get((l, j))
+    if previous is not None and th >= previous:
+        raise ConsistencyError(f"no improvement over baseline at (l={l}, j={j})")
     return ExponentReport(
         l=l,
         j=j,
@@ -129,38 +132,10 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         A=A,
         B=B,
         saving=saving,
-        T_exp=1.0 - th,
         theta=th,
         theta_star=ts,
         flags=tuple(flags),
     )
-
-
-def theta(l: int, j: int) -> float:
-    """Error exponent of the l-th moment of lam_sym^j."""
-    return exponent_report(l, j).theta
-
-
-def theta_star(l: int, j: int) -> float:
-    """Refined even-case exponent at the limit of its free parameter."""
-    ts = exponent_report(l, j).theta_star
-    if ts is None:
-        raise ValueError(f"refined exponent needs even l*j, got {l * j}")
-    return ts
-
-
-def proof_exponents(l: int, j: int) -> tuple:
-    """(A, B, T_exp) for the generic even branch (lj >= 6).
-
-    A drives the balancing of the truncation parameter T = x^T_exp, where
-    T_exp is the report's saving, 1 - theta before rounding; B drops the
-    central square-root saving and satisfies B <= A with equality exactly
-    when the top weight vanishes (l = 1).
-    """
-    r = exponent_report(l, j)
-    if r.A is None:
-        raise ValueError(f"proof exponents need even l*j >= 6, got {l * j}")
-    return r.A, r.B, r.saving
 
 
 # comparison baseline: best previously published exponents, exact fractions
@@ -183,15 +158,6 @@ PREVIOUS_EXPONENTS = {
 
 def reference_table() -> list:
     """Reports of the two comparison tables: varying l at j = 2, then
-    varying j at l = 2.
-
-    Every theta must improve on the stored baseline; a violation raises
-    ConsistencyError, as does a refined column above theta
-    (`exponent_report`).
-    """
+    varying j at l = 2, each certified by `exponent_report`."""
     pairs = [(l, 2) for l in range(2, 9)] + [(2, j) for j in range(2, 9)]
-    reports = [exponent_report(l, j) for l, j in pairs]
-    for r in reports:
-        if r.theta >= PREVIOUS_EXPONENTS[(r.l, r.j)]:
-            raise ConsistencyError(f"no improvement over baseline at (l={r.l}, j={r.j})")
-    return reports
+    return [exponent_report(l, j) for l, j in pairs]

@@ -5,13 +5,14 @@ than the central first-difference weight. At desk scale the error exponent
 is not recoverable, so this module only (a) computes S on a geometric
 checkpoint grid deterministically, (b) least-squares fits Q over the top
 half of the grid, and (c) reports the growth slope of the residuals with
-its standard error, as exploratory output.
+its standard error, as exploratory output. Each step returns plain tuples
+and takes the previous step's values with the (l, j) the caller already
+holds; `cli` alone labels them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,38 +26,19 @@ CHECKPOINT_COUNT = 24
 MIN_N_FOR_SLOPE = 100
 
 
-@dataclass(frozen=True)
-class PartialSumSeries:
-    l: int
-    j: int
-    weight: int
-    limit: int
-    checkpoints: tuple  # (x, S(x)) ascending in x
-
-
-@dataclass(frozen=True)
-class FitResult:
-    degree: int
-    coeffs: tuple  # Q coefficients, constant first
-    window: tuple  # checkpoints actually fitted
-    residuals: tuple  # (x, S(x) - x*Q(log x)) over all checkpoints
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    slope: float
-    stderr: float
-    points: int
-
-
 def checkpoint_grid(N: int) -> list:
     """Distinct values of ceil(N / r^i), i = 0..23, ascending."""
     xs = {math.ceil(N / CHECKPOINT_RATIO**i) for i in range(CHECKPOINT_COUNT)}
     return sorted(xs)
 
 
-def partial_sum(l: int, j: int, N: int, form: EigenformTable) -> PartialSumSeries:
-    """One deterministic ascending pass with compensated accumulation."""
+def partial_sum(l: int, j: int, N: int, form: EigenformTable) -> tuple:
+    """((x, S(x)), ...) ascending over `checkpoint_grid(N)`, from one
+    deterministic pass with compensated accumulation.
+
+    Raises ValueError when a term or a sum leaves the float range (l too
+    large for the table's values), naming the checkpoint x it reached.
+    """
     if l < 1:
         raise ValueError(f"l must be positive, got {l}")
     if N < 1:
@@ -66,18 +48,22 @@ def partial_sum(l: int, j: int, N: int, form: EigenformTable) -> PartialSumSerie
     total = 0.0
     comp = 0.0
     lo = 1
-    for x in checkpoint_grid(N):
-        for v in lam[lo : x + 1]:
-            # Kahan step keeps the accumulation error near one ulp of the sum
-            y = v**l - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        out.append((x, total))
-        lo = x + 1
-    return PartialSumSeries(
-        l=l, j=j, weight=form.weight, limit=N, checkpoints=tuple(out)
-    )
+    try:
+        for x in checkpoint_grid(N):
+            for v in lam[lo : x + 1]:
+                # Kahan step keeps the accumulation error near one ulp of the sum
+                y = v**l - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            # a sum can reach inf or nan without any term overflowing
+            if not math.isfinite(total):
+                raise OverflowError
+            out.append((x, total))
+            lo = x + 1
+    except OverflowError:
+        raise ValueError(f"l out of range: S({x}) overflows a float at l={l}") from None
+    return tuple(out)
 
 
 def default_fit_degree(l: int, j: int) -> int:
@@ -87,17 +73,20 @@ def default_fit_degree(l: int, j: int) -> int:
     return combinatorics.weights(l, j)[(l * j) // 2] - 1
 
 
-def fit_main_term(series: PartialSumSeries) -> FitResult:
-    """Least squares of S(x)/x against powers of log x, top half of the grid.
+def fit_main_term(l: int, j: int, checkpoints) -> tuple:
+    """(coeffs, residuals): least squares of S(x)/x against powers of log x
+    over the top half of the `partial_sum` checkpoints.
 
-    The degree is `default_fit_degree`. Early checkpoints are pre-asymptotic
-    and excluded from the fit but still reported in the residual list.
+    coeffs is Q, constant first, at degree `default_fit_degree` =
+    len(coeffs) - 1; residuals is ((x, S(x) - x Q(log x)), ...) over every
+    checkpoint. Early checkpoints are pre-asymptotic and excluded from the
+    fit. Raises FitError when there is nothing to fit (l = 1, where the
+    degree is -1), too few points or a rank-deficient design.
     """
-    degree = default_fit_degree(series.l, series.j)
+    degree = default_fit_degree(l, j)
     if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    pts = series.checkpoints
-    window = pts[len(pts) // 2 :]
+        raise FitError(f"degree must be nonnegative, got {degree}")
+    window = checkpoints[len(checkpoints) // 2 :]
     if len(window) < degree + 3:
         raise FitError(
             f"need at least {degree + 3} checkpoints in the fit window, have {len(window)}"
@@ -114,20 +103,17 @@ def fit_main_term(series: PartialSumSeries) -> FitResult:
         lx = math.log(x)
         return x * sum(c * lx**k for k, c in enumerate(q))
 
-    residuals = tuple((x, s - main(x)) for x, s in pts)
-    return FitResult(degree=degree, coeffs=tuple(q), window=window, residuals=residuals)
+    return tuple(q), tuple((x, s - main(x)) for x, s in checkpoints)
 
 
-def residual_exponent(
-    series: PartialSumSeries, fit: FitResult | None = None
-) -> ResidualReport | None:
-    """Slope of log|e(x)| against log x; e is the fit residual when given,
-    else S itself (odd case). None when degenerate (N < 100, or fewer than
-    three nonzero residuals)."""
-    if series.limit < MIN_N_FOR_SLOPE:
+def residual_exponent(points) -> tuple | None:
+    """(slope, stderr, points) of log|e(x)| against log x over ((x, e), ...):
+    the fit residuals when a fit exists, else the checkpoints themselves.
+    None when degenerate (N < 100, read from the top x, or fewer than three
+    nonzero values)."""
+    if points[-1][0] < MIN_N_FOR_SLOPE:
         return None
-    data = fit.residuals if fit is not None else series.checkpoints
-    pts = [(x, abs(e)) for x, e in data if e != 0.0]
+    pts = [(x, abs(e)) for x, e in points if e != 0.0]
     if len(pts) < 3:
         return None
     lx = np.array([math.log(x) for x, _ in pts])
@@ -142,5 +128,5 @@ def residual_exponent(
     resid = ly - (my + slope * (lx - mx))
     var = float((resid**2).sum()) / max(n - 2, 1)
     stderr = math.sqrt(var / sxx)
-    return ResidualReport(slope=slope, stderr=stderr, points=n)
+    return slope, stderr, n
 

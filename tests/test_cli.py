@@ -129,13 +129,24 @@ def test_exponents_table_checks_the_baseline(capsys, monkeypatch):
     assert "no improvement over baseline at (l=3, j=2)" in err
 
 
+def test_exponents_single_pair_checks_the_baseline(capsys, monkeypatch):
+    table = {**exponents.PREVIOUS_EXPONENTS, (3, 2): Fraction(1, 2)}
+    monkeypatch.setattr(exponents, "PREVIOUS_EXPONENTS", table)
+    code, out, err = run(capsys, "exponents --l 3 --j 2 --format json")
+    assert code == 3 and out == ""
+    assert err == "internal error: no improvement over baseline at (l=3, j=2)\n"
+
+
 @pytest.mark.parametrize("l", [56, 64])
 def test_exponents_j1_at_large_l(capsys, l):
     # 1 - theta is below half an ulp of 1.0 here, so theta prints as 1.0;
-    # the range check runs on the saving itself
+    # the range check and T_exp read the saving itself
     code, out, err = run(capsys, f"exponents --l {l} --j 1")
     assert code == 0 and err == ""
-    assert "theta: 1.0" in out.splitlines()
+    lines = out.splitlines()
+    assert "theta: 1.0" in lines
+    [t_exp] = [line.removeprefix("T_exp: ") for line in lines if line.startswith("T_exp: ")]
+    assert 0.0 < float(t_exp) < 1e-16
 
 
 def test_exponents_pair_required_without_table(capsys):
@@ -380,6 +391,24 @@ def test_partial_sum_l1_fit_degenerates_gracefully(capsys, tmp_path):
     )
     assert code == 0
     assert "fit unavailable" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_partial_sum_fit_past_the_size_cap_exits_4(capsys, tmp_path, fmt):
+    # l*j = 80 is even, so the fit needs the weights, which are capped at 64
+    code, out, err = run(
+        capsys, f"partial-sum --l 2 --j 40 --limit 100 --cache-dir {tmp_path} --format {fmt}"
+    )
+    assert code == 4 and out == ""
+    assert err == "error: l*j = 80 exceeds the size cap 64\n"
+
+
+def test_partial_sum_overflow_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, f"partial-sum --l 999 --j 4 --limit 1000 --cache-dir {tmp_path} --format json"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: l out of range: S(") and err.endswith("at l=999\n")
 
 
 def test_partial_sum_odd_has_no_fit_columns(capsys, tmp_path):

@@ -59,7 +59,7 @@ def test_previous_column_digits(l, j, prev_s, th_s, ts_s):
 
 @pytest.mark.parametrize("l,j,prev_s,th_s,ts_s", list(all_cells()))
 def test_theta_column_digits(l, j, prev_s, th_s, ts_s):
-    th = X.theta(l, j)
+    th = X.exponent_report(l, j).theta
     if (l, j) == MISPRINT_CELL:
         assert trunc_to(th, th_s) == "0.9996856"  # independently verified digits
     else:
@@ -68,55 +68,60 @@ def test_theta_column_digits(l, j, prev_s, th_s, ts_s):
 
 @pytest.mark.parametrize("l,j,prev_s,th_s,ts_s", list(all_cells()))
 def test_theta_star_column_digits(l, j, prev_s, th_s, ts_s):
-    assert trunc_to(X.theta_star(l, j), ts_s) == ts_s
+    assert trunc_to(X.exponent_report(l, j).theta_star, ts_s) == ts_s
 
 
 @pytest.mark.parametrize("l,j,prev_s,th_s,ts_s", list(all_cells()))
 def test_all_cells_within_absolute_tolerance(l, j, prev_s, th_s, ts_s):
+    r = X.exponent_report(l, j)
     assert abs(float(X.PREVIOUS_EXPONENTS[(l, j)]) - float(prev_s)) <= cell_tolerance(prev_s)
-    assert abs(X.theta(l, j) - float(th_s)) <= cell_tolerance(th_s)
-    assert abs(X.theta_star(l, j) - float(ts_s)) <= cell_tolerance(ts_s)
+    assert abs(r.theta - float(th_s)) <= cell_tolerance(th_s)
+    assert abs(r.theta_star - float(ts_s)) <= cell_tolerance(ts_s)
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="reference table misprint: the theta(8,2) formula value truncates "
     "to 0.9996856, the printed string ends ...2; the same row's other two "
     "columns and the balancing identity all follow the formula value",
 )
 def test_theta_8_2_printed_string_verbatim():
-    assert trunc_to(X.theta(8, 2), "0.9996852") == "0.9996852"
+    assert trunc_to(X.exponent_report(8, 2).theta, "0.9996852") == "0.9996852"
 
 
 def test_theta_star_22_is_exactly_three_quarters():
-    assert abs(X.theta_star(2, 2) - 0.75) <= 1e-12
+    assert abs(X.exponent_report(2, 2).theta_star - 0.75) <= 1e-12
 
 
 def test_lj4_closed_form():
     want = 1.0 - 63.0 * math.sqrt(2) / (252.0 * math.sqrt(2) + 4.0 * math.sqrt(15))
-    assert X.theta(2, 2) == want
-    assert X.theta(4, 1) == want
-    assert X.theta(1, 4) == want
+    assert X.exponent_report(2, 2).theta == want
+    assert X.exponent_report(4, 1).theta == want
+    assert X.exponent_report(1, 4).theta == want
 
 
 def test_even_formula_spot_2_4():
-    A, B, T_exp = X.proof_exponents(2, 4)
-    assert T_exp == pytest.approx(0.0850233428, abs=1e-9)
-    assert X.theta(2, 4) == pytest.approx(0.9149766571576008, abs=1e-12)
+    r = X.exponent_report(2, 4)
+    assert r.saving == pytest.approx(0.0850233428, abs=1e-9)
+    assert r.theta == pytest.approx(0.9149766571576008, abs=1e-12)
 
 
 def test_proof_exponents_3_2():
-    A, B, T_exp = X.proof_exponents(3, 2)
+    r = X.exponent_report(3, 2)
     # D=27, d_half=1, d_{half-1}=3; value computed independently by hand
-    assert A == pytest.approx(0.5342350221232208, abs=1e-12)
-    assert B == pytest.approx(0.5125, abs=1e-12)
-    assert 1 - 1 / (8 * (1 + A)) == pytest.approx(X.theta(3, 2), abs=1e-12)
+    assert r.A == pytest.approx(0.5342350221232208, abs=1e-12)
+    assert r.B == pytest.approx(0.5125, abs=1e-12)
+    assert 1 - 1 / (8 * (1 + r.A)) == pytest.approx(r.theta, abs=1e-12)
 
 
 def test_odd_formula_values():
-    assert X.theta(3, 3) == pytest.approx(1 - 6 / 188, abs=1e-15)  # D=64, e_half=2
-    assert X.theta(1, 5) == pytest.approx(2 / 3, abs=1e-15)  # D=6, e_half=0
-    assert X.theta(5, 1) == pytest.approx(1 - 6 / (3 * 32 - 2 * 5), abs=1e-15)
+    def theta(l, j):
+        return X.exponent_report(l, j).theta
+
+    assert theta(3, 3) == pytest.approx(1 - 6 / 188, abs=1e-15)  # D=64, e_half=2
+    assert theta(1, 5) == pytest.approx(2 / 3, abs=1e-15)  # D=6, e_half=0
+    assert theta(5, 1) == pytest.approx(1 - 6 / (3 * 32 - 2 * 5), abs=1e-15)
 
 
 EVEN_PAIRS_6_32 = [
@@ -129,23 +134,24 @@ EVEN_PAIRS_6_32 = [
 
 @pytest.mark.parametrize("l,j", EVEN_PAIRS_6_32)
 def test_balance_identity(l, j):
-    A, B, T_exp = X.proof_exponents(l, j)
-    assert abs(X.theta(l, j) - (1 - 1 / (j**3 * (1 + A)))) <= 1e-12
+    r = X.exponent_report(l, j)
+    assert abs(r.theta - (1 - 1 / (j**3 * (1 + r.A)))) <= 1e-12
 
 
 @pytest.mark.parametrize("l,j", EVEN_PAIRS_6_32)
 def test_saving_orders_A_and_B(l, j):
     d_half = combinatorics.weights(l, j)[(l * j) // 2]
-    A, B, _ = X.proof_exponents(l, j)
+    r = X.exponent_report(l, j)
     if d_half > 0:
-        assert B < A
+        assert r.B < r.A
     else:
-        assert B == A  # the saving term is identically zero when l = 1
+        assert r.B == r.A  # the saving term is identically zero when l = 1
 
 
 def test_theta_in_unit_interval_and_below_star():
     for l, j in EVEN_PAIRS_6_32:
-        th, ts = X.theta(l, j), X.theta_star(l, j)
+        r = X.exponent_report(l, j)
+        th, ts = r.theta, r.theta_star
         assert 0.0 < th < 1.0
         assert ts <= th
 
@@ -170,15 +176,16 @@ PAIRS_4_64 = [(l, j) for l in range(1, 65) for j in range(1, 65) if 4 <= l * j <
 
 
 def test_one_exponent_engine():
-    # theta, theta_star and proof_exponents read the report bit for bit
+    # theta is 1 - saving bit for bit; theta_star exists exactly for even
+    # l*j, A and B exactly for the generic even branch
     for l, j in PAIRS_4_64:
         r = X.exponent_report(l, j)
-        assert X.theta(l, j) == r.theta, (l, j)
-        if l * j % 2 == 0:
-            assert X.theta_star(l, j) == r.theta_star, (l, j)
-        if l * j % 2 == 0 and l * j >= 6:
-            assert X.proof_exponents(l, j) == (r.A, r.B, r.saving), (l, j)
-        assert r.T_exp == 1.0 - r.theta, (l, j)
+        assert r.theta == 1.0 - r.saving, (l, j)
+        assert (r.theta_star is None) == (l * j % 2 == 1), (l, j)
+        assert (r.A is None) == (l * j % 2 == 1 or l * j == 4), (l, j)
+    # the table reads the same engine
+    for r in X.reference_table():
+        assert r == X.exponent_report(r.l, r.j)
 
 
 def test_exponent_report_reads_the_top_weights_once(monkeypatch):
@@ -197,8 +204,8 @@ def test_exponent_report_reads_the_top_weights_once(monkeypatch):
 
 
 def test_monotone_along_table_directions():
-    t1 = [X.theta(l, 2) for l in range(2, 9)]
-    t2 = [X.theta(2, j) for j in range(2, 9)]
+    t1 = [X.exponent_report(l, 2).theta for l in range(2, 9)]
+    t2 = [X.exponent_report(2, j).theta for j in range(2, 9)]
     assert t1 == sorted(t1) and len(set(t1)) == len(t1)
     assert t2 == sorted(t2) and len(set(t2)) == len(t2)
 
@@ -224,23 +231,15 @@ def test_exponent_report_flags():
     assert combinatorics.weights(3, 3)[9 // 2] == 2  # e_half
 
 
-def test_exponent_report_T_exp_complement():
-    for l, j in [(2, 2), (3, 2), (2, 4), (3, 3), (1, 5)]:
-        r = X.exponent_report(l, j)
-        assert r.theta == 1.0 - r.T_exp
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
-        X.theta(1, 3)
+        X.exponent_report(1, 3)
     with pytest.raises(ValueError):
-        X.theta(0, 8)
-    with pytest.raises(ValueError):
-        X.theta_star(3, 3)
-    with pytest.raises(ValueError):
-        X.proof_exponents(2, 2)
-    with pytest.raises(ValueError):
-        X.proof_exponents(1, 5)
+        X.exponent_report(0, 8)
+    # no refined exponent for odd l*j, no A or B outside lj >= 6 even
+    assert X.exponent_report(3, 3).theta_star is None
+    assert X.exponent_report(2, 2).A is None
+    assert X.exponent_report(1, 5).A is None
 
 
 def exponents_out(capsys, argv):
@@ -258,7 +257,7 @@ def test_serialization_deterministic(capsys):
     assert header == "l,j,parity,D,theta,theta_star,previous,improved"
     parsed = json.loads(doc)
     assert parsed[0]["previous"] == "389/509"
-    assert parsed[1]["theta"] == X.theta(3, 2)
+    assert parsed[1]["theta"] == X.exponent_report(3, 2).theta
 
 
 def test_report_row_odd_case_nulls(capsys):

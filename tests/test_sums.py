@@ -8,9 +8,7 @@ from symmoment.errors import FitError
 
 
 def test_trivial_series_N1(delta_1e4):
-    series = sums.partial_sum(1, 1, 1, delta_1e4)
-    assert series.checkpoints == ((1, 1.0),)
-    assert series.weight == 12 and series.limit == 1
+    assert sums.partial_sum(1, 1, 1, delta_1e4) == ((1, 1.0),)
 
 
 def test_checkpoint_grid_shape():
@@ -26,31 +24,31 @@ def test_checkpoint_grid_shape():
 
 def test_partial_sum_matches_fsum_oracle(delta_1e4):
     # independent accumulation: math.fsum is exactly rounded
-    series = sums.partial_sum(2, 2, 2000, delta_1e4)
+    points = sums.partial_sum(2, 2, 2000, delta_1e4)
     lam = hecke.sym_coeff_sieve(2, 2000, delta_1e4)
-    for x, s in series.checkpoints:
+    for x, s in points:
         want = math.fsum(lam[n] ** 2 for n in range(1, x + 1))
         assert abs(s - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_second_moment_j1_against_normalized_table(delta_1e4):
-    series = sums.partial_sum(2, 1, 500, delta_1e4)
+    points = sums.partial_sum(2, 1, 500, delta_1e4)
     want = math.fsum(delta_1e4.lam(n) ** 2 for n in range(1, 501))
-    assert series.checkpoints[-1] == (500, pytest.approx(want, rel=1e-9))
+    assert points[-1] == (500, pytest.approx(want, rel=1e-9))
 
 
 def test_sym2_sum_against_divisor_identity(delta_1e4, delta_1e6):
     # sum_{n<=N} lam_sym^2(n) = sum_{d^2 m <= N} lam_f(m^2), checked
     # against the normalized level-1 table, which is an independent route
     N = 1000
-    series = sums.partial_sum(1, 2, N, delta_1e4)
+    points = sums.partial_sum(1, 2, N, delta_1e4)
     terms = []
     d = 1
     while d * d <= N:
         terms.extend(delta_1e6.lam(m * m) for m in range(1, N // (d * d) + 1))
         d += 1
     want = math.fsum(terms)
-    got = series.checkpoints[-1][1]
+    got = points[-1][1]
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -72,19 +70,17 @@ def test_default_fit_degree():
 
 
 def test_fit_degenerate_degree_rejected(delta_1e4):
-    series = sums.partial_sum(1, 2, 200, delta_1e4)
-    with pytest.raises(ValueError):
-        sums.fit_main_term(series)
+    points = sums.partial_sum(1, 2, 200, delta_1e4)
+    with pytest.raises(FitError, match="degree must be nonnegative, got -1"):
+        sums.fit_main_term(1, 2, points)
 
 
 def test_fit_window_and_residual_identity(delta_1e4):
-    series = sums.partial_sum(2, 2, 5000, delta_1e4)
-    fit = sums.fit_main_term(series)
-    assert fit.degree == 0
-    assert fit.window == series.checkpoints[len(series.checkpoints) // 2 :]
-    assert len(fit.residuals) == len(series.checkpoints)
-    q = fit.coeffs
-    for (x, s), (rx, e) in zip(series.checkpoints, fit.residuals):
+    points = sums.partial_sum(2, 2, 5000, delta_1e4)
+    q, residuals = sums.fit_main_term(2, 2, points)
+    assert len(q) == 1  # degree 0
+    assert len(residuals) == len(points)
+    for (x, s), (rx, e) in zip(points, residuals):
         assert rx == x
         main = x * sum(c * math.log(x) ** k for k, c in enumerate(q))
         assert e == pytest.approx(s - main, abs=1e-9)
@@ -92,58 +88,49 @@ def test_fit_window_and_residual_identity(delta_1e4):
 
 def test_fit_constant_is_window_mean_ratio(delta_1e4):
     # degree 0 least squares collapses to the mean of S(x)/x on the window
-    series = sums.partial_sum(2, 2, 10_000, delta_1e4)
-    fit = sums.fit_main_term(series)
-    ratios = [s / x for x, s in fit.window]
-    assert fit.coeffs[0] == pytest.approx(sum(ratios) / len(ratios), rel=1e-9)
+    points = sums.partial_sum(2, 2, 10_000, delta_1e4)
+    coeffs, _ = sums.fit_main_term(2, 2, points)
+    ratios = [s / x for x, s in points[len(points) // 2 :]]
+    assert coeffs[0] == pytest.approx(sum(ratios) / len(ratios), rel=1e-9)
 
 
 def test_fit_too_few_checkpoints(delta_1e4):
     # degree 14 needs 17 window points; N = 5 has a grid of 5
-    series = sums.partial_sum(6, 2, 5, delta_1e4)
+    points = sums.partial_sum(6, 2, 5, delta_1e4)
     with pytest.raises(FitError):
-        sums.fit_main_term(series)
+        sums.fit_main_term(6, 2, points)
 
 
 def test_fit_deterministic(delta_1e4):
-    series = sums.partial_sum(2, 2, 4000, delta_1e4)
-    assert sums.fit_main_term(series) == sums.fit_main_term(series)
+    points = sums.partial_sum(2, 2, 4000, delta_1e4)
+    assert sums.fit_main_term(2, 2, points) == sums.fit_main_term(2, 2, points)
 
 
 def test_residual_exponent_recovers_synthetic_power_law():
     xs = sums.checkpoint_grid(50_000)
-    series = sums.PartialSumSeries(
-        l=1, j=3, weight=12, limit=50_000,
-        checkpoints=tuple((x, x**0.7) for x in xs),
-    )
-    report = sums.residual_exponent(series)
+    report = sums.residual_exponent(tuple((x, x**0.7) for x in xs))
     assert report is not None
-    assert report.points == len(xs)
-    assert report.slope == pytest.approx(0.7, abs=1e-9)
-    assert report.stderr <= 1e-9
+    slope, stderr, n = report
+    assert n == len(xs)
+    assert slope == pytest.approx(0.7, abs=1e-9)
+    assert stderr <= 1e-9
 
 
 def test_residual_exponent_none_cases(delta_1e4):
-    series = sums.partial_sum(1, 3, 50, delta_1e4)
-    assert sums.residual_exponent(series) is None  # below the size floor
-    zero = sums.PartialSumSeries(
-        l=1, j=3, weight=12, limit=1000,
-        checkpoints=((100, 0.0), (200, 0.0), (300, 0.0)),
-    )
+    points = sums.partial_sum(1, 3, 50, delta_1e4)
+    assert sums.residual_exponent(points) is None  # below the size floor
+    zero = ((100, 0.0), (200, 0.0), (300, 0.0))
     assert sums.residual_exponent(zero) is None  # no nonzero points
-    flat_x = sums.PartialSumSeries(
-        l=1, j=3, weight=12, limit=1000,
-        checkpoints=((100, 1.0), (100, 2.0), (100, 3.0)),
-    )
+    flat_x = ((100, 1.0), (100, 2.0), (100, 3.0))
     assert sums.residual_exponent(flat_x) is None  # zero log-x variance
 
 
 def test_residual_exponent_uses_fit_residuals(delta_1e4):
-    series = sums.partial_sum(2, 2, 5000, delta_1e4)
-    fit = sums.fit_main_term(series)
-    report = sums.residual_exponent(series, fit)
+    points = sums.partial_sum(2, 2, 5000, delta_1e4)
+    _, residuals = sums.fit_main_term(2, 2, points)
+    report = sums.residual_exponent(residuals)
     assert report is not None
-    assert report.slope < 1.0  # residuals grow slower than the main term
+    assert report[0] < 1.0  # residuals grow slower than the main term
 
 
 def partial_sum_out(capsys, cache, l, j, N, fmt):
@@ -154,16 +141,16 @@ def partial_sum_out(capsys, cache, l, j, N, fmt):
 
 def test_series_to_csv_schema(capsys, tmp_path, delta_1e4):
     # odd l*j has no fit
-    series = sums.partial_sum(1, 3, 1000, delta_1e4)
+    points = sums.partial_sum(1, 3, 1000, delta_1e4)
     bare = partial_sum_out(capsys, tmp_path, 1, 3, 1000, "csv")
     lines = bare.splitlines()
     assert lines[0] == "x,S,main_fit,residual"
-    assert len(lines) == len(series.checkpoints) + 1
+    assert len(lines) == len(points) + 1
     assert all(line.endswith(",,") for line in lines[1:])
-    series = sums.partial_sum(2, 2, 1000, delta_1e4)
+    points = sums.partial_sum(2, 2, 1000, delta_1e4)
     full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv")
     last = full.splitlines()[-1].split(",")
-    x, s = series.checkpoints[-1]
+    x, s = points[-1]
     assert last[0] == str(x) and last[1] == repr(s)
     assert float(last[2]) + float(last[3]) == pytest.approx(s, rel=1e-12)
     assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv") == full
@@ -171,20 +158,20 @@ def test_series_to_csv_schema(capsys, tmp_path, delta_1e4):
 
 def test_series_to_json_schema(capsys, tmp_path, delta_1e4):
     # odd l*j has no fit, and N < 100 no residual slope
-    series = sums.partial_sum(1, 3, 99, delta_1e4)
+    points = sums.partial_sum(1, 3, 99, delta_1e4)
     doc = json.loads(partial_sum_out(capsys, tmp_path, 1, 3, 99, "json"))
     assert doc["l"] == 1 and doc["j"] == 3
     assert doc["weight"] == 12 and doc["limit"] == 99
     assert doc["fit"] is None and doc["residual_exponent"] is None
-    assert doc["checkpoints"] == [[x, s] for x, s in series.checkpoints]
-    series = sums.partial_sum(2, 2, 1000, delta_1e4)
-    fit = sums.fit_main_term(series)
-    resid = sums.residual_exponent(series, fit)
+    assert doc["checkpoints"] == [[x, s] for x, s in points]
+    points = sums.partial_sum(2, 2, 1000, delta_1e4)
+    coeffs, residuals = sums.fit_main_term(2, 2, points)
+    slope, stderr, n = sums.residual_exponent(residuals)
     full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json")
     doc2 = json.loads(full)
     assert doc2["fit"]["degree"] == 0
-    assert doc2["fit"]["coeffs"] == list(fit.coeffs)
-    assert doc2["residual_exponent"]["points"] == resid.points
+    assert doc2["fit"]["coeffs"] == list(coeffs)
+    assert doc2["residual_exponent"] == {"slope": slope, "stderr": stderr, "points": n}
     assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json") == full
 
 
@@ -195,3 +182,13 @@ def test_partial_sum_domain_errors(delta_1e4):
         sums.partial_sum(2, 2, 0, delta_1e4)
     with pytest.raises(ValueError):
         sums.partial_sum(2, 2, 20_000, delta_1e4)  # table too small
+
+
+def test_partial_sum_out_of_float_range_is_a_domain_error(delta_1e4, monkeypatch):
+    # a term overflows: |lam_sym^4(n)|^999 is far past the largest float
+    with pytest.raises(ValueError, match=r"l out of range: S\(\d+\) .* at l=999"):
+        sums.partial_sum(999, 4, 1000, delta_1e4)
+    # every term is finite, but their sum is not
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, N, form: [0.0, 1e308, 1e308])
+    with pytest.raises(ValueError, match=r"l out of range: S\(2\) .* at l=1"):
+        sums.partial_sum(1, 1, 2, delta_1e4)
