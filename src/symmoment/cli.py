@@ -17,6 +17,7 @@ with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
 on the exact core alone and never load it.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir
 among them), 3 internal consistency failure, 4 capacity cap exceeded.
+Every pair, cap and order check runs before any table is read.
 """
 
 from __future__ import annotations
@@ -216,20 +217,13 @@ def cmd_exponents(args) -> int:
         print(_exponent_text(reports[0]))
     else:
         for row in rows:
-            print(
-                f"l={row['l']} j={row['j']} parity={row['parity']} D={row['D']} "
-                f"theta={row['theta']!r} theta_star={row['theta_star']!r} "
-                f"previous={row['previous']} improved={row['improved']}"
-            )
+            print(" ".join(f"{k}={v}" for k, v in row.items()))
     return 0
 
 
 def cmd_euler(args) -> int:
-    if args.order < 0:
-        raise ValueError(f"--order must be nonnegative, got {args.order}")
-    # before the float branch reads a table, so a capped run stops at once
-    if args.order > euler.ORDER_CAP:
-        raise CapacityError(f"--order {args.order} exceeds limit {euler.ORDER_CAP}")
+    # before the float branch reads a table, so a rejected run stops at once
+    euler.check(args.l, args.j, args.order)
     if args.exact:
         series = euler.correction_series_sym(args.l, args.j, args.order)
         label = f"correction_sym(l={args.l},j={args.j})"
@@ -266,7 +260,7 @@ def cmd_euler(args) -> int:
     else:
         print(f"correction series {label} to order {args.order}:")
         for a, cv in enumerate(coeffs):
-            print(f"  X^{a}: {cv!r}" if not args.exact else f"  X^{a}: {cv}")
+            print(f"  X^{a}: {cv}")
     return 0
 
 
@@ -297,10 +291,13 @@ def cmd_tau(args) -> int:
 def cmd_partial_sum(args) -> int:
     from . import hecke, sums
 
+    even = (args.l * args.j) % 2 == 0
+    if even:  # checks the pair and its cap before any table is read
+        sums.default_fit_degree(args.l, args.j)
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
-    points = sums.partial_sum(args.l, args.j, args.limit, form)
+    points = sums.partial_sum(args.l, args.j, form)
     coeffs = residuals = fit_note = None
-    if (args.l * args.j) % 2 == 0:
+    if even:
         try:
             coeffs, residuals = sums.fit_main_term(args.l, args.j, points)
         except FitError as exc:

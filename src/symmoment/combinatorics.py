@@ -12,9 +12,9 @@ polynomial convolution (`coeffs_bruteforce`, the oracle) and an
 inclusion-exclusion binomial sum (`coeffs_closed_form`); `weights` is the
 one first-difference function. `check_coeffs` certifies a vector against
 the closed form and the structure above and raises ConsistencyError where
-it fails, so a caller only ever sees certified values. All arithmetic is
-arbitrary-precision integer; the values overflow 32-bit words already at
-l = j = 8.
+it fails, so a caller only ever sees certified values, and `check_pair`
+is the one rule for a pair (l, j). Integers are arbitrary precision: the
+values overflow 32-bit words already at l = j = 8.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .errors import CapacityError, ConsistencyError
 LJ_CAP = 64
 
 
-def _check_pair(l: int, j: int) -> None:
+def check_pair(l: int, j: int) -> None:
+    """ValueError unless l and j are positive; CapacityError past LJ_CAP."""
     if l < 1 or j < 1:
         raise ValueError(f"l and j must be positive integers, got l={l}, j={j}")
     if l * j > LJ_CAP:
@@ -53,7 +54,7 @@ def coeffs_bruteforce(l: int, j: int) -> tuple[int, ...]:
     This is the counting oracle: each convolution step is a direct
     enumeration of one more summand in [0, j].
     """
-    _check_pair(l, j)
+    check_pair(l, j)
     values = [1]
     for _ in range(l):
         out = [0] * (len(values) + j)
@@ -69,7 +70,7 @@ def coeffs_closed_form(l: int, j: int) -> tuple[int, ...]:
 
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
     """
-    _check_pair(l, j)
+    check_pair(l, j)
     values = []
     for m in range(l * j + 1):
         acc = 0

@@ -14,7 +14,7 @@ uses the single weight 1 at top j, raised to the l-th power coefficientwise.
 `symbolic.T`, for the same recurrence over Z[t], where every division in
 Newton's identities must be exact. `correction_series` returns the float
 X^1 cancellation as computed; `correction_series_sym` certifies it as a
-polynomial identity. The series hold values only: `cli` writes every label.
+polynomial identity. `check` owns the (l, j, A) rule; `cli` writes every label.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def degree(l: int, j: int) -> int:
     return total
 
 
-def _check(l: int, j: int, A: int) -> None:
-    if l < 1 or j < 1:
-        raise ValueError(f"l and j must be positive, got l={l}, j={j}")
+def check(l: int, j: int, A: int) -> None:
+    """`combinatorics.check_pair`, then 0 <= A <= ORDER_CAP."""
+    combinatorics.check_pair(l, j)
     if A < 0:
         raise ValueError(f"series order must be nonnegative, got {A}")
     if A > ORDER_CAP:
@@ -75,7 +75,7 @@ def lhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     t is a float in the Deligne interval, or `symbolic.T` for coefficients
     in Z[t].
     """
-    _check(l, j, A)
+    check(l, j, A)
     t = t if t is T else deligne_t(t)
     # lam_sym^j(p^a) for a = 0..A is one expansion at the single weight 1
     return LocalFactorSeries(tuple(h**l for h in local_expansion((1,), j, t, A)))
@@ -83,7 +83,7 @@ def lhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
 
 def rhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Factored side, expanded from the weights' power sums; t as in `lhs_local`."""
-    _check(l, j, A)
+    check(l, j, A)
     t = t if t is T else deligne_t(t)
     w = combinatorics.weights(l, j)
     return LocalFactorSeries(tuple(local_expansion(w, l * j, t, A)))

@@ -71,8 +71,7 @@ def exponent_report(l: int, j: int) -> ExponentReport:
     identity or an ordering invariant fails, or if theta does not improve
     on the pair's entry in PREVIOUS_EXPONENTS: a defect here, not bad input.
     """
-    if l < 1 or j < 1:
-        raise ValueError(f"l and j must be positive, got ({l}, {j})")
+    combinatorics.check_pair(l, j)
     lj = l * j
     if lj < 4:
         raise ValueError(f"l*j = {lj} below supported minimum 4")

@@ -377,8 +377,8 @@ def primes_up_to(N: int) -> list:
     return _primes(largest_prime_factors(max(N, 1))).tolist()
 
 
-def sym_coeff_sieve(j: int, N: int, form: EigenformTable) -> list:
-    """lam_sym^j(n) for n = 0..N by multiplicative extension (index 0 unused).
+def sym_coeff_sieve(j: int, form: EigenformTable) -> list:
+    """lam_sym^j(n) for n = 0..N = form.limit, multiplicatively (index 0 unused).
 
     Each n splits as rest * P, where P is the full power of the largest
     prime factor of n that divides it, so rest holds only smaller primes.
@@ -388,9 +388,7 @@ def sym_coeff_sieve(j: int, N: int, form: EigenformTable) -> list:
     order of a factorization loop and with the same floats.
     """
     _check_power(j, 0)
-    if form.limit < N:
-        raise ValueError(f"form table limit {form.limit} < N={N}")
-    _check_limit(N)
+    N = form.limit
     rest, power, primes = _split_largest_prime_power(N)
     fP = _prime_power_values(j, N, primes, form)[power]
     del power

@@ -2,12 +2,12 @@
 
 The even-case asymptotic has shape x Q(log x) + error, with deg Q one less
 than the central first-difference weight. At desk scale the error exponent
-is not recoverable, so this module only (a) computes S on a geometric
-checkpoint grid deterministically, (b) least-squares fits Q over the top
-half of the grid, and (c) reports the growth slope of the residuals with
-its standard error, as exploratory output. Each step returns plain tuples
-and takes the previous step's values with the (l, j) the caller already
-holds; `cli` alone labels them.
+is not recoverable, so this module only (a) computes S deterministically on
+a geometric checkpoint grid up to the table's limit, (b) least-squares fits
+Q over the top half of the grid, and (c) reports the growth slope of the
+residuals with its standard error, as exploratory output. Each step returns
+plain tuples and takes the previous step's values with the (l, j) the
+caller already holds; `cli` alone labels them.
 """
 
 from __future__ import annotations
@@ -32,24 +32,22 @@ def checkpoint_grid(N: int) -> list:
     return sorted(xs)
 
 
-def partial_sum(l: int, j: int, N: int, form: EigenformTable) -> tuple:
-    """((x, S(x)), ...) ascending over `checkpoint_grid(N)`, from one
-    deterministic pass with compensated accumulation.
+def partial_sum(l: int, j: int, form: EigenformTable) -> tuple:
+    """((x, S(x)), ...) ascending over `checkpoint_grid(form.limit)`, from
+    one deterministic pass with compensated accumulation.
 
     Raises ValueError when a term or a sum leaves the float range (l too
     large for the table's values), naming the checkpoint x it reached.
     """
     if l < 1:
         raise ValueError(f"l must be positive, got {l}")
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    lam = sym_coeff_sieve(j, N, form)
+    lam = sym_coeff_sieve(j, form)
     out = []
     total = 0.0
     comp = 0.0
     lo = 1
     try:
-        for x in checkpoint_grid(N):
+        for x in checkpoint_grid(form.limit):
             for v in lam[lo : x + 1]:
                 # Kahan step keeps the accumulation error near one ulp of the sum
                 y = v**l - comp

@@ -135,13 +135,15 @@ def smallest_prime_factors(N):
     return spf
 
 
-def naive_sym_coeff_sieve(j, N, form):
-    """lam_sym^j(n) for n = 0..N, factoring each n by its smallest primes.
+def naive_sym_coeff_sieve(j, form):
+    """lam_sym^j(n) for n = 0..N = form.limit, factoring each n by its
+    smallest primes.
 
     val = ((f(p1^a1) f(p2^a2)) ...) from the smallest prime up, each
     f(p^a) one scalar `sym_prime_power` call at t = a(p) / p^((k-1)/2)
     from `form.raw`, memoized per (p, a).
     """
+    N = form.limit
     spf = smallest_prime_factors(N)
     raw, e = form.raw, (form.weight - 1) / 2
     memo = {}

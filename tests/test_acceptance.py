@@ -191,7 +191,7 @@ def test_criterion_09_partial_sum_properties(delta_1e5):
     N = 100_000
 
     start = time.perf_counter()
-    points = sums.partial_sum(2, 2, N, delta_1e5)
+    points = sums.partial_sum(2, 2, delta_1e5)
     coeffs, _ = sums.fit_main_term(2, 2, points)
     elapsed = time.perf_counter() - start
     assert elapsed <= 120.0
@@ -202,7 +202,7 @@ def test_criterion_09_partial_sum_properties(delta_1e5):
 
     for l, j in ((1, 5), (3, 3)):
         start = time.perf_counter()
-        odd = sums.partial_sum(l, j, N, delta_1e5)
+        odd = sums.partial_sum(l, j, delta_1e5)
         elapsed = time.perf_counter() - start
         assert elapsed <= 120.0, (l, j)
         s_final = odd[-1][1]

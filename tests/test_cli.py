@@ -216,16 +216,30 @@ def test_euler_large_prime_p_hits_the_cap_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
-@pytest.mark.parametrize("mode", ["--exact", "--p 2"])
-def test_euler_order_above_the_cap_exits_4_at_once(capsys, tmp_path, mode):
-    # (8, 8) at order 24 ran for over 20 s; float mode reads no table first
-    order = euler.ORDER_CAP + 1
+ORDER = euler.ORDER_CAP + 1
+SERIES_CAP = f"series order {ORDER} exceeds limit {euler.ORDER_CAP}"
+BAD_PAIR = "l and j must be positive integers, got l=0, j=2"
+
+# (argv, exit code, message), each rejected before any table is read: exact
+# (8, 8) at order 24 ran for over 20 s, and a table to p = 999983 takes
+# seconds to build and 32 MB to cache
+REJECTED = [
+    (f"euler --l 8 --j 8 --exact --order {ORDER}", 4, SERIES_CAP),
+    (f"euler --l 8 --j 8 --p 2 --order {ORDER}", 4, SERIES_CAP),
+    ("euler --l 0 --j 2 --p 999983", 2, BAD_PAIR),
+    ("euler --l 65 --j 1 --p 97", 4, "l*j = 65 exceeds the size cap 64"),
+    ("partial-sum --l 2 --j 40 --limit 1000000", 4, "l*j = 80 exceeds the size cap 64"),
+    ("partial-sum --l 999 --j 4 --limit 1000", 4, "l*j = 3996 exceeds the size cap 64"),
+    ("partial-sum --l 0 --j 2 --limit 100", 2, BAD_PAIR),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_err", REJECTED, ids=[c[0] for c in REJECTED])
+def test_rejected_arguments_exit_before_any_table(capsys, tmp_path, argv, want_code, want_err):
     start = time.perf_counter()
-    code, out, err = run(
-        capsys, f"euler --l 8 --j 8 {mode} --order {order} --cache-dir {tmp_path}"
-    )
-    assert code == 4 and out == ""
-    assert f"--order {order} exceeds limit {euler.ORDER_CAP}" in err
+    code, out, err = run(capsys, f"{argv} --cache-dir {tmp_path}")
+    assert code == want_code and out == ""
+    assert err == f"error: {want_err}\n"
     assert time.perf_counter() - start < 1.0
     assert list(tmp_path.iterdir()) == []
 
@@ -404,8 +418,9 @@ def test_partial_sum_fit_past_the_size_cap_exits_4(capsys, tmp_path, fmt):
 
 
 def test_partial_sum_overflow_exits_2(capsys, tmp_path):
+    # odd l*j has no fit, so no cap stops the sum before it overflows
     code, out, err = run(
-        capsys, f"partial-sum --l 999 --j 4 --limit 1000 --cache-dir {tmp_path} --format json"
+        capsys, f"partial-sum --l 999 --j 3 --limit 1000 --cache-dir {tmp_path} --format json"
     )
     assert code == 2 and out == ""
     assert err.startswith("error: l out of range: S(") and err.endswith("at l=999\n")

@@ -298,31 +298,31 @@ def test_sym_prime_power_domain_errors():
 # sieve
 
 
-def test_sieve_j1_matches_table(delta_1e4):
-    lam = H.sym_coeff_sieve(1, 2000, delta_1e4)
+def test_sieve_j1_matches_table(table, delta_1e4):
+    lam = H.sym_coeff_sieve(1, table(2000))
     assert lam[1] == 1.0
     for n in range(1, 2001):
         assert abs(lam[n] - delta_1e4.lam(n)) < 1e-9
 
 
-def test_sieve_prime_values_are_a_p_to_the_j(delta_1e4):
+def test_sieve_prime_values_are_a_p_to_the_j(table, delta_1e4):
     # lam_sym^j(p) = lam_f(p^j), read off the table where p^j fits
-    lam = H.sym_coeff_sieve(3, 20, delta_1e4)
+    lam = H.sym_coeff_sieve(3, table(20))
     for p in (2, 3, 5, 7, 11, 13):
         if p**3 <= delta_1e4.limit:
             assert abs(lam[p] - delta_1e4.lam(p**3)) < 1e-9
 
 
-def test_sieve_multiplicative(delta_1e4):
-    lam = H.sym_coeff_sieve(2, 1000, delta_1e4)
+def test_sieve_multiplicative(table):
+    lam = H.sym_coeff_sieve(2, table(1000))
     for m, n in ((2, 3), (4, 9), (5, 8), (7, 9), (25, 4)):
         assert lam[m * n] == pytest.approx(lam[m] * lam[n], rel=1e-12, abs=1e-12)
 
 
-def test_sieve_sym2_divisor_identity(delta_1e6):
+def test_sieve_sym2_divisor_identity(table, delta_1e6):
     """lam_sym^2(n) = sum over d^2 | n of lam_f((n/d^2)^2), termwise."""
     N = 1000
-    lam = H.sym_coeff_sieve(2, N, delta_1e6)
+    lam = H.sym_coeff_sieve(2, table(N))
     for n in range(1, N + 1):
         want = 0.0
         d = 1
@@ -334,23 +334,18 @@ def test_sieve_sym2_divisor_identity(delta_1e6):
         assert abs(lam[n] - want) < 1e-9, n
 
 
-def test_sieve_requires_large_enough_table(delta_1e4):
-    with pytest.raises(ValueError):
-        H.sym_coeff_sieve(2, 20_000, delta_1e4)
-
-
 @pytest.mark.parametrize("j", range(1, 9))
-def test_sieve_matches_factorization_loop_exactly(j, delta_1e4):
+def test_sieve_matches_factorization_loop_exactly(j, table):
     # N = 1..4 have no or one prime below sqrt(N); 127, 128 = 2^7 and 129
     # straddle a power of two, where the order floor(log2 N) steps up
     for N in (1, 2, 3, 4, 127, 128, 129, 1000):
-        assert H.sym_coeff_sieve(j, N, delta_1e4) == naive_sym_coeff_sieve(j, N, delta_1e4)
+        assert H.sym_coeff_sieve(j, table(N)) == naive_sym_coeff_sieve(j, table(N))
 
 
 def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
-    N = H.HARD_CAP
-    lam = H.sym_coeff_sieve(2, N, delta_1e6)
-    want = naive_sym_coeff_sieve(2, N, delta_1e6)
+    assert delta_1e6.limit == H.HARD_CAP
+    lam = H.sym_coeff_sieve(2, delta_1e6)
+    want = naive_sym_coeff_sieve(2, delta_1e6)
     # seven distinct primes (the most below 10^6), 2^19, the largest prime,
     # and the last index
     for n in (510510, 524288, 999983, 999999):
@@ -359,10 +354,10 @@ def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
 
 
 @pytest.mark.parametrize("j", [0, -2])
-def test_sieve_rejects_j_below_one_at_every_n(j, delta_1e4):
+def test_sieve_rejects_j_below_one_at_every_n(j, table):
     for N in (1, 2, 50):
         with pytest.raises(ValueError, match="j must be positive"):
-            H.sym_coeff_sieve(j, N, delta_1e4)
+            H.sym_coeff_sieve(j, table(N))
 
 
 def test_sieve_rejects_t_outside_the_deligne_interval():
@@ -376,7 +371,7 @@ def test_sieve_rejects_t_outside_the_deligne_interval():
     message = f"t={re.escape(repr(t3))} outside the Deligne interval"
     for sieve in (H.sym_coeff_sieve, naive_sym_coeff_sieve):
         with pytest.raises(ValueError, match=message):
-            sieve(2, 10, form)
+            sieve(2, form)
 
 
 # ---------------------------------------------------------------------------

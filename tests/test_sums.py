@@ -7,8 +7,8 @@ from symmoment import cli, hecke, sums
 from symmoment.errors import FitError
 
 
-def test_trivial_series_N1(delta_1e4):
-    assert sums.partial_sum(1, 1, 1, delta_1e4) == ((1, 1.0),)
+def test_trivial_series_N1(table):
+    assert sums.partial_sum(1, 1, table(1)) == ((1, 1.0),)
 
 
 def test_checkpoint_grid_shape():
@@ -22,26 +22,26 @@ def test_checkpoint_grid_shape():
     assert len(small) < 24  # rounding collapses the early entries
 
 
-def test_partial_sum_matches_fsum_oracle(delta_1e4):
+def test_partial_sum_matches_fsum_oracle(table):
     # independent accumulation: math.fsum is exactly rounded
-    points = sums.partial_sum(2, 2, 2000, delta_1e4)
-    lam = hecke.sym_coeff_sieve(2, 2000, delta_1e4)
+    points = sums.partial_sum(2, 2, table(2000))
+    lam = hecke.sym_coeff_sieve(2, table(2000))
     for x, s in points:
         want = math.fsum(lam[n] ** 2 for n in range(1, x + 1))
         assert abs(s - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_second_moment_j1_against_normalized_table(delta_1e4):
-    points = sums.partial_sum(2, 1, 500, delta_1e4)
+def test_second_moment_j1_against_normalized_table(table, delta_1e4):
+    points = sums.partial_sum(2, 1, table(500))
     want = math.fsum(delta_1e4.lam(n) ** 2 for n in range(1, 501))
     assert points[-1] == (500, pytest.approx(want, rel=1e-9))
 
 
-def test_sym2_sum_against_divisor_identity(delta_1e4, delta_1e6):
+def test_sym2_sum_against_divisor_identity(table, delta_1e6):
     # sum_{n<=N} lam_sym^2(n) = sum_{d^2 m <= N} lam_f(m^2), checked
     # against the normalized level-1 table, which is an independent route
     N = 1000
-    points = sums.partial_sum(1, 2, N, delta_1e4)
+    points = sums.partial_sum(1, 2, table(N))
     terms = []
     d = 1
     while d * d <= N:
@@ -52,9 +52,9 @@ def test_sym2_sum_against_divisor_identity(delta_1e4, delta_1e6):
     assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
-def test_partial_sum_deterministic(delta_1e4):
-    a = sums.partial_sum(2, 2, 3000, delta_1e4)
-    b = sums.partial_sum(2, 2, 3000, delta_1e4)
+def test_partial_sum_deterministic(table):
+    a = sums.partial_sum(2, 2, table(3000))
+    b = sums.partial_sum(2, 2, table(3000))
     assert a == b  # bit-identical floats, not just approx
 
 
@@ -69,14 +69,14 @@ def test_default_fit_degree():
         sums.default_fit_degree(3, 3)
 
 
-def test_fit_degenerate_degree_rejected(delta_1e4):
-    points = sums.partial_sum(1, 2, 200, delta_1e4)
+def test_fit_degenerate_degree_rejected(table):
+    points = sums.partial_sum(1, 2, table(200))
     with pytest.raises(FitError, match="degree must be nonnegative, got -1"):
         sums.fit_main_term(1, 2, points)
 
 
-def test_fit_window_and_residual_identity(delta_1e4):
-    points = sums.partial_sum(2, 2, 5000, delta_1e4)
+def test_fit_window_and_residual_identity(table):
+    points = sums.partial_sum(2, 2, table(5000))
     q, residuals = sums.fit_main_term(2, 2, points)
     assert len(q) == 1  # degree 0
     assert len(residuals) == len(points)
@@ -86,23 +86,23 @@ def test_fit_window_and_residual_identity(delta_1e4):
         assert e == pytest.approx(s - main, abs=1e-9)
 
 
-def test_fit_constant_is_window_mean_ratio(delta_1e4):
+def test_fit_constant_is_window_mean_ratio(table):
     # degree 0 least squares collapses to the mean of S(x)/x on the window
-    points = sums.partial_sum(2, 2, 10_000, delta_1e4)
+    points = sums.partial_sum(2, 2, table(10_000))
     coeffs, _ = sums.fit_main_term(2, 2, points)
     ratios = [s / x for x, s in points[len(points) // 2 :]]
     assert coeffs[0] == pytest.approx(sum(ratios) / len(ratios), rel=1e-9)
 
 
-def test_fit_too_few_checkpoints(delta_1e4):
+def test_fit_too_few_checkpoints(table):
     # degree 14 needs 17 window points; N = 5 has a grid of 5
-    points = sums.partial_sum(6, 2, 5, delta_1e4)
+    points = sums.partial_sum(6, 2, table(5))
     with pytest.raises(FitError):
         sums.fit_main_term(6, 2, points)
 
 
-def test_fit_deterministic(delta_1e4):
-    points = sums.partial_sum(2, 2, 4000, delta_1e4)
+def test_fit_deterministic(table):
+    points = sums.partial_sum(2, 2, table(4000))
     assert sums.fit_main_term(2, 2, points) == sums.fit_main_term(2, 2, points)
 
 
@@ -116,8 +116,8 @@ def test_residual_exponent_recovers_synthetic_power_law():
     assert stderr <= 1e-9
 
 
-def test_residual_exponent_none_cases(delta_1e4):
-    points = sums.partial_sum(1, 3, 50, delta_1e4)
+def test_residual_exponent_none_cases(table):
+    points = sums.partial_sum(1, 3, table(50))
     assert sums.residual_exponent(points) is None  # below the size floor
     zero = ((100, 0.0), (200, 0.0), (300, 0.0))
     assert sums.residual_exponent(zero) is None  # no nonzero points
@@ -125,8 +125,8 @@ def test_residual_exponent_none_cases(delta_1e4):
     assert sums.residual_exponent(flat_x) is None  # zero log-x variance
 
 
-def test_residual_exponent_uses_fit_residuals(delta_1e4):
-    points = sums.partial_sum(2, 2, 5000, delta_1e4)
+def test_residual_exponent_uses_fit_residuals(table):
+    points = sums.partial_sum(2, 2, table(5000))
     _, residuals = sums.fit_main_term(2, 2, points)
     report = sums.residual_exponent(residuals)
     assert report is not None
@@ -139,15 +139,15 @@ def partial_sum_out(capsys, cache, l, j, N, fmt):
     return capsys.readouterr().out
 
 
-def test_series_to_csv_schema(capsys, tmp_path, delta_1e4):
+def test_series_to_csv_schema(capsys, tmp_path, table):
     # odd l*j has no fit
-    points = sums.partial_sum(1, 3, 1000, delta_1e4)
+    points = sums.partial_sum(1, 3, table(1000))
     bare = partial_sum_out(capsys, tmp_path, 1, 3, 1000, "csv")
     lines = bare.splitlines()
     assert lines[0] == "x,S,main_fit,residual"
     assert len(lines) == len(points) + 1
     assert all(line.endswith(",,") for line in lines[1:])
-    points = sums.partial_sum(2, 2, 1000, delta_1e4)
+    points = sums.partial_sum(2, 2, table(1000))
     full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv")
     last = full.splitlines()[-1].split(",")
     x, s = points[-1]
@@ -156,15 +156,15 @@ def test_series_to_csv_schema(capsys, tmp_path, delta_1e4):
     assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "csv") == full
 
 
-def test_series_to_json_schema(capsys, tmp_path, delta_1e4):
+def test_series_to_json_schema(capsys, tmp_path, table):
     # odd l*j has no fit, and N < 100 no residual slope
-    points = sums.partial_sum(1, 3, 99, delta_1e4)
+    points = sums.partial_sum(1, 3, table(99))
     doc = json.loads(partial_sum_out(capsys, tmp_path, 1, 3, 99, "json"))
     assert doc["l"] == 1 and doc["j"] == 3
     assert doc["weight"] == 12 and doc["limit"] == 99
     assert doc["fit"] is None and doc["residual_exponent"] is None
     assert doc["checkpoints"] == [[x, s] for x, s in points]
-    points = sums.partial_sum(2, 2, 1000, delta_1e4)
+    points = sums.partial_sum(2, 2, table(1000))
     coeffs, residuals = sums.fit_main_term(2, 2, points)
     slope, stderr, n = sums.residual_exponent(residuals)
     full = partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json")
@@ -175,20 +175,18 @@ def test_series_to_json_schema(capsys, tmp_path, delta_1e4):
     assert partial_sum_out(capsys, tmp_path, 2, 2, 1000, "json") == full
 
 
-def test_partial_sum_domain_errors(delta_1e4):
+def test_partial_sum_domain_errors(table):
     with pytest.raises(ValueError):
-        sums.partial_sum(0, 2, 100, delta_1e4)
-    with pytest.raises(ValueError):
-        sums.partial_sum(2, 2, 0, delta_1e4)
-    with pytest.raises(ValueError):
-        sums.partial_sum(2, 2, 20_000, delta_1e4)  # table too small
+        sums.partial_sum(0, 2, table(100))
+    with pytest.raises(ValueError, match="N must be positive"):
+        table(0)  # a table's size is checked where the table is made
 
 
-def test_partial_sum_out_of_float_range_is_a_domain_error(delta_1e4, monkeypatch):
+def test_partial_sum_out_of_float_range_is_a_domain_error(table, monkeypatch):
     # a term overflows: |lam_sym^4(n)|^999 is far past the largest float
     with pytest.raises(ValueError, match=r"l out of range: S\(\d+\) .* at l=999"):
-        sums.partial_sum(999, 4, 1000, delta_1e4)
+        sums.partial_sum(999, 4, table(1000))
     # every term is finite, but their sum is not
-    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, N, form: [0.0, 1e308, 1e308])
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0, 1e308, 1e308])
     with pytest.raises(ValueError, match=r"l out of range: S\(2\) .* at l=1"):
-        sums.partial_sum(1, 1, 2, delta_1e4)
+        sums.partial_sum(1, 1, table(2))
