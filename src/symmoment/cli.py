@@ -4,14 +4,14 @@ Subcommands map one-to-one onto the library modules; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. The library returns values and this module
 alone turns them into text: it names the d or e vector of `coeffs` and
-labels the `euler` series, `_print_csv` writes every CSV table (tau's a
-chunk of rows per write), and `_print_json` every JSON document, compact
-for tau and indented for the rest. A failed certificate raises in the
-library before anything prints, so the verdicts of `coeffs` and `identity`
-and the `improved` column of `exponents` print as the constant True.
-`sums` returns bare checkpoints, fit coefficients and residuals, and
-`partial-sum` labels them from its flags. The parser is built once per
-process; SYMMOMENT_CACHE is read on every `main` call.
+labels the `euler` series, `_print_csv` writes every CSV table but tau's,
+which `cmd_tau` writes in chunks of rows, and `_print_json` every JSON
+document, compact for tau and indented for the rest. A failed certificate
+raises in the library before anything prints, so the verdicts of `coeffs`
+and `identity` and the `improved` column of `exponents` print as the
+constant True. `sums` returns bare checkpoints, fit coefficients and
+residuals, and `partial-sum` labels them from its flags. The parser is
+built once per process; SYMMOMENT_CACHE is read on every `main` call.
 Only `tau`, `partial-sum` and float `euler` import `hecke` and `sums`, and
 with them numpy; `coeffs`, `identity`, `exponents` and `euler --exact` run
 on the exact core alone and never load it.
@@ -232,9 +232,9 @@ def cmd_euler(args) -> int:
         from . import hecke
 
         p = args.p
-        # the cap comes first, so that trial division stays below sqrt(HARD_CAP);
-        # p < 2 passes it here and is rejected as not prime
-        hecke._check_limit(max(p, 1))
+        # the table gate comes first, so that trial division stays below
+        # sqrt(HARD_CAP); p < 2 passes it here and is rejected as not prime
+        hecke.check_table(args.weight, max(p, 1))
         if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
             raise ValueError(f"--p must be prime, got {p}")
         form = hecke.cached_eigenform(args.weight, max(p, 16), args.cache_dir)
@@ -292,8 +292,9 @@ def cmd_partial_sum(args) -> int:
     from . import hecke, sums
 
     even = (args.l * args.j) % 2 == 0
-    if even:  # checks the pair and its cap before any table is read
-        sums.default_fit_degree(args.l, args.j)
+    # before any table is read; odd sums of positive l and j have no l*j cap
+    if even or min(args.l, args.j) < 1:
+        combinatorics.check_pair(args.l, args.j)
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     points = sums.partial_sum(args.l, args.j, form)
     coeffs = residuals = fit_note = None

@@ -37,17 +37,6 @@ def check_pair(l: int, j: int) -> None:
         raise CapacityError(f"l*j = {l * j} exceeds the size cap {LJ_CAP}")
 
 
-def _binom(n: int, r: int) -> int:
-    """Binomial coefficient with C(n, r) = 0 whenever n < r or r < 0.
-
-    In particular C(n, 0) = 1 only for n >= 0, which is what makes the
-    closed form degenerate correctly at l = 1.
-    """
-    if r < 0 or n < r:
-        return 0
-    return math.comb(n, r)
-
-
 def coeffs_bruteforce(l: int, j: int) -> tuple[int, ...]:
     """Coefficients of (1 + x + ... + x^j)^l by l-fold exact convolution.
 
@@ -69,13 +58,14 @@ def coeffs_closed_form(l: int, j: int) -> tuple[int, ...]:
     """Coefficients c_m by the inclusion-exclusion binomial sum.
 
     c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
+    Both binomials are ordinary: r <= lj/(j+1) < l, and m - r(j+1) >= 0.
     """
     check_pair(l, j)
     values = []
     for m in range(l * j + 1):
         acc = 0
         for r in range(m // (j + 1) + 1):
-            term = _binom(l, r) * _binom(m - r * (j + 1) + l - 1, l - 1)
+            term = math.comb(l, r) * math.comb(m - r * (j + 1) + l - 1, l - 1)
             acc += -term if r & 1 else term
         values.append(acc)
     return tuple(values)

@@ -2,19 +2,21 @@
 
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
-the sparse eta-cube series and one Eisenstein series. A table holds them
-as CRT digits, the bytes of its cache file, and is checked at every n
-against a congruence. Integers, and lam(n) = a(n)/n^((k-1)/2), are formed
-where they are read: at the primes, for the symmetric-power values at
-prime powers and a multiplicative sieve over n <= N.
+the sparse eta-cube series and the Eisenstein series in `_WEIGHTS`, the
+one record per weight. `check_table` gates every table request. A table
+holds a(n) as CRT digits, the bytes of its cache file, and built, loaded
+or made by hand it passes one certificate, `EigenformTable.check`.
+Integers, and lam(n) = a(n)/n^((k-1)/2), are formed where they are read:
+at the primes, for the symmetric-power values at prime powers and a
+multiplicative sieve over n <= N.
 
 The q-expansion is multi-modular. For each of a few primes, below 2^21 and
 small enough for N that exact convolution values stay within 2^50, each
 series product is one numpy float FFT product of balanced int64 residues,
 and Garner's CRT turns the residues into the digits. The number of primes
-comes from the Deligne bound, so the digits fix the integers exactly, and
-every FFT product checks its magnitude and rounding margin before it is
-used.
+comes from the Deligne bound, so the digits fix the integers exactly.
+`_convolve`, the one FFT product (the integer eta^6 squaring too), checks
+its magnitude before the transform and its rounding margin after it.
 """
 
 from __future__ import annotations
@@ -33,21 +35,29 @@ from .symbolic import deligne_t, local_expansion
 
 HARD_CAP = 1_000_000
 
-SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
+# weight k -> (m, (c, r) or None). m is the numerator of B_k / 2k: the
+# eigenform is congruent to E_k mod m, so a(n) = sigma_{k-1}(n) mod m for
+# every n (Swinnerton-Dyer 1973). The eigenform is Delta * E_{k-12}, and each
+# of these Eisenstein spaces is one-dimensional, E = 1 + c sum sigma_r(n) q^n
+_WEIGHTS = {
+    12: (691, None),
+    16: (3617, (240, 3)),
+    18: (43867, (-504, 5)),
+    20: (174611, (480, 7)),
+    22: (77683, (-264, 9)),
+    26: (657931, (-24, 13)),
+}
+SUPPORTED_WEIGHTS = tuple(_WEIGHTS)
 
 
-def _check_weight(weight: int) -> None:
-    if weight not in SUPPORTED_WEIGHTS:
-        raise ValueError(
-            f"weight {weight} not supported; choose from {SUPPORTED_WEIGHTS}"
-        )
-
-
-def _check_limit(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"N must be positive, got {n}")
-    if n > HARD_CAP:
-        raise CapacityError(f"N={n} exceeds limit {HARD_CAP}")
+def check_table(weight: int, N: int) -> None:
+    """ValueError for an unsupported weight or N < 1, CapacityError past HARD_CAP."""
+    if weight not in _WEIGHTS:
+        raise ValueError(f"weight {weight} not supported; choose from {SUPPORTED_WEIGHTS}")
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    if N > HARD_CAP:
+        raise CapacityError(f"N={N} exceeds limit {HARD_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +90,7 @@ def crt_primes(weight: int, N: int) -> tuple:
     while prod <= need:
         # a prime dividing the congruence modulus would hide the digits above
         # it from `EigenformTable.check`
-        if all(cand % q for q in small) and _CONGRUENCE[weight] % cand:
+        if all(cand % q for q in small) and _WEIGHTS[weight][0] % cand:
             primes.append(cand)
             prod *= cand
         cand -= 2
@@ -121,27 +131,35 @@ def _rounded(x):
     return r.astype(np.int64)
 
 
-def series_mul(a, b, n_out, p):
-    """Product of power series a*b mod p, truncated to n_out terms.
+def _convolve(x, y, n_out):
+    """The first n_out terms of the exact convolution of int64 arrays x and y.
 
-    a and b hold residues in [0, p), indexed by exponent, and are balanced
-    once. ConsistencyError is raised before any transform if max|a| max|b|
-    min(len a, len b), a bound on every exact convolution value, exceeds
+    ConsistencyError is raised before any transform if max|x| max|y|
+    min(len x, len y), a bound on every exact convolution value, exceeds
     2^50, and after it if a rounding distance reaches 0.25, instead of
-    returning a wrong residue (residues all (p-1)/2 at the bound read 0.5).
-    The product is one float FFT convolution: one rfft per distinct
-    operand, the spectra multiplied in place, one irfft. Returns n_out
-    int64 residues.
+    returning a wrong integer (residues all (p-1)/2 at the bound read 0.5).
+    One float FFT product: one rfft per distinct operand (y is x for a
+    squaring), the spectra multiplied in place, one irfft.
     """
-    x = _balanced(a[:n_out], p)
-    y = x if b is a else _balanced(b[:n_out], p)
     top = int(np.abs(x).max()) * int(np.abs(y).max()) * min(len(x), len(y))
     if top > 1 << 50:
-        raise ConsistencyError(f"convolution bound {top} exceeds 2^50 at p={p}")
+        raise ConsistencyError(f"convolution bound {top} exceeds 2^50")
     size = _fft_size(max(len(x) + len(y) - 1, n_out))
     f = np.fft.rfft(x, size)
     f *= f if y is x else np.fft.rfft(y, size)
-    out = _rounded(np.fft.irfft(f, size)[:n_out])
+    return _rounded(np.fft.irfft(f, size)[:n_out])
+
+
+def series_mul(a, b, n_out, p):
+    """Product of power series a*b mod p, truncated to n_out terms.
+
+    a and b hold residues in [0, p), indexed by exponent; each is balanced
+    once, `_convolve` multiplies them and the product is reduced mod p.
+    Returns n_out int64 residues.
+    """
+    x = _balanced(a[:n_out], p)
+    y = x if b is a else _balanced(b[:n_out], p)
+    out = _convolve(x, y, n_out)
     out %= p
     return out
 
@@ -150,17 +168,15 @@ def _eta_six(n_terms):
     """eta-tilde^6 over the integers, the first of the three squarings.
 
     eta-tilde^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) has about sqrt(2 n_terms)
-    terms, each below 2^12 at HARD_CAP, so its square stays below 2^34 and
-    one float FFT product is exact; this squaring is then shared by all
+    terms, each below 2^12 at HARD_CAP, so the bound `_convolve` checks is
+    about 8e12 there, far below 2^50; this squaring is then shared by all
     primes.
     """
     k = np.arange(math.isqrt(2 * n_terms) + 2, dtype=np.int64)
     k = k[k * (k + 1) // 2 < n_terms]
     eta3 = np.zeros(n_terms, dtype=np.int64)
     eta3[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
-    size = _fft_size(2 * n_terms - 1)
-    f = np.fft.rfft(eta3, size)
-    return _rounded(np.fft.irfft(f * f, size)[:n_terms])
+    return _convolve(eta3, eta3, n_terms)
 
 
 def _sigma_mod(power, n_terms, p):
@@ -182,17 +198,6 @@ def _sigma_mod(power, n_terms, p):
     return sig % p
 
 
-# weight -> (c, r): the eigenform is Delta * E_{weight-12}, and each of
-# these Eisenstein spaces is one-dimensional, E = 1 + c sum sigma_r(n) q^n
-_EISENSTEIN = {
-    16: (240, 3),
-    18: (-504, 5),
-    20: (480, 7),
-    22: (-264, 9),
-    26: (-24, 13),
-}
-
-
 def _eigenform_mod(weight, eta6, p):
     # a(n+1) mod p for n = 0..N-1, as eta^24 * E_{weight-12}; eta^24 is
     # eta^6 squared twice, and the q-shift is left to the caller
@@ -200,8 +205,8 @@ def _eigenform_mod(weight, eta6, p):
     s = eta6 % p
     for _ in range(2):
         s = series_mul(s, s, N, p)
-    if weight in _EISENSTEIN:
-        c, r = _EISENSTEIN[weight]
+    if _WEIGHTS[weight][1]:
+        c, r = _WEIGHTS[weight][1]
         e = _sigma_mod(r, N, p) * (c % p) % p
         e[0] = 1
         s = series_mul(s, e, N, p)
@@ -261,11 +266,6 @@ def _combine(primes, digits):
     return out
 
 
-# weight k -> the numerator m of B_k / 2k: the eigenform is congruent to
-# E_k mod m, so a(n) = sigma_{k-1}(n) mod m for every n (Swinnerton-Dyer 1973)
-_CONGRUENCE = {12: 691, 16: 3617, 18: 43867, 20: 174611, 22: 77683, 26: 657931}
-
-
 @dataclass(frozen=True, eq=False)
 class EigenformTable:
     """q-expansion of the normalized eigenform of one-dimensional weight.
@@ -292,12 +292,17 @@ class EigenformTable:
         return _lam(self, (n,))[0]
 
     def check(self) -> None:
-        """Raise ConsistencyError unless a(1) = 1 and, with m = _CONGRUENCE[k],
+        """Raise ConsistencyError unless, in this order, digit i of every a(n)
+        lies in [0, p_i), a(1) = 1 and, with m the modulus in `_WEIGHTS`,
         a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
+        primes = crt_primes(self.weight, self.limit)
+        for i, (row, p) in enumerate(zip(self.digits, primes)):
+            if row.min() < 0 or row.max() >= p:
+                n = np.flatnonzero((row < 0) | (row >= p))[0]
+                raise ConsistencyError(f"digit {i} of a({n}) outside [0, {p})")
         if self.lam(1) != 1.0:  # as floats, only the integer 1 is 1.0
             raise ConsistencyError("eigenform not normalized: a(1) != 1")
-        primes = crt_primes(self.weight, self.limit)
-        m = _CONGRUENCE[self.weight]
+        m = _WEIGHTS[self.weight][0]
         acc = _digits_mod(primes, self.digits, m)
         acc -= math.prod(primes) // 2 % m
         bad = np.flatnonzero(acc % m != _sigma_mod(self.weight - 1, self.limit + 1, m))
@@ -316,8 +321,7 @@ def _lam(form, ns):
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight."""
-    _check_weight(weight)
-    _check_limit(N)
+    check_table(weight, N)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
     residues = (np.concatenate(([0], _eigenform_mod(weight, eta6, p))) for p in primes)
@@ -472,13 +476,12 @@ def save_table(form: EigenformTable, cache_dir: str) -> str:
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back and check it; None when absent.
 
-    weight and N are checked first, as `eigenform_qexp` checks them. A file
-    that is not exactly the digit matrix, with each digit below its prime,
-    or fails `EigenformTable.check` raises ConsistencyError: stale caches
-    are a real failure mode, so they are not silently rebuilt.
+    `check_table` runs first, as in `eigenform_qexp`. A file whose length
+    is not that of the digit matrix, or whose digits fail
+    `EigenformTable.check`, raises ConsistencyError: stale caches are a
+    real failure mode, so they are not silently rebuilt.
     """
-    _check_weight(weight)
-    _check_limit(N)
+    check_table(weight, N)
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
@@ -489,10 +492,6 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
         if size != want:
             raise ConsistencyError(f"cache {path} has {size} bytes, expected {want}")
         digits = np.fromfile(fh, dtype="<i4").reshape(len(primes), N + 1)
-    for i, (row, p) in enumerate(zip(digits, primes)):
-        if row.min() < 0 or row.max() >= p:
-            n = np.flatnonzero((row < 0) | (row >= p))[0]
-            raise ConsistencyError(f"cache {path} digit {i} of a({n}) outside [0, {p})")
     form = EigenformTable(weight=weight, limit=N, digits=digits)
     form.check()
     return form

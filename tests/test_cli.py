@@ -231,6 +231,11 @@ REJECTED = [
     ("partial-sum --l 2 --j 40 --limit 1000000", 4, "l*j = 80 exceeds the size cap 64"),
     ("partial-sum --l 999 --j 4 --limit 1000", 4, "l*j = 3996 exceeds the size cap 64"),
     ("partial-sum --l 0 --j 2 --limit 100", 2, BAD_PAIR),
+    (
+        "partial-sum --l -1 --j 3 --limit 1000000",
+        2,
+        "l and j must be positive integers, got l=-1, j=3",
+    ),
 ]
 
 

@@ -59,6 +59,14 @@ def test_series_mul_rounding_guard_raises():
         H.series_mul(wide, wide, len(wide), p)
     reduced = residues(wide, p)
     H.series_mul(reduced, reduced, len(reduced), p)
+    # all-(q-1)/2 residues at the first weight-12 prime for N = 1e5 pass the
+    # bound, ((q-1)/2)^2 1e5 <= 2^50, but their convolution values land
+    # half-way between integers, and the rounding guard refuses them
+    q = H.crt_primes(12, 10**5)[0]
+    assert q == 212209 and ((q - 1) // 2) ** 2 * 10**5 <= 2**50
+    half = [(q - 1) // 2] * 10**5
+    with pytest.raises(ConsistencyError, match="FFT rounding distance"):
+        H.series_mul(half, half, len(half), q)
 
 
 def test_series_mul_magnitude_bound_raises():
@@ -85,7 +93,7 @@ def test_crt_primes_exceed_twice_the_deligne_bound():
                 assert N * ((q - 1) // 2) ** 2 <= 2**50, (N, q)
                 assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
             assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), (N, weight)
-            assert all(H._CONGRUENCE[weight] % q for q in primes), (N, weight)
+            assert all(H._WEIGHTS[weight][0] % q for q in primes), (N, weight)
 
 
 def test_delta_matches_product_oracle():
@@ -208,6 +216,18 @@ def test_check_sees_the_top_digit_row():
     digits[-1, n] += 1
     with pytest.raises(ConsistencyError, match=r"a\(10399\) != sigma_25"):
         H.EigenformTable(26, 10401, digits).check()
+
+
+def test_check_sees_a_digit_outside_its_prime():
+    # a digit equal to its prime still combines to an integer, which the
+    # congruence would flag as a wrong a(7); the range check runs first and
+    # names the digit, for a hand-made table as for a loaded one
+    primes = H.crt_primes(12, 100)
+    digits = H.eigenform_qexp(12, 100).digits.copy()
+    digits[1, 7] = primes[1]
+    want = rf"digit 1 of a\(7\) outside \[0, {primes[1]}\)"
+    with pytest.raises(ConsistencyError, match=want):
+        H.EigenformTable(12, 100, digits).check()
 
 
 def test_digits_combine_to_the_table():
