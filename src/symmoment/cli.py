@@ -291,10 +291,8 @@ def cmd_tau(args) -> int:
 def cmd_partial_sum(args) -> int:
     from . import hecke, sums
 
+    combinatorics.check_pair(args.l, args.j)
     even = (args.l * args.j) % 2 == 0
-    # before any table is read; odd sums of positive l and j have no l*j cap
-    if even or min(args.l, args.j) < 1:
-        combinatorics.check_pair(args.l, args.j)
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     points = sums.partial_sum(args.l, args.j, form)
     coeffs = residuals = fit_note = None

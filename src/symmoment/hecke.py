@@ -292,10 +292,14 @@ class EigenformTable:
         return _lam(self, (n,))[0]
 
     def check(self) -> None:
-        """Raise ConsistencyError unless, in this order, digit i of every a(n)
+        """Raise ConsistencyError unless, in this order, the digit matrix has
+        one row per CRT prime and limit + 1 columns, digit i of every a(n)
         lies in [0, p_i), a(1) = 1 and, with m the modulus in `_WEIGHTS`,
         a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
         primes = crt_primes(self.weight, self.limit)
+        want = (len(primes), self.limit + 1)
+        if self.digits.shape != want:
+            raise ConsistencyError(f"digits have shape {self.digits.shape}, expected {want}")
         for i, (row, p) in enumerate(zip(self.digits, primes)):
             if row.min() < 0 or row.max() >= p:
                 n = np.flatnonzero((row < 0) | (row >= p))[0]
@@ -498,9 +502,11 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
 
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:
-    """Load from cache when present, else compute and persist."""
+    """Load from cache when present, else compute and persist; an unusable
+    cache_dir fails before the table is built."""
     form = load_table(weight, N, cache_dir)
     if form is None:
+        os.makedirs(cache_dir, exist_ok=True)
         form = eigenform_qexp(weight, N)
         save_table(form, cache_dir)
     return form

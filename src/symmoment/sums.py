@@ -36,11 +36,11 @@ def partial_sum(l: int, j: int, form: EigenformTable) -> tuple:
     """((x, S(x)), ...) ascending over `checkpoint_grid(form.limit)`, from
     one deterministic pass with compensated accumulation.
 
-    Raises ValueError when a term or a sum leaves the float range (l too
-    large for the table's values), naming the checkpoint x it reached.
+    Past `combinatorics.check_pair`, a term is at most d(n)^(lj) <= 240^64,
+    about 1e152 at N <= 10^6 (Deligne), so the ValueError for a term or a sum
+    out of the float range, naming the checkpoint x, is a safety check.
     """
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
+    combinatorics.check_pair(l, j)
     lam = sym_coeff_sieve(j, form)
     out = []
     total = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import digits_of
-from symmoment import cli, combinatorics, euler, exponents, hecke, symbolic
+from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
 
 
 def run(capsys, argv):
@@ -230,6 +230,9 @@ REJECTED = [
     ("euler --l 65 --j 1 --p 97", 4, "l*j = 65 exceeds the size cap 64"),
     ("partial-sum --l 2 --j 40 --limit 1000000", 4, "l*j = 80 exceeds the size cap 64"),
     ("partial-sum --l 999 --j 4 --limit 1000", 4, "l*j = 3996 exceeds the size cap 64"),
+    ("partial-sum --l 999 --j 3 --limit 1000", 4, "l*j = 2997 exceeds the size cap 64"),
+    # the sieve's cost grows with j: about 9 s here past an uncapped pair rule
+    ("partial-sum --l 1 --j 1000001 --limit 100", 4, "l*j = 1000001 exceeds the size cap 64"),
     ("partial-sum --l 0 --j 2 --limit 100", 2, BAD_PAIR),
     (
         "partial-sum --l -1 --j 3 --limit 1000000",
@@ -246,6 +249,26 @@ def test_rejected_arguments_exit_before_any_table(capsys, tmp_path, argv, want_c
     assert code == want_code and out == ""
     assert err == f"error: {want_err}\n"
     assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
+
+
+PAIR_COMMANDS = [
+    "coeffs",
+    "identity",
+    "exponents",
+    "euler --exact",
+    "euler --p 97",
+    "partial-sum --limit 100",
+]
+
+
+@pytest.mark.parametrize("argv", PAIR_COMMANDS)
+def test_every_pair_command_takes_one_rule(capsys, tmp_path, monkeypatch, argv):
+    # combinatorics.check_pair is the one (l, j) rule, odd pairs included
+    monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path))
+    code, out, err = run(capsys, f"{argv} --l 13 --j 5")
+    assert code == 4 and out == ""
+    assert err == "error: l*j = 65 exceeds the size cap 64\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -384,6 +407,17 @@ def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", ["tau", "partial-sum --l 2 --j 2"])
+def test_cache_dir_that_is_a_file_exits_2_before_any_table(capsys, tmp_path, argv):
+    # the directory is made before the table is built, which takes seconds
+    (tmp_path / "F").write_text("")
+    start = time.perf_counter()
+    code, out, err = run(capsys, f"{argv} --limit 1000000 --cache-dir {tmp_path / 'F'}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 17] File exists")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
     # the parser is built once per process; the variable is read on every call
     for name in ("a", "b"):
@@ -422,13 +456,14 @@ def test_partial_sum_fit_past_the_size_cap_exits_4(capsys, tmp_path, fmt):
     assert err == "error: l*j = 80 exceeds the size cap 64\n"
 
 
-def test_partial_sum_overflow_exits_2(capsys, tmp_path):
-    # odd l*j has no fit, so no cap stops the sum before it overflows
+def test_partial_sum_overflow_exits_2(capsys, tmp_path, monkeypatch):
+    # no pair within the cap overflows, so the values are planted
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0] + [1e200] * form.limit)
     code, out, err = run(
-        capsys, f"partial-sum --l 999 --j 3 --limit 1000 --cache-dir {tmp_path} --format json"
+        capsys, f"partial-sum --l 2 --j 1 --limit 100 --cache-dir {tmp_path} --format json"
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: l out of range: S(") and err.endswith("at l=999\n")
+    assert err.startswith("error: l out of range: S(") and err.endswith("at l=2\n")
 
 
 def test_partial_sum_odd_has_no_fit_columns(capsys, tmp_path):

@@ -230,6 +230,25 @@ def test_check_sees_a_digit_outside_its_prime():
         H.EigenformTable(12, 100, digits).check()
 
 
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        lambda d: d[:, :500],
+        lambda d: np.pad(d, ((0, 0), (0, 10))),
+        lambda d: d[0],
+        lambda d: np.vstack([d, d[:1]]),
+    ],
+    ids=["short", "long", "flat", "extra-row"],
+)
+def test_check_sees_a_digit_matrix_of_the_wrong_shape(reshape):
+    # the shape is certified first, so neither a numpy broadcast or index
+    # error nor a misleading congruence failure answers a hand-made table
+    digits = reshape(H.eigenform_qexp(12, 1000).digits)
+    want = rf"digits have shape \({', '.join(map(str, digits.shape))},?\), expected"
+    with pytest.raises(ConsistencyError, match=want):
+        H.EigenformTable(12, 1000, digits).check()
+
+
 def test_digits_combine_to_the_table():
     tab = H.eigenform_qexp(26, 300)
     primes = H.crt_primes(26, 300)

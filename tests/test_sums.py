@@ -4,7 +4,7 @@ import math
 import pytest
 
 from symmoment import cli, hecke, sums
-from symmoment.errors import FitError
+from symmoment.errors import CapacityError, FitError
 
 
 def test_trivial_series_N1(table):
@@ -176,16 +176,20 @@ def test_series_to_json_schema(capsys, tmp_path, table):
 
 
 def test_partial_sum_domain_errors(table):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be positive integers"):
         sums.partial_sum(0, 2, table(100))
+    with pytest.raises(CapacityError, match=r"l\*j = 65 exceeds the size cap 64"):
+        sums.partial_sum(13, 5, table(100))
     with pytest.raises(ValueError, match="N must be positive"):
         table(0)  # a table's size is checked where the table is made
 
 
 def test_partial_sum_out_of_float_range_is_a_domain_error(table, monkeypatch):
-    # a term overflows: |lam_sym^4(n)|^999 is far past the largest float
-    with pytest.raises(ValueError, match=r"l out of range: S\(\d+\) .* at l=999"):
-        sums.partial_sum(999, 4, table(1000))
+    # no pair within the cap overflows, so the values are planted: a term
+    # overflows, 1e200^2 is far past the largest float
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0, 1e200, 1.0])
+    with pytest.raises(ValueError, match=r"l out of range: S\(1\) .* at l=2"):
+        sums.partial_sum(2, 1, table(2))
     # every term is finite, but their sum is not
     monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0, 1e308, 1e308])
     with pytest.raises(ValueError, match=r"l out of range: S\(2\) .* at l=1"):
