@@ -232,12 +232,13 @@ def cmd_euler(args) -> int:
         from . import hecke
 
         p = args.p
+        n = max(p, 16)
         # the table gate comes first, so that trial division stays below
         # sqrt(HARD_CAP); p < 2 passes it here and is rejected as not prime
-        hecke.check_table(args.weight, max(p, 1))
+        hecke.check_table(args.weight, n)
         if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
             raise ValueError(f"--p must be prime, got {p}")
-        form = hecke.cached_eigenform(args.weight, max(p, 16), args.cache_dir)
+        form = hecke.cached_eigenform(args.weight, n, args.cache_dir)
         t = form.lam(p)
         series = euler.correction_series(args.l, args.j, t, args.order)
         label = f"correction(l={args.l},j={args.j},t={t})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import CapacityError, ConsistencyError
-from .symbolic import ONE, ZERO, T, IntPolynomial, deligne_t, local_expansion
+from .symbolic import ZERO, T, deligne_t, local_expansion
 
 DEFAULT_ORDER = 6
 # exact mode grows about as A^4: every lj = 64 pair takes 4-6 s at order 16
@@ -39,8 +39,7 @@ class LocalFactorSeries:
 
     def __post_init__(self):
         lead = self.coeffs[0]
-        ok = lead == ONE if isinstance(lead, IntPolynomial) else abs(lead - 1.0) < 1e-12
-        if not ok:
+        if lead != lead**0:  # exactly 1.0, or the constant polynomial 1
             raise ConsistencyError(f"local factor not normalized: X^0 coefficient {lead}")
 
     def __getitem__(self, a):

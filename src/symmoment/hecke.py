@@ -4,8 +4,8 @@ Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
 the sparse eta-cube series and the Eisenstein series in `_WEIGHTS`, the
 one record per weight. `check_table` gates every table request. A table
-holds a(n) as CRT digits, the bytes of its cache file, and built, loaded
-or made by hand it passes one certificate, `EigenformTable.check`.
+holds a(n) as CRT digits, the bytes of its cache file; its constructor is
+the one certificate, so every table, built, loaded or made by hand, passed it.
 Integers, and lam(n) = a(n)/n^((k-1)/2), are formed where they are read:
 at the primes, for the symmetric-power values at prime powers and a
 multiplicative sieve over n <= N.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul
@@ -89,7 +90,7 @@ def crt_primes(weight: int, N: int) -> tuple:
     cand = (ceil - 2) | 1  # the largest odd number below ceil
     while prod <= need:
         # a prime dividing the congruence modulus would hide the digits above
-        # it from `EigenformTable.check`
+        # it from the certificate in `EigenformTable`'s constructor
         if all(cand % q for q in small) and _WEIGHTS[weight][0] % cand:
             primes.append(cand)
             prod *= cand
@@ -273,7 +274,8 @@ class EigenformTable:
     `digits` is the (len(crt_primes(weight, limit)), limit + 1) int32
     matrix of `_garner` digits of a(0..limit), a(0) = 0. The digits are the
     only copy; exact integers are formed where they are read: all of them
-    by `raw`, the primes for the sieve, one column by `lam`.
+    by `raw`, the primes for the sieve, one column by `lam`; the
+    constructor certifies them first.
     """
 
     weight: int
@@ -291,7 +293,7 @@ class EigenformTable:
             raise IndexError(f"n={n} outside 1..{self.limit}")
         return _lam(self, (n,))[0]
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ConsistencyError unless, in this order, the digit matrix has
         one row per CRT prime and limit + 1 columns, digit i of every a(n)
         lies in [0, p_i), a(1) = 1 and, with m the modulus in `_WEIGHTS`,
@@ -329,9 +331,7 @@ def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
     residues = (np.concatenate(([0], _eigenform_mod(weight, eta6, p))) for p in primes)
-    form = EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
-    form.check()
-    return form
+    return EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +468,32 @@ def cache_path(cache_dir: str, weight: int, N: int) -> str:
 
 
 def save_table(form: EigenformTable, cache_dir: str) -> str:
-    """Write the table's digits to its cache file as little-endian int32."""
+    """Write the table's digits to its cache file as little-endian int32.
+
+    Each writer renames its own temp file, named by process and thread, into
+    place, so overlapping writers of one table cannot take each other's; a
+    failed write or rename removes it.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, form.weight, form.limit)
-    tmp = path + ".tmp"
-    form.digits.astype("<i4", copy=False).tofile(tmp)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        form.digits.astype("<i4", copy=False).tofile(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
-    """Read a cached table back and check it; None when absent.
+    """Read a cached table back; None when absent.
 
     `check_table` runs first, as in `eigenform_qexp`. A file whose length
-    is not that of the digit matrix, or whose digits fail
-    `EigenformTable.check`, raises ConsistencyError: stale caches are a
-    real failure mode, so they are not silently rebuilt.
+    is not that of the digit matrix, or whose digits fail the certificate
+    in `EigenformTable`'s constructor, raises ConsistencyError: stale caches
+    are a real failure mode, so they are not silently rebuilt.
     """
     check_table(weight, N)
     path = cache_path(cache_dir, weight, N)
@@ -496,9 +506,7 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
         if size != want:
             raise ConsistencyError(f"cache {path} has {size} bytes, expected {want}")
         digits = np.fromfile(fh, dtype="<i4").reshape(len(primes), N + 1)
-    form = EigenformTable(weight=weight, limit=N, digits=digits)
-    form.check()
-    return form
+    return EigenformTable(weight=weight, limit=N, digits=digits)
 
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:

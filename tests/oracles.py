@@ -8,7 +8,8 @@ instead of Newton's identities for symmetric-power values, the closed
 binomial form of the basis S_r instead of its recursion, and a
 factorization loop over a smallest-prime-factor sieve instead of the
 library's vectorized multiplicative sieve, and repeated division for the
-mixed-radix digits of a table instead of Garner's method.
+mixed-radix digits of a table instead of Garner's method. `write_cache`
+plants a table on disk without the library's writer, as a disk fault would.
 """
 
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from symmoment.hecke import crt_primes, sym_prime_power
+from symmoment.hecke import cache_path, crt_primes, sym_prime_power
 from symmoment.symbolic import ZERO, IntPolynomial
 
 
@@ -116,6 +117,14 @@ def digits_of(weight, raw):
         for i, p in enumerate(primes):
             x, digits[i, n] = divmod(x, p)
     return digits
+
+
+def write_cache(weight, raw, cache_dir):
+    """Write the digits of raw = a(0..N) as `<i4` to the cache file of the
+    weight-`weight` table to N, certified or not; returns the path."""
+    path = cache_path(cache_dir, weight, len(raw) - 1)
+    digits_of(weight, raw).astype("<i4").tofile(path)
+    return path
 
 
 def primes_below(n):

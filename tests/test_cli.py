@@ -1,11 +1,12 @@
 import json
+import os
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import digits_of
+from oracles import digits_of, write_cache
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
 
 
@@ -321,7 +322,7 @@ def test_tau_cache_a_99991_plus_one_exit_3(capsys, tmp_path, delta_1e5):
     # p = 2, 3, 5 and four products
     raw = list(delta_1e5.raw)
     raw[99991] += 1
-    hecke.save_table(hecke.EigenformTable(12, 100_000, digits_of(12, raw)), str(tmp_path))
+    write_cache(12, raw, tmp_path)
     code, out, err = run(capsys, f"tau --limit 100000 --cache-dir {tmp_path}")
     assert code == 3 and out == ""
     assert "a(99991) != sigma_11(99991) mod 691" in err
@@ -332,7 +333,7 @@ def test_tau_cache_a_p_plus_one_past_half_of_n_exit_3(capsys, tmp_path):
     # cannot see a(997)
     raw = list(hecke.eigenform_qexp(26, 1000).raw)
     raw[997] += 1
-    hecke.save_table(hecke.EigenformTable(26, 1000, digits_of(26, raw)), str(tmp_path))
+    write_cache(26, raw, tmp_path)
     code, out, err = run(capsys, f"tau --weight 26 --limit 1000 --cache-dir {tmp_path}")
     assert code == 3 and out == ""
     assert "a(997) != sigma_25(997) mod 657931" in err
@@ -405,6 +406,27 @@ def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path}")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cache_dir_holds_only_tables(capsys, tmp_path):
+    # each writer renames its own temp file into place, or removes it
+    runs = ("tau --limit 30", "partial-sum --l 2 --j 2 --limit 40", "euler --l 2 --j 2 --p 97")
+    for argv in runs:
+        code, _, _ = run(capsys, f"{argv} --cache-dir {tmp_path}")
+        assert code == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["tau_12_30.i32", "tau_12_40.i32", "tau_12_97.i32"]
+
+
+def test_tau_failed_cache_write_exit_2_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path}")
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", ["tau", "partial-sum --l 2 --j 2"])

@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import re
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from oracles import (
     naive_sym_coeff_sieve,
     smallest_prime_factors,
     sym_prime_power_gauss,
+    write_cache,
 )
 from symmoment import hecke as H
 from symmoment.errors import CapacityError, ConsistencyError
@@ -189,9 +192,11 @@ def test_multiplicativity_and_hecke_recursion_at_every_n(weight):
 
 
 def test_eigenform_congruence_check_passes(delta_1e6):
+    # every built table has passed the constructor's certificate; so does a
+    # table made by hand from the digits of a built one
     for weight in H.SUPPORTED_WEIGHTS:
-        H.eigenform_qexp(weight, 600).check()
-    delta_1e6.check()
+        H.eigenform_qexp(weight, 600)
+    H.EigenformTable(delta_1e6.weight, delta_1e6.limit, delta_1e6.digits)
 
 
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
@@ -202,7 +207,7 @@ def test_check_catches_one_changed_coefficient(weight):
     for n, message in ((599, r"a\(599\) != sigma_"), (1, "not normalized")):
         bumped = raw[:n] + [raw[n] + 1] + raw[n + 1 :]
         with pytest.raises(ConsistencyError, match=message):
-            H.EigenformTable(weight, 600, digits_of(weight, bumped)).check()
+            H.EigenformTable(weight, 600, digits_of(weight, bumped))
 
 
 def test_check_sees_the_top_digit_row():
@@ -215,7 +220,7 @@ def test_check_sees_the_top_digit_row():
     assert digits[-1, n] + 1 < primes[-1]
     digits[-1, n] += 1
     with pytest.raises(ConsistencyError, match=r"a\(10399\) != sigma_25"):
-        H.EigenformTable(26, 10401, digits).check()
+        H.EigenformTable(26, 10401, digits)
 
 
 def test_check_sees_a_digit_outside_its_prime():
@@ -227,7 +232,7 @@ def test_check_sees_a_digit_outside_its_prime():
     digits[1, 7] = primes[1]
     want = rf"digit 1 of a\(7\) outside \[0, {primes[1]}\)"
     with pytest.raises(ConsistencyError, match=want):
-        H.EigenformTable(12, 100, digits).check()
+        H.EigenformTable(12, 100, digits)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +251,7 @@ def test_check_sees_a_digit_matrix_of_the_wrong_shape(reshape):
     digits = reshape(H.eigenform_qexp(12, 1000).digits)
     want = rf"digits have shape \({', '.join(map(str, digits.shape))},?\), expected"
     with pytest.raises(ConsistencyError, match=want):
-        H.EigenformTable(12, 1000, digits).check()
+        H.EigenformTable(12, 1000, digits)
 
 
 def test_digits_combine_to_the_table():
@@ -399,14 +404,17 @@ def test_sieve_rejects_j_below_one_at_every_n(j, table):
             H.sym_coeff_sieve(j, table(N))
 
 
-def test_sieve_rejects_t_outside_the_deligne_interval():
+def test_sieve_rejects_t_outside_the_deligne_interval(table):
     # |a(p)| may reach 2 p^5.5 at weight 12: 841.8 at p = 3 and 88943.1 at
-    # p = 7, so t = 2.376 at 3 and -2.249 at 7; both sieves name the least
-    # prime's t
-    raw = (0, 1, 0, 1000, 0, 0, 0, -100_000, 0, 0, 0)
+    # p = 7. Moving a(3) by 2*691 and a(7) by -105*691 keeps a(n) =
+    # sigma_11(n) mod 691, so the table passes the certificate, but t = 3.88
+    # at 3 and -2.008 at 7; both sieves name the least prime's t
+    raw = list(table(10).raw)
+    raw[3] += 2 * 691
+    raw[7] -= 105 * 691
     form = H.EigenformTable(12, 10, digits_of(12, raw))
-    t3 = 1000 / 3**5.5
-    assert 2.3 < t3 < 2.4
+    t3 = raw[3] / 3**5.5
+    assert 3.8 < t3 < 3.9 and -2.01 < raw[7] / 7**5.5 < -2.0
     message = f"t={re.escape(repr(t3))} outside the Deligne interval"
     for sieve in (H.sym_coeff_sieve, naive_sym_coeff_sieve):
         with pytest.raises(ValueError, match=message):
@@ -479,14 +487,32 @@ def test_cache_rejects_corruption(tmp_path):
     cache = str(tmp_path)
     raw = list(H.eigenform_qexp(12, 60).raw)
     raw[6] -= 1  # breaks multiplicativity a(6) = a(2)a(3)
-    H.save_table(H.EigenformTable(12, 60, digits_of(12, raw)), cache)
+    write_cache(12, raw, cache)
     with pytest.raises(ConsistencyError, match=r"a\(6\) != sigma_11\(6\) mod 691"):
         H.load_table(12, 60, cache)
 
 
-def test_cached_eigenform_creates_then_reuses(tmp_path):
-    import os
+def test_overlapping_cache_writers_keep_their_own_temp_files(tmp_path, monkeypatch, table):
+    # every writer once used one `.tmp` name, so a second writer of the same
+    # table could rename it away between this writer's tofile and os.replace,
+    # whose rename then raised FileNotFoundError
+    cache, form = str(tmp_path), table(50)
+    replace = os.replace
 
+    def overlapped_replace(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        other = threading.Thread(target=H.save_table, args=(form, cache))
+        other.start()
+        other.join()
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", overlapped_replace)
+    H.save_table(form, cache)
+    assert os.listdir(cache) == ["tau_12_50.i32"]
+    assert H.load_table(12, 50, cache).raw == form.raw
+
+
+def test_cached_eigenform_creates_then_reuses(tmp_path):
     cache = str(tmp_path)
     tab1 = H.cached_eigenform(12, 80, cache)
     path = H.cache_path(cache, 12, 80)
