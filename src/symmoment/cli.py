@@ -148,7 +148,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_identity(args) -> int:
     lhs = verify_decomposition(args.l, args.j)
-    deg = euler.degree(args.l, args.j)
+    deg = lhs(2)  # S_r(2) = r + 1: the certified identity at t = 2 is the degree
     w = combinatorics.weights(args.l, args.j)
     if args.format == "json":
         _print_json(

@@ -46,19 +46,6 @@ class LocalFactorSeries:
         return self.coeffs[a]
 
 
-def degree(l: int, j: int) -> int:
-    """Degree of the factored product, certified equal to (j+1)^l."""
-    lj = l * j
-    w = combinatorics.weights(l, j)
-    total = sum(mult * (lj - 2 * m + 1) for m, mult in enumerate(w))
-    expected = (j + 1) ** l
-    if total != expected:
-        raise ConsistencyError(
-            f"degree mismatch at (l={l}, j={j}): sum {total} != {expected}"
-        )
-    return total
-
-
 def check(l: int, j: int, A: int) -> None:
     """`combinatorics.check_pair`, then 0 <= A <= ORDER_CAP."""
     combinatorics.check_pair(l, j)

@@ -3,9 +3,9 @@
 Exact integer coefficients a(n) for the unique normalized cusp eigenforms
 of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
 the sparse eta-cube series and the Eisenstein series in `_WEIGHTS`, the
-one record per weight. `check_table` gates every table request. A table
-holds a(n) as CRT digits, the bytes of its cache file; its constructor is
-the one certificate, so every table, built, loaded or made by hand, passed it.
+one record per weight. A table holds a(n) as CRT digits, the bytes of its
+cache file; every table, built, loaded or made by hand, passed the gate
+(`check_table`, run by `crt_primes`) and the certificate (its constructor).
 Integers, and lam(n) = a(n)/n^((k-1)/2), are formed where they are read:
 at the primes, for the symmetric-power values at prime powers and a
 multiplicative sieve over n <= N.
@@ -76,12 +76,14 @@ _CHUNK = 1 << 16
 def crt_primes(weight: int, N: int) -> tuple:
     """Primes below a ceiling, largest first, whose product exceeds 2B.
 
+    `check_table` runs first: every table path is gated here, once per (k, N).
     B = 2 N^(k/2) is the Deligne bound: |a(n)| <= d(n) n^((k-1)/2) with
     d(n) <= 2 sqrt(n), so every a(n) with n <= N lies in [-B, B], and a
     modulus above 2B gives each such integer its own balanced residue. The
     ceiling min(PRIME_CEIL, isqrt(2^52 // N)) keeps N ((q-1)/2)^2 <= 2^50,
     the bound `series_mul` checks for products of N balanced residues.
     """
+    check_table(weight, N)
     need = 2 * (2 * N ** (weight // 2))
     ceil = min(PRIME_CEIL, math.isqrt(2**52 // N))
     small = primes_up_to(math.isqrt(ceil))
@@ -275,7 +277,7 @@ class EigenformTable:
     matrix of `_garner` digits of a(0..limit), a(0) = 0. The digits are the
     only copy; exact integers are formed where they are read: all of them
     by `raw`, the primes for the sieve, one column by `lam`; the
-    constructor certifies them first.
+    constructor gates (weight, limit) and certifies the digits first.
     """
 
     weight: int
@@ -327,7 +329,6 @@ def _lam(form, ns):
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight."""
-    check_table(weight, N)
     primes = crt_primes(weight, N)
     eta6 = _eta_six(N)
     residues = (np.concatenate(([0], _eigenform_mod(weight, eta6, p))) for p in primes)
@@ -441,7 +442,7 @@ def _prime_power_values(j, N, primes, form):
     few below. The Deligne check and clamp are those of `symbolic.deligne_t`.
     """
     t = np.array(_lam(form, primes.tolist()))
-    for x in t[np.abs(t) > 2.0].tolist():
+    for x in t[~(np.abs(t) <= 2.0)].tolist():
         deligne_t(x)  # raises at the least prime whose t is past the slack
     np.clip(t, -2.0, 2.0, out=t)
     f = np.zeros(N + 1)
@@ -490,16 +491,15 @@ def save_table(form: EigenformTable, cache_dir: str) -> str:
 def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back; None when absent.
 
-    `check_table` runs first, as in `eigenform_qexp`. A file whose length
-    is not that of the digit matrix, or whose digits fail the certificate
-    in `EigenformTable`'s constructor, raises ConsistencyError: stale caches
+    `check_table` runs first, inside `crt_primes`. A file whose length is
+    not that of the digit matrix, or whose digits fail the certificate in
+    `EigenformTable`'s constructor, raises ConsistencyError: stale caches
     are a real failure mode, so they are not silently rebuilt.
     """
-    check_table(weight, N)
+    primes = crt_primes(weight, N)
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
-    primes = crt_primes(weight, N)
     want = 4 * len(primes) * (N + 1)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

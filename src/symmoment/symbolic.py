@@ -206,8 +206,9 @@ _T_MAX = 2.0 + 1e-6
 
 
 def deligne_t(t) -> float:
-    """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6."""
-    if abs(t) > _T_MAX:
+    """t as a float in [-2, 2]; ValueError beyond the rounding slack of 1e-6,
+    or for NaN."""
+    if not abs(t) <= _T_MAX:
         raise ValueError(f"t={t} outside the Deligne interval [-2, 2]")
     return max(-2.0, min(2.0, float(t)))
 
@@ -218,6 +219,9 @@ def deligne_t(t) -> float:
 
 def verify_decomposition(l: int, j: int) -> IntPolynomial:
     """S_j(t)^l over Z[t], certified equal to sum_m w_m S_{lj-2m}(t).
+
+    Its value at t = 2 is the degree (j+1)^l of the factored product: S_r(2)
+    = r + 1, so the identity there reads sum_m w_m (lj - 2m + 1) = (j+1)^l.
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.

@@ -78,7 +78,10 @@ def test_criterion_03_decomposition_identity():
 def test_criterion_04_degree_identity():
     for l in range(1, 9):
         for j in range(1, 9):
-            assert euler.degree(l, j) == (j + 1) ** l, (l, j)
+            assert verify_decomposition(l, j)(2) == (j + 1) ** l, (l, j)
+            w = combinatorics.weights(l, j)
+            degree = sum(wm * (l * j - 2 * m + 1) for m, wm in enumerate(w))
+            assert degree == (j + 1) ** l, (l, j)
 
 
 def test_criterion_05_table_reproduction():

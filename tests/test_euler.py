@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import chebyshev_s, sym_prime_power_gauss
+from symmoment import combinatorics
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment import symbolic as S
@@ -16,15 +17,22 @@ LJ_4_TO_12 = [
 ]
 
 
+def assert_degree(l, j, want):
+    # the certified decomposition at t = 2, and the weight sum it stands for
+    assert S.verify_decomposition(l, j)(2) == want
+    w = combinatorics.weights(l, j)
+    assert sum(wm * (l * j - 2 * m + 1) for m, wm in enumerate(w)) == want
+
+
 @pytest.mark.parametrize("l,j", [(l, j) for l in range(1, 9) for j in range(1, 9)])
 def test_degree_identity(l, j):
-    assert E.degree(l, j) == (j + 1) ** l
+    assert_degree(l, j, (j + 1) ** l)
 
 
 def test_degree_examples():
-    assert E.degree(2, 2) == 9
-    assert E.degree(3, 2) == 27
-    assert E.degree(3, 1) == 8
+    assert_degree(2, 2, 9)
+    assert_degree(3, 2, 27)
+    assert_degree(3, 1, 8)
 
 
 def test_lhs_basic_values():
@@ -46,8 +54,6 @@ def test_rhs_first_order_is_decomposition_value():
         rhs = E.rhs_local(l, j, t, 2)
         assert rhs[0] == 1.0
         # independent evaluation through the basis decomposition weights
-        from symmoment import combinatorics
-
         want = sum(
             w * chebyshev_s(l * j - 2 * m)(t)
             for m, w in enumerate(combinatorics.weights(l, j))
@@ -191,6 +197,13 @@ def test_domain_errors():
         E.rhs_local(2, 2, 2.7)
     with pytest.raises(ValueError):
         E.lhs_local(2, 2, 0.5, -1)
+
+
+@pytest.mark.parametrize("fn", [E.lhs_local, E.rhs_local, E.correction_series])
+def test_nan_t_is_rejected(fn):
+    # abs(nan) > 2 is False: a NaN must not pass the Deligne test as t = 2
+    with pytest.raises(ValueError, match="t=nan outside the Deligne interval"):
+        fn(2, 2, float("nan"), 3)
 
 
 def test_order_cap_raises_before_any_work():

@@ -271,13 +271,31 @@ def test_normalization():
             tab.lam(n)
 
 
-def test_domain_and_capacity_errors():
+def test_domain_and_capacity_errors(tmp_path):
     with pytest.raises(ValueError):
         H.eigenform_qexp(14, 100)
     with pytest.raises(ValueError):
         H.eigenform_qexp(12, 0)
     with pytest.raises(CapacityError):
         H.eigenform_qexp(12, H.HARD_CAP + 1)
+    with pytest.raises(ValueError):
+        H.load_table(14, 100, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "weight,N,error,message",
+    [
+        (13, 10, ValueError, "weight 13 not supported; choose from (12, 16, 18, 20, 22, 26)"),
+        (12, 0, ValueError, "N must be positive, got 0"),
+        (12, -3, ValueError, "N must be positive, got -3"),
+        (12, H.HARD_CAP + 1, CapacityError, "N=1000001 exceeds limit 1000000"),
+    ],
+    ids=["weight-13", "N-0", "N-minus-3", "past-cap"],
+)
+def test_hand_made_table_passes_the_gate(weight, N, error, message):
+    # crt_primes, the constructor's first call, runs check_table
+    with pytest.raises(error, match=re.escape(message)):
+        H.EigenformTable(weight, N, np.zeros((1, 1), dtype=np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +354,8 @@ def test_sym_prime_power_domain_errors():
         H.sym_prime_power(2, -1, 0.5)
     with pytest.raises(ValueError):
         H.sym_prime_power(2, 1, 2.5)
+    with pytest.raises(ValueError, match="t=nan outside the Deligne interval"):
+        H.sym_prime_power(2, 3, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +439,19 @@ def test_sieve_rejects_t_outside_the_deligne_interval(table):
     for sieve in (H.sym_coeff_sieve, naive_sym_coeff_sieve):
         with pytest.raises(ValueError, match=message):
             sieve(2, form)
+
+
+def test_sieve_rejects_a_nan_t(table, monkeypatch):
+    # abs(nan) > 2 is False, so the vector scan must name a NaN t too; a
+    # certified table holds integers, so the NaN is planted in _lam
+    real = H._lam
+
+    def nan_at_5(form, ns):
+        return [math.nan if n == 5 else x for n, x in zip(ns, real(form, ns))]
+
+    monkeypatch.setattr(H, "_lam", nan_at_5)
+    with pytest.raises(ValueError, match="t=nan outside the Deligne interval"):
+        H.sym_coeff_sieve(2, table(10))
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,17 @@ def test_decomposition_rational_sample():
         assert lhs_poly(t) == lhs
 
 
+@pytest.mark.parametrize("t", [2.0, 2.0 + 1e-7, -2.0 - 1e-7])
+def test_deligne_t_clamps_within_the_slack(t):
+    assert S.deligne_t(t) == math.copysign(2.0, t)
+
+
+@pytest.mark.parametrize("t", [float("nan"), 2.1, -3.0, float("inf")])
+def test_deligne_t_rejects_nan_and_values_past_the_slack(t):
+    with pytest.raises(ValueError, match=f"t={t} outside the Deligne interval"):
+        S.deligne_t(t)
+
+
 def test_decomposition_reads_the_engine(monkeypatch):
     # the certificate is the engine's X^1 coefficient: a wrong power sum at
     # top lj must break it
