@@ -183,17 +183,23 @@ def _eta_six(n_terms):
 
 
 def _sigma_mod(power, n_terms, p):
-    """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0).
+    """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0), as int32.
 
-    Each m = d*q with d <= q is visited once, from the row of d: one numpy
-    slice step per d <= sqrt(m), adding d^power + q^power (d^power once
-    when q = d).
+    m^power mod p comes by repeated squaring, over one period 0..p-1 tiled
+    when p < n_terms, since it depends only on m mod p. Each m = d*q with
+    d <= q is visited once, from the row of d: one numpy slice step per
+    d <= sqrt(m), adding d^power + q^power (d^power once when q = d). The
+    int32 sum at m holds at most d(m) residues, one more at a square until
+    its correction, and d(m) <= 240 for m <= HARD_CAP (odd, so <= 239, at a
+    square): for p < PRIME_CEIL it stays below 240 * 2^21 < 2^31.
     """
-    m = np.arange(n_terms, dtype=np.int64) % p
-    pw = m
-    for _ in range(power - 1):
-        pw = pw * m % p
-    sig = np.zeros(n_terms, dtype=np.int64)
+    pw = base = np.arange(min(n_terms, p), dtype=np.int64)
+    for bit in bin(power)[3:]:
+        pw = pw * pw % p
+        if bit == "1":
+            pw = pw * base % p
+    pw = np.resize(pw.astype(np.int32), n_terms)
+    sig = np.zeros(n_terms, dtype=np.int32)
     for d in range(1, math.isqrt(n_terms - 1) + 1):
         top = (n_terms - 1) // d
         sig[d * d :: d] += pw[d : top + 1] + pw[d]
@@ -210,7 +216,8 @@ def _eigenform_mod(weight, eta6, p):
         s = series_mul(s, s, N, p)
     if _WEIGHTS[weight][1]:
         c, r = _WEIGHTS[weight][1]
-        e = _sigma_mod(r, N, p) * (c % p) % p
+        # an np.int64 factor makes the product of the int32 sums int64
+        e = _sigma_mod(r, N, p) * np.int64(c % p) % p
         e[0] = 1
         s = series_mul(s, e, N, p)
     return s
@@ -236,12 +243,13 @@ def _garner(primes, residues, n):
 
 
 def _digits_mod(primes, digits, q):
-    # the integers whose mixed-radix digits are the columns of `digits`, mod q
-    acc = np.zeros(digits.shape[1], dtype=np.int64)
-    for d, p in zip(digits[::-1], primes[::-1]):
-        acc *= p
-        acc += d
-        acc %= q
+    """The integers whose mixed-radix digits are the columns of `digits`,
+    mod q, as one weighted sum: sum_i w_i d_i with w_i = p_0 ... p_{i-1}
+    mod q. With q and every digit below PRIME_CEIL and at most 17 rows
+    (weight 26 at HARD_CAP), the int64 sum stays below 17 * 2^42 < 2^47."""
+    w = np.array([math.prod(primes[:i]) % q for i in range(len(primes))], dtype=np.int64)
+    acc = np.einsum("i,ij->j", w, digits, dtype=np.int64)
+    acc %= q
     return acc
 
 
@@ -297,13 +305,16 @@ class EigenformTable:
 
     def __post_init__(self) -> None:
         """Raise ConsistencyError unless, in this order, the digit matrix has
-        one row per CRT prime and limit + 1 columns, digit i of every a(n)
-        lies in [0, p_i), a(1) = 1 and, with m the modulus in `_WEIGHTS`,
-        a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
+        one row per CRT prime and limit + 1 columns, dtype int32, digit i of
+        every a(n) lies in [0, p_i), a(1) = 1 and, with m the modulus in
+        `_WEIGHTS`, a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes
+        off the digits."""
         primes = crt_primes(self.weight, self.limit)
         want = (len(primes), self.limit + 1)
         if self.digits.shape != want:
             raise ConsistencyError(f"digits have shape {self.digits.shape}, expected {want}")
+        if self.digits.dtype != np.int32:
+            raise ConsistencyError(f"digits have dtype {self.digits.dtype}, expected int32")
         for i, (row, p) in enumerate(zip(self.digits, primes)):
             if row.min() < 0 or row.max() >= p:
                 n = np.flatnonzero((row < 0) | (row >= p))[0]
@@ -362,8 +373,9 @@ def largest_prime_factors(N: int) -> np.ndarray:
     The primes p <= sqrt(N), in ascending order, each overwrite the slice
     lpf[p::p], so the largest of them that divides n is what stays. A prime
     p above sqrt(N) divides only k p with k < sqrt(N), and is the largest
-    factor there, so one step per k writes the whole slice of such primes
-    at once.
+    factor there, so one scatter writes p at every such k p. Its int32
+    index and value arrays hold one entry per pair (k, p) with k p <= N;
+    every index is below N + 1 <= 2^31.
     """
     lpf = np.zeros(N + 1, dtype=np.int32)
     root = math.isqrt(N)
@@ -371,9 +383,14 @@ def largest_prime_factors(N: int) -> np.ndarray:
         if lpf[p] == 0:
             lpf[p::p] = p
     big = np.flatnonzero(lpf[root + 1 :] == 0).astype(np.int32) + np.int32(root + 1)
-    for k in range(1, N // (root + 1) + 1):
-        top = big[: np.searchsorted(big, N // k, "right")]
-        lpf[k * top] = top
+    # multiplier k takes big[:count[k - 1]], the primes with k p <= N
+    count = np.searchsorted(big, N // np.arange(1, N // (root + 1) + 1), "right")
+    k = np.repeat(np.arange(1, len(count) + 1, dtype=np.int32), count)
+    top = np.arange(len(k), dtype=np.int32)  # the position of p in big, then p
+    top -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+    top = big[top]
+    k *= top
+    lpf[k] = top
     return lpf
 
 

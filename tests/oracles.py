@@ -85,7 +85,9 @@ def naive_delta(N):
 
 
 def naive_sigma(power, n):
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
+    # divisors by trial division, as the pairs d, n // d with d <= sqrt(n)
+    pairs = [(d, n // d) for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sum(d**power + (e**power if e != d else 0) for d, e in pairs)
 
 
 def naive_eisenstein(weight, N):

@@ -69,7 +69,9 @@ partial-sum --l 2 --j 2 --limit 3000 *
 partial-sum --l 1 --j 3 --limit 3000 *
 partial-sum --l 1 --j 2 --limit 1000 *
 partial-sum --l 3 --j 2 --limit 2000 --weight 16
+partial-sum --l 1 --j 4 --limit 100000 --format json
 partial-sum --l 3 --j 3 --limit 100000 --format json
+partial-sum --l 4 --j 2 --limit 100000 --format json
 partial-sum --l 6 --j 2 --limit 100000 --format json
 partial-sum --l 0 --j 2 --limit 100
 partial-sum --l 2 --j 0 --limit 1

@@ -14,6 +14,7 @@ from oracles import (
     naive_delta,
     naive_eigenform,
     naive_series_mul,
+    naive_sigma,
     naive_sym_coeff_sieve,
     smallest_prime_factors,
     sym_prime_power_gauss,
@@ -97,6 +98,60 @@ def test_crt_primes_exceed_twice_the_deligne_bound():
                 assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
             assert math.prod(primes) > 2 * (2 * N ** (weight // 2)), (N, weight)
             assert all(H._WEIGHTS[weight][0] % q for q in primes), (N, weight)
+
+
+@pytest.mark.parametrize("p", (691, 657931, PRIMES[0]))
+def test_sigma_mod_against_divisor_sums(p):
+    # n_terms below, at and past p: past it the powers of one period 0..p-1
+    # are tiled, which the Eisenstein build reaches once N passes its CRT
+    # primes, near N = 165,000
+    rng = random.Random(p)
+    sizes = (1, 2, p - 1, p, p + 1, 3 * p + 2)
+    top = sizes[-1]
+    edges = [k * p + e for k in (1, 2, 3) for e in (-1, 0, 1)]
+    ns = sorted({*range(100), *edges, top - 1, *rng.sample(range(top), 30)})
+    for r in (3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 25):
+        full = H._sigma_mod(r, top, p)
+        assert full.dtype == np.int32
+        assert full[ns].tolist() == [naive_sigma(r, n) % p for n in ns], r
+        for n_terms in sizes[:-1]:
+            assert np.array_equal(H._sigma_mod(r, n_terms, p), full[:n_terms]), (r, n_terms)
+
+
+def test_digits_mod_against_combine():
+    # 4 to 17 rows, as many as weight 26 takes at HARD_CAP, with primes and
+    # digits up to just below PRIME_CEIL: random digits and all p_i - 1
+    rng = np.random.default_rng(5)
+    near_ceil = H.primes_up_to(H.PRIME_CEIL)[:-18:-1]
+    for rows in range(4, 18):
+        for primes in (near_ceil[:rows], PRIMES[:rows]):
+            radix = np.array(primes, dtype=np.int32)[:, None]
+            half = math.prod(primes) // 2
+            for digits in (
+                rng.integers(0, radix, (rows, 200), dtype=np.int32),
+                np.repeat(radix - 1, 200, axis=1),
+            ):
+                shifted = [v + half for v in H._combine(primes, digits)]
+                for q in (691, 657931, PRIMES[0]):
+                    got = H._digits_mod(primes, digits, q).tolist()
+                    assert got == [x % q for x in shifted], (rows, q)
+
+
+def test_overflow_bounds_of_the_digit_and_divisor_sums():
+    # _sigma_mod's int32 sum at n holds at most d(n) residues below
+    # PRIME_CEIL, one more at a square, whose d(n) is odd, until its
+    # correction; _digits_mod's int64 sum holds at most 17 products of two
+    # numbers below PRIME_CEIL
+    N = H.HARD_CAP
+    d = np.zeros(N + 1, dtype=np.int32)
+    for k in range(1, math.isqrt(N) + 1):
+        d[k * k :: k] += 2
+        d[k * k] -= 1
+    assert d.max() == 240 == d[720720] == naive_sigma(0, 720720)
+    assert 240 * H.PRIME_CEIL < 2**31
+    rows = [len(H.crt_primes(k, n)) for k in H.SUPPORTED_WEIGHTS for n in (1, 1025, 10**5, N)]
+    assert max(rows) == len(H.crt_primes(26, N)) == 17
+    assert 17 * H.PRIME_CEIL**2 < 2**47
 
 
 def test_delta_matches_product_oracle():
@@ -252,6 +307,16 @@ def test_check_sees_a_digit_matrix_of_the_wrong_shape(reshape):
     want = rf"digits have shape \({', '.join(map(str, digits.shape))},?\), expected"
     with pytest.raises(ConsistencyError, match=want):
         H.EigenformTable(12, 1000, digits)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint32, np.int16, object])
+def test_check_sees_digits_of_the_wrong_dtype(dtype):
+    # the dtype is certified with the shape, so neither a numpy casting error
+    # nor a range message about wrapped int16 digits answers a hand-made table
+    digits = H.eigenform_qexp(12, 100).digits.astype(dtype)
+    want = rf"digits have dtype {np.dtype(dtype)}, expected int32"
+    with pytest.raises(ConsistencyError, match=want):
+        H.EigenformTable(12, 100, digits)
 
 
 def test_digits_combine_to_the_table():
@@ -472,16 +537,17 @@ def test_smallest_prime_factors():
 
 
 def test_largest_prime_factors():
-    for N in (0, 1, 2, 3, 4, 48, 49, 50, 3000):
+    # the one scatter of the primes above sqrt(N) meets the slice sieve of
+    # those below it around N = k^2
+    top = 10**5
+    spf = smallest_prime_factors(top)
+    want = [0, 0]
+    for n in range(2, top + 1):
+        want.append(n if spf[n] == n else want[n // spf[n]])
+    squares = (4, 9, 49, 10000, 313**2)
+    for N in (0, 1, 3000, top, *(n + e for n in squares for e in (-1, 0, 1))):
         lpf = H.largest_prime_factors(N)
-        assert lpf.dtype == np.int32 and len(lpf) == N + 1
-        assert not lpf[:2].any()
-        spf = smallest_prime_factors(N)
-        for n in range(2, N + 1):
-            m = n
-            while spf[m] != m:
-                m //= spf[m]
-            assert lpf[n] == m, (N, n)
+        assert lpf.dtype == np.int32 and lpf.tolist() == want[: N + 1], N
 
 
 def test_satake_table(delta_1e4):
