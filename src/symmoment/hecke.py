@@ -216,8 +216,7 @@ def _eigenform_mod(weight, eta6, p):
         s = series_mul(s, s, N, p)
     if _WEIGHTS[weight][1]:
         c, r = _WEIGHTS[weight][1]
-        # an np.int64 factor makes the product of the int32 sums int64
-        e = _sigma_mod(r, N, p) * np.int64(c % p) % p
+        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
         e[0] = 1
         s = series_mul(s, e, N, p)
     return s
@@ -522,7 +521,10 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
         size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise ConsistencyError(f"cache {path} has {size} bytes, expected {want}")
-        digits = np.fromfile(fh, dtype="<i4").reshape(len(primes), N + 1)
+        # the file is little-endian; the certificate wants native int32,
+        # which costs a copy only on a big-endian host
+        digits = np.fromfile(fh, dtype="<i4").astype(np.int32, copy=False)
+    digits = digits.reshape(len(primes), N + 1)
     return EigenformTable(weight=weight, limit=N, digits=digits)
 
 

@@ -545,7 +545,7 @@ def test_largest_prime_factors():
     for n in range(2, top + 1):
         want.append(n if spf[n] == n else want[n // spf[n]])
     squares = (4, 9, 49, 10000, 313**2)
-    for N in (0, 1, 3000, top, *(n + e for n in squares for e in (-1, 0, 1))):
+    for N in (0, 1, 2, 3000, top, *(n + e for n in squares for e in (-1, 0, 1))):
         lpf = H.largest_prime_factors(N)
         assert lpf.dtype == np.int32 and lpf.tolist() == want[: N + 1], N
 
@@ -574,6 +574,7 @@ def test_cache_roundtrip(tmp_path):
         assert fh.read() == tab.digits.astype("<i4").tobytes()
     back = H.load_table(16, 120, cache)
     assert back is not None
+    assert back.digits.dtype == np.int32  # native, whatever the host's byte order
     assert back.raw == tab.raw
     assert back.weight == 16
 
