@@ -156,6 +156,12 @@ def test_exponents_pair_required_without_table(capsys):
     assert "need --l and --j" in err
 
 
+@pytest.mark.parametrize("argv", ["--l 2", "--j 2"])
+def test_exponents_table_refuses_a_pair(capsys, argv):
+    want = (2, "", "error: --table takes no --l or --j\n")
+    assert run(capsys, f"exponents --table {argv}") == want
+
+
 def test_euler_exact_text(capsys):
     code, out, _ = run(capsys, "euler --l 2 --j 2 --exact --order 2")
     assert code == 0
@@ -200,6 +206,11 @@ def test_euler_float_at_prime(capsys, tmp_path):
     assert coeffs[2] != 0.0
 
 
+def test_euler_float_defaults_to_p_2(capsys, tmp_path):
+    argv = f"euler --l 2 --j 2 --cache-dir {tmp_path} --format json"
+    assert run(capsys, argv) == run(capsys, argv.replace("--j 2", "--j 2 --p 2"))
+
+
 def test_euler_rejects_composite_p(capsys, tmp_path):
     # and p below 2, which passes the cap check that comes first
     for p in (6, 0, -7):
@@ -228,6 +239,7 @@ REJECTED = [
     (f"euler --l 8 --j 8 --exact --order {ORDER}", 4, SERIES_CAP),
     (f"euler --l 8 --j 8 --p 2 --order {ORDER}", 4, SERIES_CAP),
     ("euler --l 0 --j 2 --p 999983", 2, BAD_PAIR),
+    ("euler --l 2 --j 2 --exact --p 999983", 2, "--exact takes no --p"),
     ("euler --l 65 --j 1 --p 97", 4, "l*j = 65 exceeds the size cap 64"),
     ("partial-sum --l 2 --j 40 --limit 1000000", 4, "l*j = 80 exceeds the size cap 64"),
     ("partial-sum --l 999 --j 4 --limit 1000", 4, "l*j = 3996 exceeds the size cap 64"),

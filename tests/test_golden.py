@@ -11,6 +11,7 @@ partial-sum get `--cache-dir cache` unless they name a cache, so paths in
 messages are relative and do not depend on where the tests run.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -43,6 +44,7 @@ exponents --l 1 --j 22
 exponents
 exponents --l 1 --j 2
 exponents --l 65 --j 1
+exponents --table --l 2 --j 2
 euler --l 2 --j 2 --exact --order 4 *
 euler --l 3 --j 3 --exact --order 3 *
 euler --l 2 --j 2 --exact --order -1
@@ -55,6 +57,7 @@ euler --l 2 --j 2 --p 6
 euler --l 2 --j 2 --p 0
 euler --l 2 --j 2 --p -7
 euler --l 2 --j 2 --p 1000003
+euler --l 2 --j 2 --exact --p 2
 tau --limit 300 *
 tau --weight 16 --limit 100 *
 tau --weight 18 --limit 100 *
@@ -86,7 +89,7 @@ BAD_TABLE = ("bad", "tau_12_20.i32", bytes(24))
 def _cases():
     for line in COMMANDS.split("\n")[1:-1]:
         argv = line.split()
-        for fmt in ("text", "csv", "json") if argv[-1] == "*" else (None,):
+        for fmt in cli.FORMATS if argv[-1] == "*" else (None,):
             words = argv[:-1] + ["--format", fmt] if fmt else argv
             name = " ".join(words).replace("--", "").replace(" ", "_")
             if words[0] in ("euler", "tau", "partial-sum") and "--cache-dir" not in words:
@@ -128,6 +131,17 @@ def test_golden_record(name, workdir):
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+def test_every_subcommand_succeeds_in_every_format():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    covered = set()
+    for name, argv in CASES.items():
+        if (GOLDEN / f"{name}.txt").read_text().startswith("exit 0\n"):
+            args = parser.parse_args(argv)
+            covered.add((args.subcommand, args.format))
+    assert covered == {(cmd, fmt) for cmd in sub.choices for fmt in cli.FORMATS}
 
 
 if __name__ == "__main__":
