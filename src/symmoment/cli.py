@@ -13,7 +13,8 @@ before anything prints, so the verdicts of `coeffs` and `identity` and the
 `partial-sum` and float `euler` import `hecke` and `sums`, and with them
 numpy; `coeffs`, `identity`, `exponents` and `euler --exact` never do.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir, or
-`exponents --table` with --l or --j, or `euler --exact` with --p), 3
+`exponents --table` with --l or --j, or `euler --exact` with --p or
+--weight), 3
 internal consistency failure, 4 capacity cap exceeded. Every pair, cap and
 order check runs before any table is read.
 """
@@ -41,10 +42,9 @@ def _add_pair(sub, required=True):
     sub.add_argument("--j", type=int, required=required, help="symmetric power j")
 
 
-def _add_form_opts(sub, limit=True):
+def _add_form_opts(sub):
     sub.add_argument("--weight", type=int, default=12, help="eigenform weight")
-    if limit:
-        sub.add_argument("--limit", type=int, default=DEFAULT_N, help="table size N")
+    sub.add_argument("--limit", type=int, default=DEFAULT_N, help="table size N")
     # None stands for SYMMOMENT_CACHE or ./cache, which main reads per call
     sub.add_argument("--cache-dir", help="q-expansion cache directory")
 
@@ -79,8 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"series order A, 0 <= A <= {euler.ORDER_CAP}",
     )
     p.add_argument("--exact", action="store_true", help="exact polynomial mode")
-    # float mode sizes its table from --p, so euler takes no --limit
-    _add_form_opts(p, limit=False)
+    # float mode sizes its table from --p, so euler takes no --limit, and
+    # --weight is None so that --exact can refuse it too; float mode uses 12
+    p.add_argument("--weight", type=int, help="eigenform weight")
+    # exact mode reads no cache, but takes --cache-dir so one command line serves both modes
+    p.add_argument("--cache-dir", help="q-expansion cache directory")
 
     p = sub.add_parser("tau", help="eigenform q-expansion table")
     _add_form_opts(p)
@@ -208,6 +211,8 @@ def cmd_exponents(args) -> int:
 def cmd_euler(args) -> int:
     if args.exact and args.p is not None:
         raise ValueError("--exact takes no --p")
+    if args.exact and args.weight is not None:
+        raise ValueError("--exact takes no --weight")
     # before the float branch reads a table, so a rejected run stops at once
     euler.check(args.l, args.j, args.order)
     if args.exact:
@@ -220,13 +225,14 @@ def cmd_euler(args) -> int:
         from . import hecke
 
         p = 2 if args.p is None else args.p
+        weight = 12 if args.weight is None else args.weight
         n = max(p, 16)
         # the table gate comes first, so that trial division stays below
         # sqrt(HARD_CAP); p < 2 passes it here and is rejected as not prime
-        hecke.check_table(args.weight, n)
+        hecke.check_table(weight, n)
         if not (p >= 2 and all(p % q for q in hecke.primes_up_to(math.isqrt(p)))):
             raise ValueError(f"--p must be prime, got {p}")
-        form = hecke.cached_eigenform(args.weight, n, args.cache_dir)
+        form = hecke.cached_eigenform(weight, n, args.cache_dir)
         t = form.lam(p)
         series = euler.correction_series(args.l, args.j, t, args.order)
         label = f"correction(l={args.l},j={args.j},t={t})"

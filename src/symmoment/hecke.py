@@ -31,6 +31,7 @@ from operator import add, mul
 
 import numpy as np
 
+from .combinatorics import check_pair
 from .errors import CapacityError, ConsistencyError
 from .symbolic import deligne_t, local_expansion
 
@@ -353,35 +354,39 @@ def sym_prime_power(j: int, a: int, t: float) -> float:
     """lam_sym^j(p^a) given t = lam_f(p).
 
     This is h_a of the roots alpha^(j-2m), m = 0..j: `symbolic.local_expansion`
-    with the single weight 1 at top = j, in real doubles.
+    with the single weight 1 at top = j, in real doubles. j must pass
+    `combinatorics.check_pair(1, j)`.
     """
-    _check_power(j, a)
+    check_pair(1, j)
+    if a < 0:
+        raise ValueError(f"a must be nonnegative, got {a}")
     return local_expansion((1,), j, deligne_t(t), a)[a]
 
 
-def _check_power(j: int, a: int) -> None:
-    if j < 1:
-        raise ValueError(f"j must be positive, got {j}")
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+def largest_prime_powers(N: int) -> tuple:
+    """(P, primes), both int32: P[n] is the full power of the largest prime
+    factor of n that divides n (P[0] = 0, P[1] = 1), primes the primes <= N.
 
-
-def largest_prime_factors(N: int) -> np.ndarray:
-    """lpf[n] = largest prime factor of n as int32 (lpf[0] = lpf[1] = 0).
-
-    The primes p <= sqrt(N), in ascending order, each overwrite the slice
-    lpf[p::p], so the largest of them that divides n is what stays. A prime
-    p above sqrt(N) divides only k p with k < sqrt(N), and is the largest
-    factor there, so one scatter writes p at every such k p. Its int32
+    Each prime p <= sqrt(N), in ascending order, writes q over the slice
+    P[q::q] for q = p, p^2, ... <= N, so at n what stays is the largest
+    power of the largest of them that divides n. A prime p above sqrt(N)
+    divides only k p with k < sqrt(N) < p, and is the largest factor there
+    with exponent 1, so one scatter writes p at every such k p. Its int32
     index and value arrays hold one entry per pair (k, p) with k p <= N;
     every index is below N + 1 <= 2^31.
     """
-    lpf = np.zeros(N + 1, dtype=np.int32)
+    P = np.zeros(N + 1, dtype=np.int32)
+    P[1:2] = 1  # a slice, since N may be 0
     root = math.isqrt(N)
+    small = []
     for p in range(2, root + 1):
-        if lpf[p] == 0:
-            lpf[p::p] = p
-    big = np.flatnonzero(lpf[root + 1 :] == 0).astype(np.int32) + np.int32(root + 1)
+        if P[p] == 0:
+            small.append(p)
+            q = p
+            while q <= N:
+                P[q::q] = q
+                q *= p
+    big = np.flatnonzero(P[root + 1 :] == 0).astype(np.int32) + np.int32(root + 1)
     # multiplier k takes big[:count[k - 1]], the primes with k p <= N
     count = np.searchsorted(big, N // np.arange(1, N // (root + 1) + 1), "right")
     k = np.repeat(np.arange(1, len(count) + 1, dtype=np.int32), count)
@@ -389,64 +394,35 @@ def largest_prime_factors(N: int) -> np.ndarray:
     top -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
     top = big[top]
     k *= top
-    lpf[k] = top
-    return lpf
-
-
-def _primes(lpf):
-    # n >= 2 is prime exactly when it is its own largest prime factor
-    return 2 + np.flatnonzero(lpf[2:] == np.arange(2, len(lpf), dtype=np.int32))
+    P[k] = top
+    return P, np.concatenate((np.array(small, dtype=np.int32), big))
 
 
 def primes_up_to(N: int) -> list:
-    return _primes(largest_prime_factors(max(N, 1))).tolist()
+    return largest_prime_powers(max(N, 1))[1].tolist()
 
 
 def sym_coeff_sieve(j: int, form: EigenformTable) -> list:
     """lam_sym^j(n) for n = 0..N = form.limit, multiplicatively (index 0 unused).
 
-    Each n splits as rest * P, where P is the full power of the largest
-    prime factor of n that divides it, so rest holds only smaller primes.
-    With f = `_prime_power_values`, out[n] = out[rest[n]] * f[P[n]] is
-    filled by one gather pass per distinct prime factor, so each product is
-    formed from the smallest prime up, ((f(p1^a1) f(p2^a2)) ...), in the
-    order of a factorization loop and with the same floats.
+    With P from `largest_prime_powers` and f from `_prime_power_values`,
+    out[n] = out[n // P[n]] * f[P[n]], where n // P[n] holds only primes
+    below that of P[n]. The blocks [lo, 2 lo) are filled for lo = 2, 4,
+    8, ..., each in one gather: n // P[n] <= n / 2 < lo, so every value it
+    reads is finished. Each product is thus formed from the smallest prime
+    up, ((f(p1^a1) f(p2^a2)) ...), in the order of a factorization loop
+    and with the same floats.
     """
-    _check_power(j, 0)
+    check_pair(1, j)
     N = form.limit
-    rest, power, primes = _split_largest_prime_power(N)
-    fP = _prime_power_values(j, N, primes, form)[power]
-    del power
-    # a number <= N has at most as many distinct primes as the largest
-    # primorial <= N
-    passes, primorial = 0, 1
-    for p in primes:
-        primorial *= int(p)
-        if primorial > N:
-            break
-        passes += 1
-    out = fP
-    for _ in range(passes - 1):
-        out = out[rest]
-        out *= fP
-    del rest, fP  # only out is left while the list is built
+    P, primes = largest_prime_powers(N)
+    out = _prime_power_values(j, N, primes, form)[P]
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        out[lo:hi] *= out[np.arange(lo, hi, dtype=np.int32) // P[lo:hi]]
+        lo *= 2
     return out.tolist()
-
-
-def _split_largest_prime_power(N):
-    """rest, P and the primes up to N, with n = rest[n] P[n] and P[n] the
-    full power of the largest prime factor of n (rest = P = n at 0 and 1)."""
-    lpf = largest_prime_factors(N)
-    primes = _primes(lpf)
-    n = np.arange(N + 1, dtype=np.int32)
-    rest = n.copy()
-    rest[2:] //= lpf[2:]
-    idx = 2 + np.flatnonzero(lpf[rest[2:]] == lpf[2:])
-    while idx.size:
-        rest[idx] //= lpf[idx]
-        idx = idx[lpf[rest[idx]] == lpf[idx]]
-    n[2:] //= rest[2:]
-    return rest, n, primes
 
 
 def _prime_power_values(j, N, primes, form):
@@ -468,7 +444,7 @@ def _prime_power_values(j, N, primes, form):
     small = primes[:s]
     q = small
     for h in local_expansion((1,), j, t[:s], N.bit_length() - 1)[1:]:
-        # p^a <= N holds for a prefix of the ascending primes
+        # p^a <= N holds for a prefix of the ascending primes; int32 q p <= N^1.5 < 2^31
         c = int(np.searchsorted(q, N, "right"))
         q = q[:c]
         f[q] = h[:c]

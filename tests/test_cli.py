@@ -240,6 +240,7 @@ REJECTED = [
     (f"euler --l 8 --j 8 --p 2 --order {ORDER}", 4, SERIES_CAP),
     ("euler --l 0 --j 2 --p 999983", 2, BAD_PAIR),
     ("euler --l 2 --j 2 --exact --p 999983", 2, "--exact takes no --p"),
+    ("euler --l 2 --j 2 --exact --weight 13", 2, "--exact takes no --weight"),
     ("euler --l 65 --j 1 --p 97", 4, "l*j = 65 exceeds the size cap 64"),
     ("partial-sum --l 2 --j 40 --limit 1000000", 4, "l*j = 80 exceeds the size cap 64"),
     ("partial-sum --l 999 --j 4 --limit 1000", 4, "l*j = 3996 exceeds the size cap 64"),

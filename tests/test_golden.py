@@ -58,6 +58,7 @@ euler --l 2 --j 2 --p 0
 euler --l 2 --j 2 --p -7
 euler --l 2 --j 2 --p 1000003
 euler --l 2 --j 2 --exact --p 2
+euler --l 2 --j 2 --exact --weight 13
 tau --limit 300 *
 tau --weight 16 --limit 100 *
 tau --weight 18 --limit 100 *

@@ -415,6 +415,8 @@ def test_sym_prime_power_divisor_style_bound():
 def test_sym_prime_power_domain_errors():
     with pytest.raises(ValueError):
         H.sym_prime_power(0, 1, 0.5)
+    with pytest.raises(CapacityError, match="l\\*j = 65 exceeds the size cap 64"):
+        H.sym_prime_power(65, 1, 0.5)
     with pytest.raises(ValueError):
         H.sym_prime_power(2, -1, 0.5)
     with pytest.raises(ValueError):
@@ -482,10 +484,15 @@ def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
     assert lam == want
 
 
-@pytest.mark.parametrize("j", [0, -2])
+@pytest.mark.parametrize("j", [0, -2, 65])
 def test_sieve_rejects_j_below_one_at_every_n(j, table):
+    # check_pair(1, j) is the sieve's one j rule, so it also caps j at 64
+    if j > 0:
+        error, message = CapacityError, r"l\*j = 65 exceeds the size cap 64"
+    else:
+        error, message = ValueError, "j must be positive"
     for N in (1, 2, 50):
-        with pytest.raises(ValueError, match="j must be positive"):
+        with pytest.raises(error, match=message):
             H.sym_coeff_sieve(j, table(N))
 
 
@@ -536,18 +543,23 @@ def test_smallest_prime_factors():
     assert spf[12] == 2 and spf[1] == 0
 
 
-def test_largest_prime_factors():
+def test_largest_prime_powers():
     # the one scatter of the primes above sqrt(N) meets the slice sieve of
-    # those below it around N = k^2
+    # the powers of those below it around N = k^2
     top = 10**5
     spf = smallest_prime_factors(top)
-    want = [0, 0]
+    want = [0, 1]
     for n in range(2, top + 1):
-        want.append(n if spf[n] == n else want[n // spf[n]])
+        p, m = spf[n], n
+        while m % p == 0:
+            m //= p
+        want.append(n // m if m == 1 else want[m])
     squares = (4, 9, 49, 10000, 313**2)
     for N in (0, 1, 2, 3000, top, *(n + e for n in squares for e in (-1, 0, 1))):
-        lpf = H.largest_prime_factors(N)
-        assert lpf.dtype == np.int32 and lpf.tolist() == want[: N + 1], N
+        P, primes = H.largest_prime_powers(N)
+        assert P.dtype == primes.dtype == np.int32, N
+        assert P.tolist() == want[: N + 1], N
+        assert primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n], N
 
 
 def test_satake_table(delta_1e4):
