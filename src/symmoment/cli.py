@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands map one-to-one onto the library modules; every run is
+Subcommands map one-to-one onto the library modules, and each subparser
+registers its handler as `run`, which `main` calls; every run is
 deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. The library returns values and this module
 alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
@@ -59,16 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("coeffs", help="composition-count vector and differences")
+    p.set_defaults(run=cmd_coeffs)
     _add_pair(p)
 
     p = sub.add_parser("identity", help="certify the basis decomposition and degree")
+    p.set_defaults(run=cmd_identity)
     _add_pair(p)
 
     p = sub.add_parser("exponents", help="error exponents; single pair or both tables")
+    p.set_defaults(run=cmd_exponents)
     _add_pair(p, required=False)
     p.add_argument("--table", action="store_true", help="emit the 14 comparison rows")
 
     p = sub.add_parser("euler", help="local factor correction series at a prime")
+    p.set_defaults(run=cmd_euler)
     _add_pair(p)
     # None so that --exact can refuse a --p given with it; float mode uses 2
     p.add_argument("--p", type=int, help="prime for the local factor")
@@ -86,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="q-expansion cache directory")
 
     p = sub.add_parser("tau", help="eigenform q-expansion table")
+    p.set_defaults(run=cmd_tau)
     _add_form_opts(p)
 
     p = sub.add_parser("partial-sum", help="checkpointed moment partial sums")
+    p.set_defaults(run=cmd_partial_sum)
     _add_pair(p)
     _add_form_opts(p)
 
@@ -125,9 +132,9 @@ def cmd_coeffs(args) -> int:
     doc = {
         "l": args.l,
         "j": args.j,
-        "c": list(c),
+        "c": c,
         "diff_kind": kind,
-        "diff": list(d),
+        "diff": d,
         "palindromic": True,
         "unimodal": True,
         "total": sum(c),
@@ -150,8 +157,8 @@ def cmd_identity(args) -> int:
         "j": args.j,
         "holds": True,
         "degree": deg,
-        "weights": list(w),
-        "lhs_coeffs": list(lhs.coeffs),
+        "weights": w,
+        "lhs_coeffs": lhs.coeffs,
     }
     rows = [(args.l, args.j, True, deg)]
 
@@ -164,9 +171,8 @@ def cmd_identity(args) -> int:
 
 
 def _report_row(report) -> dict:
-    """The exponents row schema; previous/improved refer to the stored baseline,
-    which `exponent_report` has already checked theta improves on."""
-    prev = exponents.PREVIOUS_EXPONENTS.get((report.l, report.j))
+    """The exponents row schema; previous/improved refer to the baseline
+    that `exponent_report` has already checked theta improves on."""
     return {
         "l": report.l,
         "j": report.j,
@@ -174,8 +180,8 @@ def _report_row(report) -> dict:
         "D": report.D,
         "theta": report.theta,
         "theta_star": report.theta_star,
-        "previous": f"{prev.numerator}/{prev.denominator}" if prev else None,
-        "improved": True if prev else None,
+        "previous": None if report.previous is None else str(report.previous),
+        "improved": None if report.previous is None else True,
     }
 
 
@@ -209,10 +215,9 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    if args.exact and args.p is not None:
-        raise ValueError("--exact takes no --p")
-    if args.exact and args.weight is not None:
-        raise ValueError("--exact takes no --weight")
+    for opt in ("p", "weight"):
+        if args.exact and getattr(args, opt) is not None:
+            raise ValueError(f"--exact takes no --{opt}")
     # before the float branch reads a table, so a rejected run stops at once
     euler.check(args.l, args.j, args.order)
     if args.exact:
@@ -236,7 +241,7 @@ def cmd_euler(args) -> int:
         t = form.lam(p)
         series = euler.correction_series(args.l, args.j, t, args.order)
         label = f"correction(l={args.l},j={args.j},t={t})"
-        coeffs = cells = list(series.coeffs)
+        coeffs = cells = series.coeffs
     doc = {
         "l": args.l,
         "j": args.j,
@@ -288,13 +293,13 @@ def cmd_partial_sum(args) -> int:
         "j": args.j,
         "weight": args.weight,
         "limit": args.limit,
-        "checkpoints": [[x, s] for x, s in points],
+        "checkpoints": points,
         "fit": None
         if coeffs is None
         else {
             "degree": len(coeffs) - 1,
-            "coeffs": list(coeffs),
-            "residuals": [[x, e] for x, e in residuals],
+            "coeffs": coeffs,
+            "residuals": residuals,
         },
         "residual_exponent": None
         if resid is None
@@ -315,22 +320,12 @@ def cmd_partial_sum(args) -> int:
     return _emit(args.format, doc, ("x", "S", "main_fit", "residual"), rows, lines)
 
 
-_DISPATCH = {
-    "coeffs": cmd_coeffs,
-    "identity": cmd_identity,
-    "exponents": cmd_exponents,
-    "euler": cmd_euler,
-    "tau": cmd_tau,
-    "partial-sum": cmd_partial_sum,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "cache_dir", "") is None:
         args.cache_dir = os.environ.get("SYMMOMENT_CACHE", "./cache")
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

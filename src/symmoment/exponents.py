@@ -50,7 +50,7 @@ class ExponentReport:
     """One pair's exponents. parity is "even4" (lj = 4), "evenBig" (even
     lj >= 6) or "odd"; A and B exist only for "evenBig", theta_star only
     for even lj. saving is 1 - theta as computed, positive even where theta
-    rounds to 1.0."""
+    rounds to 1.0. previous is the PREVIOUS_EXPONENTS entry theta beats, if any."""
 
     l: int
     j: int
@@ -62,6 +62,7 @@ class ExponentReport:
     theta: float
     theta_star: float | None
     flags: tuple
+    previous: Fraction | None
 
 
 def exponent_report(l: int, j: int) -> ExponentReport:
@@ -134,6 +135,7 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         theta=th,
         theta_star=ts,
         flags=tuple(flags),
+        previous=previous,
     )
 
 

@@ -146,7 +146,6 @@ class IntPolynomial:
 
 
 ZERO = IntPolynomial()
-ONE = IntPolynomial([1])
 # the polynomial t, at which `local_expansion` works over Z[t]
 T = IntPolynomial([0, 1])
 

@@ -21,6 +21,8 @@ import numpy as np
 from symmoment.hecke import cache_path, crt_primes, sym_prime_power
 from symmoment.symbolic import ZERO, IntPolynomial
 
+ONE = IntPolynomial([1])
+
 
 def random_rational_points(count, seed=0):
     """Deterministic rational sample points in [-2, 2] with small height."""

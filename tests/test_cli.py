@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import digits_of, write_cache
+from oracles import ONE, digits_of, write_cache
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
 
 
@@ -83,7 +84,7 @@ def test_identity_exits_3_when_the_decomposition_fails(capsys, monkeypatch, fmt)
 
     def wrong_top(weights, top, x):
         p = real(weights, top, x)
-        return p + symbolic.ONE if top == 6 else p
+        return p + ONE if top == 6 else p
 
     monkeypatch.setattr(symbolic, "_power_sum", wrong_top)
     code, out, err = run(capsys, f"identity --l 3 --j 2 --format {fmt}")
@@ -184,7 +185,7 @@ def test_euler_exact_exits_3_when_x1_does_not_cancel(capsys, monkeypatch):
 
     def wrong_p1(weights, top, x):
         p = real(weights, top, x)
-        return p + symbolic.ONE if x.degree == 1 else p
+        return p + ONE if x.degree == 1 else p
 
     monkeypatch.setattr(symbolic, "_power_sum", wrong_p1)
     code, out, err = run(capsys, "euler --l 2 --j 2 --exact --order 1")
@@ -536,6 +537,15 @@ def test_argparse_errors_exit_2(capsys):
         cli.main("euler --l 2 --j 2 --p 2 --limit 5".split())
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_every_subparser_registers_its_handler():
+    # names, not identity: bench/tracer.py wraps the cmd_* functions when the
+    # cached parser is first built under it
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        assert p.get_default("run").__name__ == "cmd_" + name.replace("-", "_"), name
 
 
 def test_byte_determinism_across_runs(capsys, tmp_path):

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import chebyshev_s, sym_prime_power_gauss
+from oracles import ONE, chebyshev_s, sym_prime_power_gauss
 from symmoment import combinatorics
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment import symbolic as S
 from symmoment.errors import CapacityError, ConsistencyError
-from symmoment.symbolic import ONE, T, ZERO, IntPolynomial
+from symmoment.symbolic import T, ZERO, IntPolynomial
 
 LJ_4_TO_12 = [
     (l, j) for l in range(1, 13) for j in range(1, 13) if 4 <= l * j <= 12

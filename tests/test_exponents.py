@@ -183,9 +183,12 @@ def test_one_exponent_engine():
         assert r.theta == 1.0 - r.saving, (l, j)
         assert (r.theta_star is None) == (l * j % 2 == 1), (l, j)
         assert (r.A is None) == (l * j % 2 == 1 or l * j == 4), (l, j)
+        # the baseline it was certified against, None off the table
+        assert r.previous == X.PREVIOUS_EXPONENTS.get((l, j)), (l, j)
     # the table reads the same engine
     for r in X.reference_table():
         assert r == X.exponent_report(r.l, r.j)
+        assert r.previous == X.PREVIOUS_EXPONENTS[(r.l, r.j)]
 
 
 def test_exponent_report_reads_the_top_weights_once(monkeypatch):

@@ -39,6 +39,7 @@ exponents --l 4 --j 2 *
 exponents --l 3 --j 3 *
 exponents --l 1 --j 6 *
 exponents --l 64 --j 1 *
+exponents --l 4 --j 1 *
 exponents --table *
 exponents --l 1 --j 22
 exponents
@@ -72,6 +73,7 @@ tau --limit 20 --cache-dir bad
 partial-sum --l 2 --j 2 --limit 3000 *
 partial-sum --l 1 --j 3 --limit 3000 *
 partial-sum --l 1 --j 2 --limit 1000 *
+partial-sum --l 2 --j 2 --limit 50 *
 partial-sum --l 3 --j 2 --limit 2000 --weight 16
 partial-sum --l 1 --j 4 --limit 100000 --format json
 partial-sum --l 3 --j 3 --limit 100000 --format json

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import chebyshev_s, random_rational_points
+from oracles import ONE, chebyshev_s, random_rational_points
 from symmoment import combinatorics
 from symmoment import symbolic as S
 from symmoment.errors import ConsistencyError
-from symmoment.symbolic import ONE, T, ZERO, IntPolynomial, verify_decomposition
+from symmoment.symbolic import T, ZERO, IntPolynomial, verify_decomposition
 
 
 def engine_s(r):
