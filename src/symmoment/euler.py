@@ -13,8 +13,10 @@ uses the single weight 1 at top j, raised to the l-th power coefficientwise.
 `lhs_local` and `rhs_local` take t as a float, for real doubles, or as
 `symbolic.T`, for the same recurrence over Z[t], where every division in
 Newton's identities must be exact. `correction_series` returns the float
-X^1 cancellation as computed; `correction_series_sym` certifies it as a
-polynomial identity. `check` owns the (l, j, A) rule; `cli` writes every label.
+X^1 cancellation as computed; over Z[t] that term is the decomposition
+identity, which `correction_series_sym` certifies by
+`symbolic.verify_decomposition`. `check` owns the (l, j, A) rule; `cli`
+writes every label.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from . import combinatorics
 from .errors import CapacityError, ConsistencyError
-from .symbolic import ZERO, T, deligne_t, local_expansion
+from .symbolic import T, deligne_t, local_expansion, verify_decomposition
 
 DEFAULT_ORDER = 6
 # exact mode grows about as A^4: every lj = 64 pair takes 4-6 s at order 16
@@ -98,12 +100,13 @@ def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> Local
 def correction_series_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     """Exact correction factor over Z[t], certified to be 1 + O(X^2).
 
-    A nonzero X^1 coefficient is a defect in this library and raises
-    ConsistencyError.
+    The X^1 coefficient is lhs[1] - rhs[1], as q[0] = 1. Those are
+    S_j(t)^l and sum_m w_m S_{lj-2m}(t), the two sides that
+    `symbolic.verify_decomposition` compares, so it certifies the term at
+    every order, A = 0 included, and raises ConsistencyError where they
+    differ: a defect in this library. The quotient comes first, so that
+    `check` refuses a bad order before any expansion.
     """
     q = _quotient(lhs_local(l, j, T, A), rhs_local(l, j, T, A))
-    if A >= 1 and q[1] != ZERO:
-        raise ConsistencyError(
-            f"X^1 of the correction at (l={l}, j={j}) is {q[1]}, not 0"
-        )
+    verify_decomposition(l, j)
     return q

@@ -9,8 +9,8 @@ at the delta -> 0 limit of its free parameter.
 
 The even branch arises from balancing x^(1-1/j^3) T^A against x/T, where
 A aggregates the convexity inputs; B = A minus the square-root saving on
-the central L-factors, and B < A whenever that saving is present (top
-weight d_half > 0).
+the central L-factors, a nonnegative term, so B < A whenever that saving
+is present (top weight d_half > 0) and B = A at l = 1.
 
 `exponent_report` is the one public exponent function: it reads the top
 weights once, computes the saving, theta, A, B and theta_star in one pass,
@@ -109,8 +109,6 @@ def exponent_report(l: int, j: int) -> ExponentReport:
         off = 1.0 - saving - (1.0 - 1.0 / (j**3 * (1.0 + A)))
         if abs(off) > BALANCE_TOL:
             raise ConsistencyError(f"balancing identity off by {off!r} at (l={l}, j={j})")
-        if B > A:
-            raise ConsistencyError(f"B > A at (l={l}, j={j})")
     th = 1.0 - saving
     if j == 1:
         # the contour line 1 - 1/j^3 sits at the edge of the valid strip

@@ -50,9 +50,6 @@ class IntPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -68,9 +65,6 @@ class IntPolynomial:
         for i, c in enumerate(other.coeffs):
             out[i] -= c
         return IntPolynomial(out)
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -145,7 +139,6 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-ZERO = IntPolynomial()
 # the polynomial t, at which `local_expansion` works over Z[t]
 T = IntPolynomial([0, 1])
 
@@ -226,8 +219,9 @@ def verify_decomposition(l: int, j: int) -> IntPolynomial:
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
     Both sides are X^1 coefficients of `local_expansion` over Z[t],
     those of `euler.lhs_local` and `euler.rhs_local` at `T`: S_j at the
-    single weight 1, to the l-th power, and the weighted sum at top lj. The
-    identity holds for every valid (l, j), so a mismatch is a defect in
+    single weight 1, to the l-th power, and the weighted sum at top lj, so
+    `euler.correction_series_sym` certifies its X^1 term here. The identity
+    holds for every valid (l, j), so a mismatch is a defect in
     this library, never a property of the input, and raises
     ConsistencyError.
     """

@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from symmoment.hecke import cache_path, crt_primes, sym_prime_power
-from symmoment.symbolic import ZERO, IntPolynomial
+from symmoment.symbolic import IntPolynomial
 
+ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
 
 

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from oracles import chebyshev_s, naive_delta, primes_below
+from oracles import ZERO, chebyshev_s, naive_delta, primes_below
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums
-from symmoment.symbolic import ZERO, verify_decomposition
+from symmoment.symbolic import verify_decomposition
 from test_combinatorics import J2_LISTS
 from test_exponents import (
     EVEN_PAIRS_6_32,

@@ -179,8 +179,8 @@ def test_euler_exact_csv(capsys):
 
 
 def test_euler_exact_exits_3_when_x1_does_not_cancel(capsys, monkeypatch):
-    # a wrong p_1 shifts the factored side's X^1 term by 1; order 1 stops
-    # before Newton's identities divide, so only the X^1 check can see it
+    # a wrong p_1 shifts the X^1 terms by 1; order 1 stops before Newton's
+    # identities divide, so only the decomposition certificate can see it
     real = symbolic._power_sum
 
     def wrong_p1(weights, top, x):
@@ -190,7 +190,7 @@ def test_euler_exact_exits_3_when_x1_does_not_cancel(capsys, monkeypatch):
     monkeypatch.setattr(symbolic, "_power_sum", wrong_p1)
     code, out, err = run(capsys, "euler --l 2 --j 2 --exact --order 1")
     assert code == 3 and out == ""
-    assert err.startswith("internal error: X^1 of the correction at (l=2, j=2)")
+    assert err == "internal error: decomposition fails at (l=2, j=2)\n"
 
 
 def test_euler_float_at_prime(capsys, tmp_path):

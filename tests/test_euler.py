@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ONE, chebyshev_s, sym_prime_power_gauss
+from oracles import ONE, ZERO, chebyshev_s, sym_prime_power_gauss
 from symmoment import combinatorics
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment import symbolic as S
 from symmoment.errors import CapacityError, ConsistencyError
-from symmoment.symbolic import T, ZERO, IntPolynomial
+from symmoment.symbolic import T, IntPolynomial
 
 LJ_4_TO_12 = [
     (l, j) for l in range(1, 13) for j in range(1, 13) if 4 <= l * j <= 12
@@ -128,6 +128,23 @@ def test_symbolic_integrality_guard(monkeypatch):
         E.rhs_local(2, 2, T, 4)
     with pytest.raises(ConsistencyError):
         E.correction_series_sym(3, 2, 4)
+
+
+@pytest.mark.parametrize("A", [0, 1, 4])
+def test_symbolic_x1_is_the_decomposition_certificate(monkeypatch, A):
+    # a wrong p_1 shifts both X^1 terms, so S_j^l no longer expands over the
+    # basis. A shift by 6 multiplies each side by exp(6X), whose coefficients
+    # 6^n/n! are integers up to n = 4: Newton's identities still divide
+    # exactly, and only verify_decomposition can refuse it, at every order
+    real = S._power_sum
+
+    def wrong_p1(weights, top, x):
+        p = real(weights, top, x)
+        return p + 6 * ONE if x.degree == 1 else p
+
+    monkeypatch.setattr(S, "_power_sum", wrong_p1)
+    with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=2, j=2\)"):
+        E.correction_series_sym(2, 2, A)
 
 
 def test_symbolic_x2_values_are_recorded_polynomials():

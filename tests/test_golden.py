@@ -48,6 +48,8 @@ exponents --l 65 --j 1
 exponents --table --l 2 --j 2
 euler --l 2 --j 2 --exact --order 4 *
 euler --l 3 --j 3 --exact --order 3 *
+euler --l 3 --j 2 --exact --order 0 *
+euler --l 3 --j 2 --exact --order 1 *
 euler --l 2 --j 2 --exact --order -1
 euler --l 13 --j 5 --exact
 euler --l 2 --j 2 --p 2 *

@@ -37,6 +37,13 @@ def test_golden_records_replay_under_the_tracer(tmp_path):
     # every hook ran, on the float and the exact local factors alike
     names = {span[0] for span in tracer.spans}
     assert {"euler.correction_series", "euler.correction_series_sym"} <= names
+    # the exact X^1 term is certified by the one decomposition certificate
+    assert any(
+        name == "symbolic.verify_decomposition"
+        and parent >= 0
+        and tracer.spans[parent][0] == "euler.correction_series_sym"
+        for name, _, _, parent, _ in tracer.spans
+    )
     assert {"hecke.series_mul", "hecke.save_table", "euler.rhs_local"} <= names
     assert tracer.counters["euler.rhs_local.root_steps"] > 0
     assert tracer.counters["hecke.series_mul.out_terms"] > 0
