@@ -20,8 +20,6 @@ internal consistency failure, 4 capacity cap exceeded. Every pair, cap and
 order check runs before any table is read.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

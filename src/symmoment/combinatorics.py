@@ -17,8 +17,6 @@ is the one rule for a pair (l, j). Integers are arbitrary precision: the
 values overflow 32-bit words already at l = j = 8.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

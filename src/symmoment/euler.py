@@ -19,8 +19,6 @@ identity, which `correction_series_sym` certifies by
 writes every label.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from . import combinatorics

@@ -19,8 +19,6 @@ theta = 1 - 1/(j^3 (1 + A)) or an ordering invariant fails, or where theta
 does not improve on the stored previously published exponent of its pair.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from fractions import Fraction

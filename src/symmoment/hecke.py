@@ -19,8 +19,6 @@ comes from the Deligne bound, so the digits fix the integers exactly.
 its magnitude before the transform and its rounding margin after it.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import os
@@ -82,7 +80,7 @@ def crt_primes(weight: int, N: int) -> tuple:
     d(n) <= 2 sqrt(n), so every a(n) with n <= N lies in [-B, B], and a
     modulus above 2B gives each such integer its own balanced residue. The
     ceiling min(PRIME_CEIL, isqrt(2^52 // N)) keeps N ((q-1)/2)^2 <= 2^50,
-    the bound `series_mul` checks for products of N balanced residues.
+    the bound `_convolve` checks for products of N balanced residues.
     """
     check_table(weight, N)
     need = 2 * (2 * N ** (weight // 2))
@@ -461,13 +459,12 @@ def cache_path(cache_dir: str, weight: int, N: int) -> str:
 
 
 def save_table(form: EigenformTable, cache_dir: str) -> str:
-    """Write the table's digits to its cache file as little-endian int32.
+    """Write the table's digits as little-endian int32 into its cache file.
 
-    Each writer renames its own temp file, named by process and thread, into
-    place, so overlapping writers of one table cannot take each other's; a
-    failed write or rename removes it.
+    cache_dir must exist; `cached_eigenform` makes it. Each writer renames its
+    own temp file, named by process and thread, into place, so overlapping
+    writers cannot take each other's; a failed write or rename removes it.
     """
-    os.makedirs(cache_dir, exist_ok=True)
     path = cache_path(cache_dir, form.weight, form.limit)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:

@@ -10,8 +10,6 @@ plain tuples and takes the previous step's values with the (l, j) the
 caller already holds; `cli` alone labels them.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -15,8 +15,6 @@ returns that power and raises ConsistencyError where the two differ. The
 module imports no numpy, so the exact command-line paths never load it.
 """
 
-from __future__ import annotations
-
 from . import combinatorics
 from .errors import ConsistencyError
 

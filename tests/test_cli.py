@@ -407,7 +407,8 @@ def test_tau_ignores_an_old_csv_cache(capsys, tmp_path):
 
 
 def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
-    # os.makedirs in save_table once raised NotADirectoryError, exit 1
+    # os.makedirs in cached_eigenform raises NotADirectoryError here, which
+    # once escaped as a traceback with exit 1
     (tmp_path / "F").write_text("")
     code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path / 'F' / 'sub'}")
     assert code == 2 and out == ""

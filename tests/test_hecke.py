@@ -624,11 +624,17 @@ def test_overlapping_cache_writers_keep_their_own_temp_files(tmp_path, monkeypat
     assert H.load_table(12, 50, cache).raw == form.raw
 
 
+def test_save_table_needs_an_existing_directory(tmp_path, table):
+    with pytest.raises(FileNotFoundError):
+        H.save_table(table(50), str(tmp_path / "missing"))
+    assert os.listdir(tmp_path) == []  # neither the directory nor a temp file
+
+
 def test_cached_eigenform_creates_then_reuses(tmp_path):
-    cache = str(tmp_path)
-    tab1 = H.cached_eigenform(12, 80, cache)
-    path = H.cache_path(cache, 12, 80)
-    mtime = os.path.getmtime(path)
-    tab2 = H.cached_eigenform(12, 80, cache)
-    assert tab1.raw == tab2.raw
-    assert os.path.getmtime(path) == mtime
+    for cache in (str(tmp_path), str(tmp_path / "a" / "b")):
+        tab1 = H.cached_eigenform(12, 80, cache)
+        path = H.cache_path(cache, 12, 80)
+        mtime = os.path.getmtime(path)
+        tab2 = H.cached_eigenform(12, 80, cache)
+        assert tab1.raw == tab2.raw
+        assert os.path.getmtime(path) == mtime
