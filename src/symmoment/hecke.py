@@ -15,8 +15,20 @@ small enough for N that exact convolution values stay within 2^50, each
 series product is one numpy float FFT product of balanced int64 residues,
 and Garner's CRT turns the residues into the digits. The number of primes
 comes from the Deligne bound, so the digits fix the integers exactly.
-`_convolve`, the one FFT product (the integer eta^6 squaring too), checks
-its magnitude before the transform and its rounding margin after it.
+`_convolve`, the one FFT product, checks its magnitude before the
+transform and its rounding margin after it.
+
+Work that does not depend on the prime runs once. eta^6 is squared over
+the integers while the operand passes `_convolve`'s bound (eta^24 for
+N <= 172, eta^12 for N <= 15,253, eta^6 above), so each prime does only
+the squarings left.
+Delta = q eta^24 is built only at the shortest prefix of the weight's
+primes whose product exceeds twice its Deligne bound 2 N^6 (4 of 9 for
+weight 26 at N = 5000); Garner turns those residues into Delta's digits,
+and Delta mod p at every prime is read off them before that prime's one
+product with E_{k-12}. For weight 12 Delta's digits are the table; above
+it they are held while the table is built, d x (N+1) int32 for d primes:
+8 rows, 32 MB, for weight 26 at HARD_CAP.
 """
 
 import functools
@@ -99,6 +111,7 @@ def crt_primes(weight: int, N: int) -> tuple:
     return tuple(primes)
 
 
+@functools.lru_cache(maxsize=None)
 def _fft_size(n):
     # smallest 2^a 3^b 5^c >= n
     best = 1 << (n - 1).bit_length()
@@ -133,17 +146,23 @@ def _rounded(x):
     return r.astype(np.int64)
 
 
+def _top(x, y):
+    # max|x| max|y| min(len x, len y), a bound on every exact convolution value
+    mx = int(np.abs(x).max())
+    my = mx if y is x else int(np.abs(y).max())
+    return mx * my * min(len(x), len(y))
+
+
 def _convolve(x, y, n_out):
     """The first n_out terms of the exact convolution of int64 arrays x and y.
 
-    ConsistencyError is raised before any transform if max|x| max|y|
-    min(len x, len y), a bound on every exact convolution value, exceeds
-    2^50, and after it if a rounding distance reaches 0.25, instead of
-    returning a wrong integer (residues all (p-1)/2 at the bound read 0.5).
-    One float FFT product: one rfft per distinct operand (y is x for a
-    squaring), the spectra multiplied in place, one irfft.
+    ConsistencyError is raised before any transform if `_top(x, y)`
+    exceeds 2^50, and after it if a rounding distance reaches 0.25, instead
+    of returning a wrong integer (residues all (p-1)/2 at the bound read
+    0.5). One float FFT product: one rfft per distinct operand (y is x for
+    a squaring), the spectra multiplied in place, one irfft.
     """
-    top = int(np.abs(x).max()) * int(np.abs(y).max()) * min(len(x), len(y))
+    top = _top(x, y)
     if top > 1 << 50:
         raise ConsistencyError(f"convolution bound {top} exceeds 2^50")
     size = _fft_size(max(len(x) + len(y) - 1, n_out))
@@ -166,19 +185,25 @@ def series_mul(a, b, n_out, p):
     return out
 
 
-def _eta_six(n_terms):
-    """eta-tilde^6 over the integers, the first of the three squarings.
+def _eta_exact(n_terms):
+    """(eta-tilde^(24 / 2^left), left) over the integers: `left` is the
+    number of squarings still to do mod each prime.
 
     eta-tilde^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) has about sqrt(2 n_terms)
-    terms, each below 2^12 at HARD_CAP, so the bound `_convolve` checks is
-    about 8e12 there, far below 2^50; this squaring is then shared by all
-    primes.
+    terms, each below 2^12 at HARD_CAP, so its `_top` is about 8e12 there,
+    far below 2^50, and eta^6 is always exact. Each further squaring is
+    made while the operand's own `_top` stays within 2^50: eta^24 for
+    n_terms <= 172, eta^12 for n_terms <= 15,253.
     """
     k = np.arange(math.isqrt(2 * n_terms) + 2, dtype=np.int64)
     k = k[k * (k + 1) // 2 < n_terms]
-    eta3 = np.zeros(n_terms, dtype=np.int64)
-    eta3[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
-    return _convolve(eta3, eta3, n_terms)
+    s = np.zeros(n_terms, dtype=np.int64)
+    s[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
+    left = 3
+    while left and _top(s, s) <= 1 << 50:
+        s = _convolve(s, s, n_terms)
+        left -= 1
+    return s, left
 
 
 def _sigma_mod(power, n_terms, p):
@@ -206,26 +231,12 @@ def _sigma_mod(power, n_terms, p):
     return sig % p
 
 
-def _eigenform_mod(weight, eta6, p):
-    # a(n+1) mod p for n = 0..N-1, as eta^24 * E_{weight-12}; eta^24 is
-    # eta^6 squared twice, and the q-shift is left to the caller
-    N = len(eta6)
-    s = eta6 % p
-    for _ in range(2):
-        s = series_mul(s, s, N, p)
-    if _WEIGHTS[weight][1]:
-        c, r = _WEIGHTS[weight][1]
-        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
-        e[0] = 1
-        s = series_mul(s, e, N, p)
-    return s
-
-
 def _garner(primes, residues, n):
     """Mixed-radix digits of x + H, H = (M-1)/2, M = prod(primes), for n
     integers |x| < M/2 from their residues, one int64 array per prime in
     order. Each array becomes a row as it arrives: row i of the int32 result
-    lies in [0, p_i), and x + H = d_0 + p_0 (d_1 + p_1 (d_2 + ...)).
+    lies in [0, p_i), and x + H = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), so
+    `_mod` reads x mod any further prime off the rows (Cohen, GTM 138).
     """
     half = math.prod(primes) // 2
     digits = np.empty((len(primes), n), dtype=np.int32)
@@ -247,6 +258,15 @@ def _digits_mod(primes, digits, q):
     (weight 26 at HARD_CAP), the int64 sum stays below 17 * 2^42 < 2^47."""
     w = np.array([math.prod(primes[:i]) % q for i in range(len(primes))], dtype=np.int64)
     acc = np.einsum("i,ij->j", w, digits, dtype=np.int64)
+    acc %= q
+    return acc
+
+
+def _mod(primes, digits, q):
+    """The integers x whose `_garner` digits are the columns of `digits`,
+    mod q, in [0, q): the digits give x + H, and H = prod(primes) // 2."""
+    acc = _digits_mod(primes, digits, q)
+    acc -= math.prod(primes) // 2 % q
     acc %= q
     return acc
 
@@ -320,9 +340,8 @@ class EigenformTable:
         if self.lam(1) != 1.0:  # as floats, only the integer 1 is 1.0
             raise ConsistencyError("eigenform not normalized: a(1) != 1")
         m = _WEIGHTS[self.weight][0]
-        acc = _digits_mod(primes, self.digits, m)
-        acc -= math.prod(primes) // 2 % m
-        bad = np.flatnonzero(acc % m != _sigma_mod(self.weight - 1, self.limit + 1, m))
+        acc = _mod(primes, self.digits, m)
+        bad = np.flatnonzero(acc != _sigma_mod(self.weight - 1, self.limit + 1, m))
         if bad.size:
             n, k = bad[0], self.weight
             raise ConsistencyError(f"a({n}) != sigma_{k - 1}({n}) mod {m} at weight {k}")
@@ -336,12 +355,48 @@ def _lam(form, ns):
     return [a / n**e for a, n in zip(raw, ns)]
 
 
+def _delta_digits(primes, N):
+    """The `_garner` digits of Delta(0..N) = q eta^24 over the shortest
+    prefix of primes whose product exceeds 2 (2 N^6), twice Delta's Deligne
+    bound; row i belongs to primes[i]. Each prime squares `_eta_exact`'s
+    series the times it has left."""
+    d = 1
+    while math.prod(primes[:d]) <= 2 * (2 * N**6):
+        d += 1
+    s, left = _eta_exact(N)
+
+    def delta_mod(p):
+        r = s % p
+        for _ in range(left):
+            r = series_mul(r, r, N, p)
+        return np.concatenate(([0], r))
+
+    return _garner(primes[:d], map(delta_mod, primes[:d]), N + 1)
+
+
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
-    """Normalized cusp eigenform of any one-dimensional level-1 weight."""
+    """Normalized cusp eigenform of any one-dimensional level-1 weight.
+
+    Delta's digits, over a prefix of the weight's CRT primes, are the table
+    at weight 12. Above it each prime reads Delta mod p off them with `_mod`
+    and makes one product with E_{k-12} mod p, and Garner turns those
+    residues into the table; Delta's d x (N+1) int32 digits are held until
+    it is built.
+    """
     primes = crt_primes(weight, N)
-    eta6 = _eta_six(N)
-    residues = (np.concatenate(([0], _eigenform_mod(weight, eta6, p))) for p in primes)
-    return EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
+    delta = _delta_digits(primes, N)
+    if _WEIGHTS[weight][1] is None:
+        return EigenformTable(weight=weight, limit=N, digits=delta)
+    c, r = _WEIGHTS[weight][1]
+
+    def form_mod(p):
+        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
+        e[0] = 1
+        lifted = _mod(primes[: len(delta)], delta, p)
+        return np.concatenate(([0], series_mul(lifted[1:], e, N, p)))
+
+    digits = _garner(primes, map(form_mod, primes), N + 1)
+    return EigenformTable(weight=weight, limit=N, digits=digits)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ factorization loop over a smallest-prime-factor sieve instead of the
 library's vectorized multiplicative sieve, and repeated division for the
 mixed-radix digits of a table instead of Garner's method. `write_cache`
 plants a table on disk without the library's writer, as a disk fault would.
+`eigenform_mod` keeps the q-expansion's former per-prime path, eta^6 mod p
+squared twice at every prime, as the reference for the library's shared
+squarings and its lift of Delta from a prefix of the primes.
 """
 
 import math
@@ -18,7 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from symmoment.hecke import cache_path, crt_primes, sym_prime_power
+from symmoment.hecke import (
+    _WEIGHTS,
+    _sigma_mod,
+    cache_path,
+    crt_primes,
+    series_mul,
+    sym_prime_power,
+)
 from symmoment.symbolic import IntPolynomial
 
 ZERO = IntPolynomial()
@@ -108,6 +118,38 @@ def naive_eigenform(weight, N):
     for ew in extra:
         series = naive_series_mul(series, naive_eisenstein(ew, N + 1), N + 1)
     return series[: N + 1]
+
+
+def eta_six(N):
+    """eta-tilde^6 to N terms, the schoolbook square of the sparse
+    eta-tilde^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)."""
+    eta3 = [0] * N
+    k = 0
+    while k * (k + 1) // 2 < N:
+        eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return naive_series_mul(eta3, eta3, N)
+
+
+def delta_mod(eta6, p):
+    """Delta(0..N) mod p, N = len(eta6), as eta^6 mod p squared twice with
+    `series_mul` and shifted by q."""
+    s = np.array(eta6, dtype=np.int64) % p
+    for _ in range(2):
+        s = series_mul(s, s, len(eta6), p)
+    return np.concatenate(([0], s))
+
+
+def eigenform_mod(weight, eta6, p):
+    """a(0..N) mod p as `delta_mod` times E_{weight-12} mod p, whose
+    coefficients come from the library's `_sigma_mod`."""
+    s = delta_mod(eta6, p)
+    if _WEIGHTS[weight][1]:
+        c, r = _WEIGHTS[weight][1]
+        e = _sigma_mod(r, len(eta6), p).astype(np.int64) * (c % p) % p
+        e[0] = 1
+        s[1:] = series_mul(s[1:], e, len(eta6), p)
+    return s
 
 
 def digits_of(weight, raw):

@@ -10,7 +10,10 @@ import pytest
 
 from oracles import (
     chebyshev_s,
+    delta_mod,
     digits_of,
+    eigenform_mod,
+    eta_six,
     naive_delta,
     naive_eigenform,
     naive_series_mul,
@@ -135,6 +138,8 @@ def test_digits_mod_against_combine():
                 for q in (691, 657931, PRIMES[0]):
                     got = H._digits_mod(primes, digits, q).tolist()
                     assert got == [x % q for x in shifted], (rows, q)
+                    got = H._mod(primes, digits, q).tolist()
+                    assert got == [(x - half) % q for x in shifted], (rows, q)
 
 
 def test_overflow_bounds_of_the_digit_and_divisor_sums():
@@ -226,6 +231,59 @@ def test_eigenform_matches_naive_below_the_full_prime_ceiling(weight):
     N = 1100
     assert H.crt_primes(weight, N)[0] < H.crt_primes(weight, 1024)[-1]
     assert list(H.eigenform_qexp(weight, N).raw) == naive_eigenform(weight, N)
+
+
+def test_fft_size_is_the_least_5_smooth_size():
+    def smooth(m):
+        for q in (2, 3, 5):
+            while m % q == 0:
+                m //= q
+        return m == 1
+
+    for n in range(1, 3000):
+        assert H._fft_size(n) == next(m for m in range(n, 2 * n + 1) if smooth(m)), n
+
+
+def test_exact_squarings_stop_at_the_convolve_bound():
+    # eta^24 fits _convolve's 2^50 up to N = 172, eta^12 up to N = 15,253
+    left = [H._eta_exact(N)[1] for N in (1, 172, 173, 15253, 15254, 10**5)]
+    assert left == [0, 0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("N", [1, 172, 173, 1100, 15252, 15253, 15254])
+def test_eigenform_digits_match_the_per_prime_path(N):
+    # on both sides of the last N for exact eta^24 and for exact eta^12,
+    # and at 1100, below the full prime ceiling
+    eta6 = eta_six(N)
+    for weight in H.SUPPORTED_WEIGHTS:
+        primes = H.crt_primes(weight, N)
+        want = H._garner(primes, (eigenform_mod(weight, eta6, p) for p in primes), N + 1)
+        assert np.array_equal(H.eigenform_qexp(weight, N).digits, want), weight
+
+
+def test_series_mul_count_and_the_lifted_delta(monkeypatch):
+    # at N = 5000 Delta needs d = 4 primes, each with one squaring mod p
+    # after the exact eta^12; every weight above 12 adds one product a prime
+    N, d = 5000, 4
+    calls = []
+    real = H.series_mul
+
+    def counting(a, b, n_out, p):
+        calls.append(n_out)
+        return real(a, b, n_out, p)
+
+    monkeypatch.setattr(H, "series_mul", counting)
+    for weight in H.SUPPORTED_WEIGHTS:
+        calls.clear()
+        H.eigenform_qexp(weight, N)
+        extra = 0 if weight == 12 else len(H.crt_primes(weight, N))
+        assert calls == [N] * (d + extra), weight
+    primes = H.crt_primes(26, N)
+    delta = H._delta_digits(primes, N)
+    assert delta.shape == (d, N + 1)
+    eta6 = eta_six(N)
+    for p in primes[d:]:
+        assert np.array_equal(H._mod(primes[:d], delta, p), delta_mod(eta6, p)), p
 
 
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
