@@ -455,8 +455,9 @@ def primes_up_to(N: int) -> list:
     return largest_prime_powers(max(N, 1))[1].tolist()
 
 
-def sym_coeff_sieve(j: int, form: EigenformTable) -> list:
-    """lam_sym^j(n) for n = 0..N = form.limit, multiplicatively (index 0 unused).
+def sym_coeff_sieve(j: int, form: EigenformTable, l: int = 1) -> np.ndarray:
+    """lam_sym^j(n)^l for n = 0..N = form.limit, multiplicatively, as float64
+    (index 0 unused).
 
     With P from `largest_prime_powers` and f from `_prime_power_values`,
     out[n] = out[n // P[n]] * f[P[n]], where n // P[n] holds only primes
@@ -464,27 +465,39 @@ def sym_coeff_sieve(j: int, form: EigenformTable) -> list:
     8, ..., each in one gather: n // P[n] <= n / 2 < lo, so every value it
     reads is finished. Each product is thus formed from the smallest prime
     up, ((f(p1^a1) f(p2^a2)) ...), in the order of a factorization loop
-    and with the same floats.
+    and with the same floats; at l = 1 the values are that loop's.
+
+    The l-th power is taken at the prime powers, so for n with k distinct
+    prime factors the term is k rounded powers times one another, not the
+    rounded power of the l = 1 value v. With u = 2^-53, each product within
+    u of exact and each Python pow within one ulp, 2u, the term carries
+    2k + (k - 1) roundings and v**l carries l(k - 1) + 2, so while every
+    power and product is a normal float the two agree to a relative
+    gamma_m = m u / (1 - m u), m = (l + 3) k (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, lemma 3.1). (l, j) must pass
+    `combinatorics.check_pair`, so no power overflows (see `sums.partial_sum`).
     """
-    check_pair(1, j)
+    check_pair(l, j)
     N = form.limit
     P, primes = largest_prime_powers(N)
-    out = _prime_power_values(j, N, primes, form)[P]
+    out = _prime_power_values(j, l, N, primes, form)[P]
     lo = 2
     while lo <= N:
         hi = min(2 * lo, N + 1)
         out[lo:hi] *= out[np.arange(lo, hi, dtype=np.int32) // P[lo:hi]]
         lo *= 2
-    return out.tolist()
+    return out
 
 
-def _prime_power_values(j, N, primes, form):
-    """f[p^a] = lam_sym^j(p^a) for every prime power p^a <= N, f[1] = 1.0
+def _prime_power_values(j, l, N, primes, form):
+    """f[p^a] = lam_sym^j(p^a)^l for every prime power p^a <= N, f[1] = 1.0
     and 0.0 elsewhere.
 
     Two vector calls of `symbolic.local_expansion`: order 1 for the primes
     above sqrt(N), whose squares exceed N, and order floor(log2 N) for the
     few below. The Deligne check and clamp are those of `symbolic.deligne_t`.
+    The l-th power is then taken at the prime powers, about 9,700 at
+    N = 10^5, by Python pow: np.power rounds differently (see `_lam`).
     """
     t = np.array(_lam(form, primes.tolist()))
     for x in t[~(np.abs(t) <= 2.0)].tolist():
@@ -502,6 +515,10 @@ def _prime_power_values(j, N, primes, form):
         q = q[:c]
         f[q] = h[:c]
         q = q * small[:c]
+    if l > 1:
+        # the zeros off the prime powers stay zeros
+        q = np.flatnonzero(f)
+        f[q] = [v**l for v in f[q].tolist()]
     return f
 
 

@@ -2,8 +2,10 @@
 
 The even-case asymptotic has shape x Q(log x) + error, with deg Q one less
 than the central first-difference weight. At desk scale the error exponent
-is not recoverable, so this module only (a) computes S deterministically on
-a geometric checkpoint grid up to the table's limit, (b) least-squares fits
+is not recoverable, so this module only (a) computes S on a geometric
+checkpoint grid up to the table's limit, as the correctly rounded sum of
+the sieve's float terms, whose l-th power is taken at the prime powers
+(`hecke.sym_coeff_sieve`), (b) least-squares fits
 Q over the top half of the grid, and (c) reports the growth slope of the
 residuals with its standard error, as exploratory output. Each step returns
 plain tuples and takes the previous step's values with the (l, j) the
@@ -23,6 +25,8 @@ CHECKPOINT_COUNT = 24
 
 MIN_N_FOR_SLOPE = 100
 
+_UNIT = 1 << 1126
+
 
 def checkpoint_grid(N: int) -> list:
     """Distinct values of ceil(N / r^i), i = 0..23, ascending."""
@@ -31,31 +35,48 @@ def checkpoint_grid(N: int) -> list:
 
 
 def partial_sum(l: int, j: int, form: EigenformTable) -> tuple:
-    """((x, S(x)), ...) ascending over `checkpoint_grid(form.limit)`, from
-    one deterministic pass with compensated accumulation.
+    """((x, S(x)), ...) ascending over `checkpoint_grid(form.limit)`, where
+    S(x) is the correctly rounded sum of the float terms n <= x of
+    `sym_coeff_sieve(j, form, l)`: their `math.fsum`.
 
-    Past `combinatorics.check_pair`, a term is at most d(n)^(lj) <= 240^64,
-    about 1e152 at N <= 10^6 (Deligne), so the ValueError for a term or a sum
-    out of the float range, naming the checkpoint x, is a safety check.
+    The sum is exact until each checkpoint rounds it once. Per checkpoint
+    interval, `np.frexp` writes each term as an integer M, |M| < 2^53, times
+    2^(E - 1126), E >= 0: 2^-1126 is the unit of M for the least subnormal.
+    With E = 8 g + r, M 2^r = 2^30 hi + lo, |hi| <= 2^30 and
+    0 <= lo < 2^30, and the float sums of hi and of lo per g
+    (`np.bincount`) over fewer than 2^20 terms (N <= 10^6) stay below 2^50,
+    so they are exact. They are carried in one Python int in units of
+    2^-1126, and S(x) is that int over 2^1126: one int/int true division,
+    which CPython rounds correctly.
+
+    Past the sieve's `combinatorics.check_pair`, a term is at most
+    d(n)^(lj) <= 240^64, about 1e152 at N <= 10^6 (Deligne), so the
+    ValueError for a term or a sum out of the float range, naming the
+    checkpoint x, is a safety check.
     """
-    combinatorics.check_pair(l, j)
-    lam = sym_coeff_sieve(j, form)
+    terms = sym_coeff_sieve(j, form, l)
     out = []
-    total = 0.0
-    comp = 0.0
+    total = 0
     lo = 1
     try:
         for x in checkpoint_grid(form.limit):
-            for v in lam[lo : x + 1]:
-                # Kahan step keeps the accumulation error near one ulp of the sum
-                y = v**l - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            # a sum can reach inf or nan without any term overflowing
-            if not math.isfinite(total):
+            chunk = terms[lo : x + 1]
+            # a term past the float range has no exponent
+            if not np.isfinite(chunk).all():
                 raise OverflowError
-            out.append((x, total))
+            m, e = np.frexp(chunk)
+            e += 1073  # the docstring's E
+            r = e & 7
+            e >>= 3
+            hi = np.floor(np.ldexp(m, r + 23))
+            g = int(e.min())
+            e -= g
+            his = np.bincount(e, hi)
+            los = np.bincount(e, np.ldexp(m, r + 53) - hi * 2.0**30)
+            for b in np.flatnonzero((his != 0) | (los != 0)).tolist():
+                total += ((int(his[b]) << 30) + int(los[b])) << (8 * (g + b))
+            # a sum can pass the largest float without any term doing so
+            out.append((x, total / _UNIT))
             lo = x + 1
     except OverflowError:
         raise ValueError(f"l out of range: S({x}) overflows a float at l={l}") from None

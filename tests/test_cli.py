@@ -493,14 +493,16 @@ def test_partial_sum_fit_past_the_size_cap_exits_4(capsys, tmp_path, fmt):
     assert err == "error: l*j = 80 exceeds the size cap 64\n"
 
 
+@pytest.mark.filterwarnings("error")  # and no numpy RuntimeWarning on the way
 def test_partial_sum_overflow_exits_2(capsys, tmp_path, monkeypatch):
-    # no pair within the cap overflows, so the values are planted
-    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0] + [1e200] * form.limit)
+    # no pair within the cap overflows, so the terms are planted: inf, as
+    # 1e200^2 would be
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form, l: np.full(form.limit + 1, np.inf))
     code, out, err = run(
         capsys, f"partial-sum --l 2 --j 1 --limit 100 --cache-dir {tmp_path} --format json"
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: l out of range: S(") and err.endswith("at l=2\n")
+    assert err == "error: l out of range: S(1) overflows a float at l=2\n"
 
 
 def test_partial_sum_odd_has_no_fit_columns(capsys, tmp_path):

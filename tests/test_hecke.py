@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -528,7 +529,7 @@ def test_sieve_matches_factorization_loop_exactly(j, table):
     # N = 1..4 have no or one prime below sqrt(N); 127, 128 = 2^7 and 129
     # straddle a power of two, where the order floor(log2 N) steps up
     for N in (1, 2, 3, 4, 127, 128, 129, 1000):
-        assert H.sym_coeff_sieve(j, table(N)) == naive_sym_coeff_sieve(j, table(N))
+        assert H.sym_coeff_sieve(j, table(N)).tolist() == naive_sym_coeff_sieve(j, table(N))
 
 
 def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
@@ -539,7 +540,56 @@ def test_sieve_matches_factorization_loop_at_hard_cap(delta_1e6):
     # and the last index
     for n in (510510, 524288, 999983, 999999):
         assert lam[n] == want[n], n
-    assert lam == want
+    assert lam.tolist() == want
+
+
+# blake2b (16 bytes) of the little-endian float64 values of the sieve to
+# N = 10^4 for j = 1..8, recorded before the sieve took l
+SIEVE_DIGESTS_1E4 = {
+    1: "f9a6d4a5cc12cab0efab5df4cceb8196",
+    2: "39a171fbe49e2fe2a5094f45e7721f5d",
+    3: "4447ed27f372bf825302da205fb5f871",
+    4: "42650abe044b6b936927feb99def6b24",
+    5: "f366e3136beb39a3b7b4743026a259f0",
+    6: "54597416da03108165b25faf4ca0d3e4",
+    7: "476d58d8204ee1419a07799ea3b07f7f",
+    8: "f53d39ad937d578043fc1843b251691a",
+}
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_sieve_at_l1_is_bit_identical_to_the_values_before_l(j, delta_1e4):
+    for lam in (H.sym_coeff_sieve(j, delta_1e4), H.sym_coeff_sieve(j, delta_1e4, 1)):
+        assert lam.dtype == np.float64
+        digest = hashlib.blake2b(lam.astype("<f8").tobytes(), digest_size=16)
+        assert digest.hexdigest() == SIEVE_DIGESTS_1E4[j]
+
+
+@pytest.mark.parametrize("l, j", [(2, 2), (3, 3), (4, 2), (6, 2), (8, 8), (2, 32), (32, 2), (64, 1)])
+def test_sieve_powers_within_the_docstring_bound(l, j, delta_1e4):
+    # the term for n with k distinct primes is within gamma_{(l+3)k} of
+    # v**l, v the factorization loop's value, while every power and product
+    # is normal; those are the terms at the prime powers and at n // P[n]
+    N = delta_1e4.limit
+    lam = H.sym_coeff_sieve(j, delta_1e4, l).tolist()
+    naive = naive_sym_coeff_sieve(j, delta_1e4)
+    spf = smallest_prime_factors(N)
+    u = 2.0**-53
+    assert all(v == 0.0 or abs(v) >= 2.0**-1022 for v in lam)
+    moved = False
+    for n in range(1, N + 1):
+        k, m = 0, n
+        while m > 1:
+            p = spf[m]
+            while m % p == 0:
+                m //= p
+            k += 1
+        want = naive[n] ** l
+        bound = (l + 3) * k * u / (1 - (l + 3) * k * u)
+        assert abs(lam[n] - want) <= bound * abs(want), n
+        moved = moved or lam[n] != want
+    # the powers are rounded at the prime powers, so the bound is not idle
+    assert moved
 
 
 @pytest.mark.parametrize("j", [0, -2, 65])

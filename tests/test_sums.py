@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from symmoment import cli, hecke, sums
@@ -22,13 +23,23 @@ def test_checkpoint_grid_shape():
     assert len(small) < 24  # rounding collapses the early entries
 
 
-def test_partial_sum_matches_fsum_oracle(table):
-    # independent accumulation: math.fsum is exactly rounded
-    points = sums.partial_sum(2, 2, table(2000))
-    lam = hecke.sym_coeff_sieve(2, table(2000))
-    for x, s in points:
-        want = math.fsum(lam[n] ** 2 for n in range(1, x + 1))
-        assert abs(s - want) <= 1e-9 * max(1.0, abs(want))
+def test_partial_sum_matches_fsum_oracle(delta_1e4):
+    # independent accumulation: math.fsum is correctly rounded, and so is S(x)
+    for l, j in ((2, 2), (1, 4), (3, 3), (6, 2), (64, 1)):
+        points = sums.partial_sum(l, j, delta_1e4)
+        terms = hecke.sym_coeff_sieve(j, delta_1e4, l).tolist()
+        assert [x for x, _ in points] == sums.checkpoint_grid(delta_1e4.limit)
+        for x, s in points:
+            assert s == math.fsum(terms[1 : x + 1]), (l, j, x)
+
+
+def test_partial_sum_is_exact_with_subnormal_terms(delta_1e5):
+    # at 10^4 the least (64, 1) term is about 3e-289; at 10^5 some terms are
+    # subnormal, which the exact sum carries in units of 2^-1126
+    terms = hecke.sym_coeff_sieve(1, delta_1e5, 64).tolist()
+    assert any(0.0 < abs(v) < 2.0**-1022 for v in terms)
+    for x, s in sums.partial_sum(64, 1, delta_1e5):
+        assert s == math.fsum(terms[1 : x + 1]), x
 
 
 def test_second_moment_j1_against_normalized_table(table, delta_1e4):
@@ -184,13 +195,14 @@ def test_partial_sum_domain_errors(table):
         table(0)  # a table's size is checked where the table is made
 
 
+@pytest.mark.filterwarnings("error")  # and no numpy RuntimeWarning on the way
 def test_partial_sum_out_of_float_range_is_a_domain_error(table, monkeypatch):
-    # no pair within the cap overflows, so the values are planted: a term
-    # overflows, 1e200^2 is far past the largest float
-    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0, 1e200, 1.0])
+    # no pair within the cap overflows, so the terms are planted: a term
+    # that overflowed, as 1e200^2 would, is inf
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form, l: np.array([0.0, math.inf, 1.0]))
     with pytest.raises(ValueError, match=r"l out of range: S\(1\) .* at l=2"):
         sums.partial_sum(2, 1, table(2))
     # every term is finite, but their sum is not
-    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form: [0.0, 1e308, 1e308])
+    monkeypatch.setattr(sums, "sym_coeff_sieve", lambda j, form, l: np.array([0.0, 1e308, 1e308]))
     with pytest.raises(ValueError, match=r"l out of range: S\(2\) .* at l=1"):
         sums.partial_sum(1, 1, table(2))
