@@ -1,15 +1,22 @@
 """Verification and computation for moments of symmetric-power Hecke
 eigenvalues: exact composition-count coefficients, certified polynomial
 identities, local Euler factor expansions, error-term exponents, and a
-desk-scale partial-sum harness around the weight-12 eigenform."""
+desk-scale partial-sum harness around the weight-12 eigenform.
+
+Every submodule loads on first access, as an attribute or by `import
+symmoment.<name>`, so `import symmoment` loads only the error types. The
+command line loads `combinatorics`, `symbolic` and `euler` for every
+subcommand; `exponents`, and with it `fractions`, only for `exponents`;
+`hecke`, and with it numpy, only for `tau`, `partial-sum` and float
+`euler`, and `sums` only for `partial-sum`. No module but `hecke`
+imports `dataclasses`.
+"""
 
 import importlib
 
-from . import combinatorics, euler, exponents, symbolic
 from .errors import CapacityError, ConsistencyError, FitError
 
-# the numpy layers load on first access, so the exact core starts without numpy
-_LAZY = ("hecke", "sums")
+_LAZY = ("combinatorics", "symbolic", "hecke", "euler", "exponents", "sums")
 
 __version__ = "0.1.0"
 

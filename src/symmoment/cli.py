@@ -10,9 +10,14 @@ alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
 is O(N), and the benchmark's `cached` workload times its CSV, which is
 streamed in chunks of rows. A failed certificate raises in the library
 before anything prints, so the verdicts of `coeffs` and `identity` and the
-`improved` column of `exponents` print as the constant True. Only `tau`,
-`partial-sum` and float `euler` import `hecke` and `sums`, and with them
-numpy; `coeffs`, `identity`, `exponents` and `euler --exact` never do.
+`improved` column of `exponents` print as the constant True. The
+handlers import what only they run: `exponents`, and with it `fractions`,
+in `cmd_exponents`, `verify_decomposition` in `cmd_identity`, and `hecke`,
+and with it numpy, in `tau`, `partial-sum` and float `euler`, which
+`partial-sum` joins with `sums`. The module itself imports `combinatorics`
+and `euler`, whose order limits the parser reads, and `euler` imports
+`symbolic`. So `coeffs`, `identity` and `euler --exact` load neither numpy
+nor `exponents` nor `fractions`, and no exact command loads `dataclasses`.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir, or
 `exponents --table` with --l or --j, or `euler --exact` with --p or
 --weight), 3
@@ -27,9 +32,8 @@ import math
 import os
 import sys
 
-from . import combinatorics, euler, exponents
+from . import combinatorics, euler
 from .errors import CapacityError, ConsistencyError, FitError
-from .symbolic import verify_decomposition
 
 DEFAULT_N = 10_000
 
@@ -147,6 +151,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    from .symbolic import verify_decomposition
+
     lhs = verify_decomposition(args.l, args.j)
     deg = lhs(2)  # S_r(2) = r + 1: the certified identity at t = 2 is the degree
     w = combinatorics.weights(args.l, args.j)
@@ -184,6 +190,8 @@ def _report_row(report) -> dict:
 
 
 def cmd_exponents(args) -> int:
+    from . import exponents
+
     if args.table:
         if args.l is not None or args.j is not None:
             raise ValueError("--table takes no --l or --j")

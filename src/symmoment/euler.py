@@ -19,8 +19,6 @@ identity, which `correction_series_sym` certifies by
 writes every label.
 """
 
-from dataclasses import dataclass
-
 from . import combinatorics
 from .errors import CapacityError, ConsistencyError
 from .symbolic import T, deligne_t, local_expansion, verify_decomposition
@@ -31,16 +29,34 @@ DEFAULT_ORDER = 6
 ORDER_CAP = 16
 
 
-@dataclass(frozen=True)
 class LocalFactorSeries:
-    """Truncated expansion in X = p^(-s): coeffs[a] multiplies X^a."""
+    """Truncated expansion in X = p^(-s): coeffs[a] multiplies X^a.
 
-    coeffs: tuple
+    Immutable, and equal to another series with the same coefficients; a
+    plain class, so that the exact core never imports `dataclasses`.
+    """
 
-    def __post_init__(self):
-        lead = self.coeffs[0]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        lead = coeffs[0]
         if lead != lead**0:  # exactly 1.0, or the constant polynomial 1
             raise ConsistencyError(f"local factor not normalized: X^0 coefficient {lead}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if isinstance(other, LocalFactorSeries):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self):
+        return f"LocalFactorSeries(coeffs={self.coeffs!r})"
 
     def __getitem__(self, a):
         return self.coeffs[a]

@@ -20,7 +20,7 @@ does not improve on the stored previously published exponent of its pair.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import combinatorics
@@ -43,24 +43,17 @@ def _top_weights(l: int, j: int):
     return (j + 1) ** l, w[half], w[half - 1]
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(
+    namedtuple("ExponentReport", "l j parity D A B saving theta theta_star flags previous")
+):
     """One pair's exponents. parity is "even4" (lj = 4), "evenBig" (even
     lj >= 6) or "odd"; A and B exist only for "evenBig", theta_star only
     for even lj. saving is 1 - theta as computed, positive even where theta
-    rounds to 1.0. previous is the PREVIOUS_EXPONENTS entry theta beats, if any."""
+    rounds to 1.0. previous is the PREVIOUS_EXPONENTS entry theta beats, if
+    any, a Fraction. A named tuple, so that the module never imports
+    `dataclasses`: fields are read-only and reports compare by value."""
 
-    l: int
-    j: int
-    parity: str
-    D: int
-    A: float | None
-    B: float | None
-    saving: float
-    theta: float
-    theta_star: float | None
-    flags: tuple
-    previous: Fraction | None
+    __slots__ = ()
 
 
 def exponent_report(l: int, j: int) -> ExponentReport:

@@ -3,7 +3,8 @@
 
 Each test starts its own interpreter with the package's source directory
 on PYTHONPATH, so modules already imported by the test session do not
-count.
+count, and the probe counts only what its code imports, not what the
+interpreter loaded at start-up (a site `.pth` file may load more).
 """
 
 import os
@@ -25,12 +26,16 @@ def python(args, cwd):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
 
 
-def loads_numpy(code, cwd):
-    """Run `code`, then report whether numpy was imported; it must exit 0."""
-    probe = code + "\nimport sys\nsys.stderr.write(str('numpy' in sys.modules))\n"
+def loaded(code, cwd, names):
+    """Run `code`, then return the members of `names` it imported; it must exit 0."""
+    probe = (
+        f"import sys\n_before = set(sys.modules)\n{code}\n"
+        f"_new = [n for n in {sorted(names)!r} if n in set(sys.modules) - _before]\n"
+        "sys.stderr.write('\\nloaded: ' + ' '.join(_new))\n"
+    )
     proc = python(["-c", probe], cwd)
     assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stderr.decode().splitlines()[-1] == "True"
+    return set(proc.stderr.decode().splitlines()[-1].removeprefix("loaded:").split())
 
 
 def cli_run(argv):
@@ -48,25 +53,40 @@ EXACT_RUNS = {
 }
 
 
+# what an exact command's start-up must not pay for, and the part of it
+# that only `exponents`, with its Fraction baselines, may load
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "symmoment.exponents"}
+EXPONENTS_ONLY = {"fractions", "decimal", "symmoment.exponents"}
+
+
 @pytest.mark.parametrize("name", EXACT_RUNS)
 def test_exact_core_never_imports_numpy(name, tmp_path):
-    assert not loads_numpy(EXACT_RUNS[name], tmp_path)
+    assert not loaded(EXACT_RUNS[name], tmp_path, {"numpy"})
+
+
+@pytest.mark.parametrize("name", EXACT_RUNS)
+def test_exact_core_import_boundaries(name, tmp_path):
+    got = loaded(EXACT_RUNS[name], tmp_path, HEAVY)
+    if name.startswith("exponents"):
+        assert "symmoment.exponents" in got and got <= EXPONENTS_ONLY
+    else:
+        assert not got
 
 
 def test_probe_sees_numpy_where_arrays_are_used(tmp_path):
     argv = ["tau", "--limit", "20", "--cache-dir", str(tmp_path)]
-    assert loads_numpy(cli_run(argv), tmp_path)
+    assert loaded(cli_run(argv), tmp_path, {"numpy"}) == {"numpy"}
 
 
 def test_lazy_layers_resolve_as_attributes(tmp_path):
     code = (
         "import symmoment\n"
         "assert symmoment.hecke.eigenform_qexp(12, 5).raw[2] == -24\n"
-        "assert symmoment.sums.partial_sum\n"
+        "assert symmoment.sums.partial_sum and symmoment.euler.ORDER_CAP\n"
         "from symmoment import *\n"
-        "assert hecke is symmoment.hecke and sums is symmoment.sums\n"
+        "assert all(globals()[n] is getattr(symmoment, n) for n in symmoment.__all__)\n"
     )
-    assert loads_numpy(code, tmp_path)
+    assert loaded(code, tmp_path, {"numpy"}) == {"numpy"}
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         symmoment.nonesuch
 

@@ -207,6 +207,18 @@ def test_series_normalization_guard():
         E.LocalFactorSeries((0.5, 1.0))
 
 
+def test_local_factor_series_is_an_immutable_value():
+    for t in (0.5, T):
+        s = E.lhs_local(2, 2, t, 3)
+        assert s == E.lhs_local(2, 2, t, 3) and s != E.rhs_local(3, 2, t, 3)
+        assert s == E.LocalFactorSeries(s.coeffs) and s[1] == s.coeffs[1]
+        with pytest.raises(AttributeError):
+            s.coeffs = (1.0,)
+        with pytest.raises(AttributeError):
+            del s.coeffs
+        assert s == E.lhs_local(2, 2, t, 3)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         E.lhs_local(0, 2, 0.5)

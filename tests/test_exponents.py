@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -272,3 +273,16 @@ def test_report_row_odd_case_nulls(capsys):
 def test_previous_exponents_are_exact_fractions():
     assert X.PREVIOUS_EXPONENTS[(3, 2)] == Fraction(1367, 1487)
     assert all(0 < f < 1 for f in X.PREVIOUS_EXPONENTS.values())
+
+
+def test_exponent_report_is_an_immutable_value():
+    r = X.exponent_report(2, 2)
+    fields = "l j parity D A B saving theta theta_star flags previous".split()
+    assert list(inspect.signature(X.ExponentReport).parameters) == fields
+    assert X.ExponentReport(*(getattr(r, f) for f in fields)) == r
+    assert r == X.exponent_report(2, 2) and r != X.exponent_report(3, 2)
+    assert type(r.previous) is Fraction
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, f, None)
+    assert r.theta == X.exponent_report(2, 2).theta
