@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands map one-to-one onto the library modules, and each subparser
-registers its handler as `run`, which `main` calls; every run is
-deterministic given its flags, so CSV/JSON outputs are byte-stable and
+Subcommands map one-to-one onto the library modules, and `main` looks up
+the handler `cmd_<name>` of each at call time, with `-` written as `_`, so
+a wrapper put on a handler after the parser is cached is called; every run
+is deterministic given its flags, so CSV/JSON outputs are byte-stable and
 usable as regression artifacts. The library returns values and this module
 alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
 `partial-sum` build their JSON document, CSV rows and text lines once, and
@@ -20,9 +21,8 @@ and `euler`, whose order limits the parser reads, and `euler` imports
 nor `exponents` nor `fractions`, and no exact command loads `dataclasses`.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir, or
 `exponents --table` with --l or --j, or `euler --exact` with --p or
---weight), 3
-internal consistency failure, 4 capacity cap exceeded. Every pair, cap and
-order check runs before any table is read.
+--weight), 3 internal consistency failure, 4 capacity cap exceeded. Every
+pair, cap and order check runs before any table is read.
 """
 
 import argparse
@@ -62,20 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("coeffs", help="composition-count vector and differences")
-    p.set_defaults(run=cmd_coeffs)
     _add_pair(p)
 
     p = sub.add_parser("identity", help="certify the basis decomposition and degree")
-    p.set_defaults(run=cmd_identity)
     _add_pair(p)
 
     p = sub.add_parser("exponents", help="error exponents; single pair or both tables")
-    p.set_defaults(run=cmd_exponents)
     _add_pair(p, required=False)
     p.add_argument("--table", action="store_true", help="emit the 14 comparison rows")
 
     p = sub.add_parser("euler", help="local factor correction series at a prime")
-    p.set_defaults(run=cmd_euler)
     _add_pair(p)
     # None so that --exact can refuse a --p given with it; float mode uses 2
     p.add_argument("--p", type=int, help="prime for the local factor")
@@ -93,11 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="q-expansion cache directory")
 
     p = sub.add_parser("tau", help="eigenform q-expansion table")
-    p.set_defaults(run=cmd_tau)
     _add_form_opts(p)
 
     p = sub.add_parser("partial-sum", help="checkpointed moment partial sums")
-    p.set_defaults(run=cmd_partial_sum)
     _add_pair(p)
     _add_form_opts(p)
 
@@ -330,8 +324,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "cache_dir", "") is None:
         args.cache_dir = os.environ.get("SYMMOMENT_CACHE", "./cache")
+    run = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.run(args)
+        return run(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -29,37 +29,29 @@ DEFAULT_ORDER = 6
 ORDER_CAP = 16
 
 
-class LocalFactorSeries:
-    """Truncated expansion in X = p^(-s): coeffs[a] multiplies X^a.
+class LocalFactorSeries(tuple):
+    """Truncated expansion in X = p^(-s): the tuple of its coefficients, the
+    a-th multiplying X^a, with the X^0 term checked to be 1.
 
-    Immutable, and equal to another series with the same coefficients; a
-    plain class, so that the exact core never imports `dataclasses`.
+    A tuple, so immutable, equal to any tuple of the same coefficients and
+    hashable where they are; `coeffs` is that plain tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple):
-        lead = coeffs[0]
+    def __new__(cls, coeffs):
+        self = super().__new__(cls, coeffs)
+        lead = self[0]
         if lead != lead**0:  # exactly 1.0, or the constant polynomial 1
             raise ConsistencyError(f"local factor not normalized: X^0 coefficient {lead}")
-        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if isinstance(other, LocalFactorSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self):
         return f"LocalFactorSeries(coeffs={self.coeffs!r})"
-
-    def __getitem__(self, a):
-        return self.coeffs[a]
 
 
 def check(l: int, j: int, A: int) -> None:
@@ -80,7 +72,7 @@ def lhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     check(l, j, A)
     t = t if t is T else deligne_t(t)
     # lam_sym^j(p^a) for a = 0..A is one expansion at the single weight 1
-    return LocalFactorSeries(tuple(h**l for h in local_expansion((1,), j, t, A)))
+    return LocalFactorSeries(h**l for h in local_expansion((1,), j, t, A))
 
 
 def rhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
@@ -88,18 +80,18 @@ def rhs_local(l: int, j: int, t, A: int = DEFAULT_ORDER) -> LocalFactorSeries:
     check(l, j, A)
     t = t if t is T else deligne_t(t)
     w = combinatorics.weights(l, j)
-    return LocalFactorSeries(tuple(local_expansion(w, l * j, t, A)))
+    return LocalFactorSeries(local_expansion(w, l * j, t, A))
 
 
 def _quotient(lhs, rhs):
     # formal quotient; rhs constant term is 1 so no division happens
     q = []
-    for n in range(len(lhs.coeffs)):
+    for n in range(len(lhs)):
         acc = lhs[n]
         for k in range(n):
             acc = acc - q[k] * rhs[n - k]
         q.append(acc)
-    return LocalFactorSeries(tuple(q))
+    return LocalFactorSeries(q)
 
 
 def correction_series(l: int, j: int, t: float, A: int = DEFAULT_ORDER) -> LocalFactorSeries:

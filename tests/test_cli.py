@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import time
@@ -542,13 +543,14 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_every_subparser_registers_its_handler():
-    # names, not identity: bench/tracer.py wraps the cmd_* functions when the
-    # cached parser is first built under it
+def test_every_subcommand_resolves_to_a_module_level_handler():
+    # main looks the handler up by name at call time, so a subcommand without
+    # one fails here rather than at its first run
     parser = cli.build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, p in sub.choices.items():
-        assert p.get_default("run").__name__ == "cmd_" + name.replace("-", "_"), name
+    for name in sub.choices:
+        fn = getattr(cli, "cmd_" + name.replace("-", "_"), None)
+        assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
 
 
 def test_byte_determinism_across_runs(capsys, tmp_path):

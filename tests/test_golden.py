@@ -8,7 +8,9 @@ output rewrites them, and the diff shows what moved:
 
 Commands run in-process in one scratch directory. euler, tau and
 partial-sum get `--cache-dir cache` unless they name a cache, so paths in
-messages are relative and do not depend on where the tests run.
+messages are relative and do not depend on where the tests run. The
+`--help` records pin the help text of the parser and of each subcommand,
+wrapped at COLUMNS=80.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import io
 import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -84,6 +87,13 @@ partial-sum --l 6 --j 2 --limit 100000 --format json
 partial-sum --l 0 --j 2 --limit 100
 partial-sum --l 2 --j 0 --limit 1
 partial-sum --l 2 --j 2 --limit 2000000
+--help
+coeffs --help
+identity --help
+exponents --help
+euler --help
+tau --help
+partial-sum --help
 """
 
 # bad/ holds 24 zero bytes, three columns of two digits, where the table to
@@ -110,8 +120,15 @@ def record(argv, workdir) -> str:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        with (
+            mock.patch.dict(os.environ, COLUMNS="80"),  # the width argparse wraps help to
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's --help and usage errors
+                code = exc.code
     finally:
         os.chdir(cwd)
     return f"exit {code}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
@@ -143,7 +160,8 @@ def test_every_subcommand_succeeds_in_every_format():
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     covered = set()
     for name, argv in CASES.items():
-        if (GOLDEN / f"{name}.txt").read_text().startswith("exit 0\n"):
+        # a help case exits 0 too, but parsing it would print and exit
+        if "--help" not in argv and (GOLDEN / f"{name}.txt").read_text().startswith("exit 0\n"):
             args = parser.parse_args(argv)
             covered.add((args.subcommand, args.format))
     assert covered == {(cmd, fmt) for cmd in sub.choices for fmt in cli.FORMATS}

@@ -23,8 +23,13 @@ from test_golden import CASES, GOLDEN, prepare, record  # noqa: E402
 from tracer import HOOKS, Tracer  # noqa: E402
 from worker import LAYERS  # noqa: E402
 
+from symmoment import cli  # noqa: E402
+
 
 def test_golden_records_replay_under_the_tracer(tmp_path):
+    # the parser is cached before the handlers are wrapped, as in a benchmark
+    # round after its first run
+    cli.build_parser()
     tracer = Tracer(LAYERS, HOOKS)
     tracer.install()
     try:
@@ -49,6 +54,10 @@ def test_golden_records_replay_under_the_tracer(tmp_path):
     assert tracer.counters["hecke.series_mul.out_terms"] > 0
     assert tracer.counters["hecke.cache_bytes"] > 0
     assert tracer.peaks["euler.x1_residual_max"] < 1e-9
+    # main finds each handler when it runs, so every subcommand's is seen
+    subcommands = {argv[0] for argv in CASES.values()} - {"--help"}
+    assert len(subcommands) == 6
+    assert {"cli.cmd_" + cmd.replace("-", "_") for cmd in subcommands} <= names
 
 
 def test_benchmark_layer_names_resolve():
