@@ -15,8 +15,9 @@ uses the single weight 1 at top j, raised to the l-th power coefficientwise.
 Newton's identities must be exact. `correction_series` returns the float
 X^1 cancellation as computed; over Z[t] that term is the decomposition
 identity, which `correction_series_sym` certifies by
-`symbolic.verify_decomposition`. `check` owns the (l, j, A) rule; `cli`
-writes every label.
+`symbolic.verify_decomposition`, the same engine run at one integer point
+past Cauchy's root bound of the difference. `check` owns the (l, j, A)
+rule; `cli` writes every label.
 """
 
 from . import combinatorics
@@ -108,10 +109,12 @@ def correction_series_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactor
 
     The X^1 coefficient is lhs[1] - rhs[1], as q[0] = 1. Those are
     S_j(t)^l and sum_m w_m S_{lj-2m}(t), the two sides that
-    `symbolic.verify_decomposition` compares, so it certifies the term at
-    every order, A = 0 included, and raises ConsistencyError where they
-    differ: a defect in this library. The quotient comes first, so that
-    `check` refuses a bad order before any expansion.
+    `symbolic.verify_decomposition` compares, at one integer point t0 that
+    no nonzero difference of their size can vanish at (Cauchy's bound), so
+    equality there is equality in Z[t]. It certifies the term at every
+    order, A = 0 included, and raises ConsistencyError where they differ: a
+    defect in this library. The quotient comes first, so that `check`
+    refuses a bad order before any expansion.
     """
     q = _quotient(lhs_local(l, j, T, A), rhs_local(l, j, T, A))
     verify_decomposition(l, j)

@@ -5,13 +5,17 @@ The basis polynomials S_r satisfy S_0 = 1, S_1 = t and the Hecke-type
 recursion S_r = t S_{r-1} - S_{r-2}, so that S_r(2 cos theta) =
 sin((r+1) theta) / sin theta and S_r(lambda_f(p)) is the normalized
 eigenvalue at p of the r-th symmetric power. The recursion runs in one
-place, `local_expansion`, whose X^1 coefficient over Z[t] is
-sum_m w_m S_{top-2m}(t). The same engine, in doubles at a float t, gives
-`euler` its local factors and `hecke` its symmetric-power values at prime
-powers. `verify_decomposition` reads both sides from it and certifies,
-coefficientwise in exact integers, that the l-th power of S_j expands over
-this basis with the first-difference weights from `combinatorics`; it
-returns that power and raises ConsistencyError where the two differ. The
+place, `_power_sum`, which `local_expansion` reads for the power sums of
+its root multiset: its X^1 coefficient over Z[t] is sum_m w_m
+S_{top-2m}(t). The same engine, in doubles at a float t, gives `euler` its
+local factors and `hecke` its symmetric-power values at prime powers.
+`verify_decomposition` runs it at one integer point t0 = 2^B and certifies
+that the l-th power of S_j expands over this basis with the
+first-difference weights from `combinatorics`: every coefficient of the
+difference of the two sides is bounded by the recursion, so by Cauchy's
+root bound t0 is no root of a nonzero difference, and equality at t0 is
+equality in Z[t]. It returns S_j(t)^l, decoded from the digits of its
+value at t0, and raises ConsistencyError where the two sides differ. The
 module imports no numpy, so the exact command-line paths never load it.
 """
 
@@ -142,7 +146,8 @@ T = IntPolynomial([0, 1])
 
 
 # ---------------------------------------------------------------------------
-# the local-factor engine, over Z[t] at T or in doubles at a float t
+# the local-factor engine: over Z[t] at T, in doubles at a float t, or in Z
+# at an integer point
 
 
 def _power_sum(weights, top, x):
@@ -179,9 +184,10 @@ def local_expansion(weights, top, t, A):
     one = t**0  # 1.0, or the constant polynomial 1
     x_prev, x = 2 * one, t
     p = []
-    for _ in range(A):
+    for k in range(A):
+        if k:
+            x_prev, x = x, t * x - x_prev
         p.append(_power_sum(weights, top, x))
-        x_prev, x = x, t * x - x_prev
     h = [one]
     for n in range(1, A + 1):
         acc = p[n - 1]
@@ -215,15 +221,40 @@ def verify_decomposition(l: int, j: int) -> IntPolynomial:
 
     The weights w are `combinatorics.weights`, the d (even lj) or e (odd
     lj) vector; for even lj the last term is the constant w_{lj/2} S_0.
-    Both sides are X^1 coefficients of `local_expansion` over Z[t],
-    those of `euler.lhs_local` and `euler.rhs_local` at `T`: S_j at the
-    single weight 1, to the l-th power, and the weighted sum at top lj, so
-    `euler.correction_series_sym` certifies its X^1 term here. The identity
-    holds for every valid (l, j), so a mismatch is a defect in
+    Both sides are the engine's p_1, the X^1 coefficient of
+    `local_expansion` (those of `euler.lhs_local` and `euler.rhs_local` at
+    `T`, so `euler.correction_series_sym` certifies its X^1 term here): S_j
+    at the single weight 1, to the l-th power, and the weighted sum at top
+    lj. Evaluation at an integer is a ring homomorphism Z[t] -> Z, so the
+    engine runs at one integer point t0 = 2^B, in integer arithmetic,
+    instead of over Z[t]:
+
+    - `_power_sum` runs S_{r+1} = t S_r - S_{r-1}, so the coefficients of
+      S_r sum in absolute value to at most the Fibonacci number F_{r+1} <=
+      2^r;
+    - that sum is submultiplicative, so every coefficient of lhs - rhs is
+      at most C = 2^{lj} (1 + sum_m |w_m|) in absolute value;
+    - by Cauchy's bound a nonzero integer polynomial with such coefficients
+      has no root z with |z| > 1 + C, and t0 = 2^B with B = C.bit_length()
+      + 1 exceeds 2C >= 1 + C, so equality at t0 holds exactly when lhs =
+      rhs in Z[t];
+    - every coefficient c of S_j(t)^l has |c| <= 2^{lj} < t0 / 2, so its
+      value at t0 read in balanced base-2^B digits is its coefficients.
+
+    The identity holds for every valid (l, j), so a mismatch is a defect in
     this library, never a property of the input, and raises
     ConsistencyError.
     """
-    lhs = local_expansion((1,), j, T, 1)[1] ** l
-    if lhs != local_expansion(combinatorics.weights(l, j), l * j, T, 1)[1]:
+    w = combinatorics.weights(l, j)
+    bits = ((1 + sum(map(abs, w))) << (l * j)).bit_length() + 1
+    t0 = 1 << bits
+    value = _power_sum((1,), j, t0) ** l
+    if value != _power_sum(w, l * j, t0):
         raise ConsistencyError(f"decomposition fails at (l={l}, j={j})")
-    return lhs
+    half, mask = t0 >> 1, t0 - 1
+    coeffs = []
+    while value:
+        c = ((value + half) & mask) - half  # the residue in [-t0/2, t0/2)
+        coeffs.append(c)
+        value = (value - c) >> bits
+    return IntPolynomial(coeffs)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ONE, digits_of, write_cache
+from oracles import digits_of, write_cache
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
 
 
@@ -80,12 +80,13 @@ def test_identity_json(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_identity_exits_3_when_the_decomposition_fails(capsys, monkeypatch, fmt):
-    # a wrong power sum at top lj = 6 shifts the weighted side by 1
+    # a wrong power sum at top lj = 6 shifts the weighted side by 1, the
+    # one of whichever ring the engine runs in
     real = symbolic._power_sum
 
     def wrong_top(weights, top, x):
         p = real(weights, top, x)
-        return p + ONE if top == 6 else p
+        return p + p**0 if top == 6 else p
 
     monkeypatch.setattr(symbolic, "_power_sum", wrong_top)
     code, out, err = run(capsys, f"identity --l 3 --j 2 --format {fmt}")
@@ -181,12 +182,14 @@ def test_euler_exact_csv(capsys):
 
 def test_euler_exact_exits_3_when_x1_does_not_cancel(capsys, monkeypatch):
     # a wrong p_1 shifts the X^1 terms by 1; order 1 stops before Newton's
-    # identities divide, so only the decomposition certificate can see it
+    # identities divide, so only the decomposition certificate can see it.
+    # p_1 is the power sum at x = t: T itself over Z[t], or the integer point
+    # at which the certificate evaluates
     real = symbolic._power_sum
 
     def wrong_p1(weights, top, x):
         p = real(weights, top, x)
-        return p + ONE if x.degree == 1 else p
+        return p + p**0 if x is symbolic.T or isinstance(x, int) else p
 
     monkeypatch.setattr(symbolic, "_power_sum", wrong_p1)
     code, out, err = run(capsys, "euler --l 2 --j 2 --exact --order 1")

@@ -135,12 +135,14 @@ def test_symbolic_x1_is_the_decomposition_certificate(monkeypatch, A):
     # a wrong p_1 shifts both X^1 terms, so S_j^l no longer expands over the
     # basis. A shift by 6 multiplies each side by exp(6X), whose coefficients
     # 6^n/n! are integers up to n = 4: Newton's identities still divide
-    # exactly, and only verify_decomposition can refuse it, at every order
+    # exactly, and only verify_decomposition can refuse it, at every order.
+    # p_1 is the power sum at x = t: T itself over Z[t], or the integer
+    # point at which the certificate evaluates
     real = S._power_sum
 
     def wrong_p1(weights, top, x):
         p = real(weights, top, x)
-        return p + 6 * ONE if x.degree == 1 else p
+        return p + 6 * p**0 if x is T or isinstance(x, int) else p
 
     monkeypatch.setattr(S, "_power_sum", wrong_p1)
     with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=2, j=2\)"):

@@ -36,6 +36,10 @@ coeffs --l 0 --j 2
 coeffs --l 13 --j 5
 identity --l 2 --j 3 *
 identity --l 5 --j 3 *
+identity --l 8 --j 8 *
+identity --l 2 --j 32 *
+identity --l 64 --j 1 *
+identity --l 1 --j 64 *
 identity --l 65 --j 1
 exponents --l 2 --j 2 *
 exponents --l 4 --j 2 *

@@ -127,12 +127,48 @@ def test_decomposition_reads_the_engine(monkeypatch):
 
     def wrong_top(weights, top, x):
         p = real(weights, top, x)
-        return p + ONE if top == 6 else p
+        return p + p**0 if top == 6 else p
 
     monkeypatch.setattr(S, "_power_sum", wrong_top)
     with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=3, j=2\)"):
         verify_decomposition(3, 2)
-    # the two sides the certificate compares differ by exactly the fault
+    # the two sides the certificate compares differ by exactly the fault,
+    # over Z[t] and at an integer point
     lhs = S.local_expansion((1,), 2, T, 1)[1] ** 3
     rhs = S.local_expansion(combinatorics.weights(3, 2), 6, T, 1)[1]
     assert rhs - lhs == ONE
+    t0 = 2**20
+    assert S._power_sum(combinatorics.weights(3, 2), 6, t0) - S._power_sum((1,), 2, t0) ** 3 == 1
+
+
+PAIRS_TO_THE_CAP = [
+    (l, j) for l in range(1, combinatorics.LJ_CAP + 1) for j in range(1, combinatorics.LJ_CAP // l + 1)
+]
+
+
+def test_decomposition_at_every_pair_to_the_cap():
+    # the certificate evaluates at one integer point and decodes S_j(t)^l
+    # from its digits; the decode must give every coefficient, the largest
+    # at lj = 64 included
+    assert len(PAIRS_TO_THE_CAP) == 280
+    for l, j in PAIRS_TO_THE_CAP:
+        lhs = verify_decomposition(l, j)
+        assert lhs == chebyshev_s(j) ** l, (l, j)
+        assert lhs(2) == (j + 1) ** l, (l, j)
+
+
+@pytest.mark.parametrize("l,j", [(8, 8), (64, 1), (1, 64), (2, 32)])
+def test_decomposition_refuses_a_fault_with_small_integer_roots(monkeypatch, l, j):
+    # the planted difference t^2 - 4 vanishes at t = +-2, so an evaluation
+    # at the wrong point would pass it; past Cauchy's root bound it cannot
+    real = S._power_sum
+
+    def wrong_top(weights, top, x):
+        p = real(weights, top, x)
+        return p + x * x - 4 * p**0 if top == l * j and weights != (1,) else p
+
+    monkeypatch.setattr(S, "_power_sum", wrong_top)
+    rhs = S.local_expansion(combinatorics.weights(l, j), l * j, T, 1)[1]
+    assert rhs - chebyshev_s(j) ** l == IntPolynomial([-4, 0, 1])
+    with pytest.raises(ConsistencyError, match=rf"decomposition fails at \(l={l}, j={j}\)"):
+        verify_decomposition(l, j)
