@@ -13,8 +13,9 @@ multiplicative sieve over n <= N.
 The q-expansion is multi-modular. For each of a few primes, below 2^21 and
 small enough for N that exact convolution values stay within 2^50, each
 series product is one numpy float FFT product of balanced int64 residues,
-and Garner's CRT turns the residues into the digits. The number of primes
-comes from the Deligne bound, so the digits fix the integers exactly.
+and Garner's CRT turns the residues into balanced digits, read with no
+offset. The number of primes comes from the Deligne bound, so the digits
+fix the integers exactly.
 `_convolve`, the one FFT product, checks its magnitude before the
 transform and its rounding margin after it.
 
@@ -232,61 +233,50 @@ def _sigma_mod(power, n_terms, p):
 
 
 def _garner(primes, residues, n):
-    """Mixed-radix digits of x + H, H = (M-1)/2, M = prod(primes), for n
-    integers |x| < M/2 from their residues, one int64 array per prime in
-    order. Each array becomes a row as it arrives: row i of the int32 result
-    lies in [0, p_i), and x + H = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), so
-    `_mod` reads x mod any further prime off the rows (Cohen, GTM 138).
+    """Balanced mixed-radix digits of n integers |x| <= (M-1)/2, M =
+    prod(primes), from their residues, one int64 array per prime in order,
+    none of which is modified. Each array becomes a row as it arrives: row i
+    of the int32 result lies in [-(p_i-1)/2, (p_i-1)/2], and x = d_0 + p_0
+    (d_1 + p_1 (d_2 + ...)), a bijection onto that range, so `_mod` reads
+    x mod any further prime off the rows (Cohen, GTM 138).
     """
-    half = math.prod(primes) // 2
     digits = np.empty((len(primes), n), dtype=np.int32)
     for i, (p, v) in enumerate(zip(primes, residues)):
-        v = v + half % p
         if i:
-            # v -= (digits so far, evaluated mod p); v /= p_0 ... p_{i-1}
-            v -= _digits_mod(primes[:i], digits[:i], p)
+            # v = (v - digits so far, evaluated mod p) / (p_0 ... p_{i-1})
+            v = v - _mod(primes[:i], digits[:i], p)
             v *= pow(math.prod(primes[:i]), -1, p)
-        v %= p
-        digits[i] = v
+        digits[i] = _balanced(v % p, p)
     return digits
 
 
-def _digits_mod(primes, digits, q):
-    """The integers whose mixed-radix digits are the columns of `digits`,
-    mod q, as one weighted sum: sum_i w_i d_i with w_i = p_0 ... p_{i-1}
-    mod q. With q and every digit below PRIME_CEIL and at most 17 rows
-    (weight 26 at HARD_CAP), the int64 sum stays below 17 * 2^42 < 2^47."""
+def _mod(primes, digits, q):
+    """The integers x whose `_garner` digits are the columns of `digits`,
+    mod q, in [0, q), as one weighted sum: sum_i w_i d_i with w_i = p_0 ...
+    p_{i-1} mod q. Every |d_i| is below PRIME_CEIL / 2 = 2^20 and there are
+    at most 17 rows (weight 26 at HARD_CAP), so for any q < 2^31 the int64
+    sum stays below 17 * 2^20 * 2^31 < 2^56 in absolute value."""
     w = np.array([math.prod(primes[:i]) % q for i in range(len(primes))], dtype=np.int64)
     acc = np.einsum("i,ij->j", w, digits, dtype=np.int64)
     acc %= q
     return acc
 
 
-def _mod(primes, digits, q):
-    """The integers x whose `_garner` digits are the columns of `digits`,
-    mod q, in [0, q): the digits give x + H, and H = prod(primes) // 2."""
-    acc = _digits_mod(primes, digits, q)
-    acc -= math.prod(primes) // 2 % q
-    acc %= q
-    return acc
-
-
 def _combine(primes, digits):
     """The integers whose `_garner` digits are the columns of `digits`: three
-    digits to an int64 limb (three primes below 2^21 multiply to under 2^63),
-    H subtracted from each limb as R // 2, R its radix, since every digit of
-    H is (p_i - 1)/2, and the limbs combined as Python ints per chunk."""
+    digits to a signed int64 limb, |limb| <= (p_0 p_1 p_2 - 1)/2 < 2^62 for
+    three primes below 2^21, and the limbs combined as Python ints per
+    chunk, each radix the product of its limb's primes."""
     groups = [(primes[g : g + 3], digits[g : g + 3]) for g in range(0, len(primes), 3)]
     radices = [math.prod(ps) for ps, _ in groups]
     out = []
     for lo in range(0, digits.shape[1], _CHUNK):
         limbs = []
-        for (ps, ds), radix in zip(groups, radices):
+        for ps, ds in groups:
             limb = ds[-1][lo : lo + _CHUNK].astype(np.int64)
             for d, q in zip(reversed(ds[:-1]), reversed(ps[:-1])):
                 limb *= q
                 limb += d[lo : lo + _CHUNK]
-            limb -= radix // 2
             limbs.append(limb.tolist())
         acc = limbs[-1]
         for limb, radix in zip(reversed(limbs[:-1]), reversed(radices[:-1])):
@@ -300,7 +290,8 @@ class EigenformTable:
     """q-expansion of the normalized eigenform of one-dimensional weight.
 
     `digits` is the (len(crt_primes(weight, limit)), limit + 1) int32
-    matrix of `_garner` digits of a(0..limit), a(0) = 0. The digits are the
+    matrix of balanced `_garner` digits of a(0..limit), a(0) = 0: a(n) =
+    d_0 + p_0 (d_1 + p_1 (d_2 + ...)), |d_i| <= (p_i-1)/2. The digits are the
     only copy; exact integers are formed where they are read: all of them
     by `raw`, the primes for the sieve, one column by `lam`; the
     constructor gates (weight, limit) and certifies the digits first.
@@ -324,9 +315,9 @@ class EigenformTable:
     def __post_init__(self) -> None:
         """Raise ConsistencyError unless, in this order, the digit matrix has
         one row per CRT prime and limit + 1 columns, dtype int32, digit i of
-        every a(n) lies in [0, p_i), a(1) = 1 and, with m the modulus in
-        `_WEIGHTS`, a(n) = sigma_{k-1}(n) mod m at every n; a(n) mod m comes
-        off the digits."""
+        every a(n) lies in [-h, h], h = p_i // 2, column 1 is (1, 0, ..., 0),
+        the digits of a(1) = 1, and, with m the modulus in `_WEIGHTS`, a(n) =
+        sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
         primes = crt_primes(self.weight, self.limit)
         want = (len(primes), self.limit + 1)
         if self.digits.shape != want:
@@ -334,10 +325,11 @@ class EigenformTable:
         if self.digits.dtype != np.int32:
             raise ConsistencyError(f"digits have dtype {self.digits.dtype}, expected int32")
         for i, (row, p) in enumerate(zip(self.digits, primes)):
-            if row.min() < 0 or row.max() >= p:
-                n = np.flatnonzero((row < 0) | (row >= p))[0]
-                raise ConsistencyError(f"digit {i} of a({n}) outside [0, {p})")
-        if self.lam(1) != 1.0:  # as floats, only the integer 1 is 1.0
+            h = p // 2
+            if row.min() < -h or row.max() > h:
+                n = np.flatnonzero((row < -h) | (row > h))[0]
+                raise ConsistencyError(f"digit {i} of a({n}) outside [-{h}, {h}]")
+        if self.digits[0, 1] != 1 or self.digits[1:, 1].any():
             raise ConsistencyError("eigenform not normalized: a(1) != 1")
         m = _WEIGHTS[self.weight][0]
         acc = _mod(primes, self.digits, m)
@@ -527,11 +519,12 @@ def _prime_power_values(j, l, N, primes, form):
 
 
 def cache_path(cache_dir: str, weight: int, N: int) -> str:
-    return os.path.join(cache_dir, f"tau_{weight}_{N}.i32")
+    return os.path.join(cache_dir, f"tau_{weight}_{N}.b32")
 
 
 def save_table(form: EigenformTable, cache_dir: str) -> str:
-    """Write the table's digits as little-endian int32 into its cache file.
+    """Write the table's balanced digits as little-endian int32 into its
+    cache file, `tau_<weight>_<N>.b32`.
 
     cache_dir must exist; `cached_eigenform` makes it. Each writer renames its
     own temp file, named by process and thread, into place, so overlapping

@@ -154,21 +154,24 @@ def eigenform_mod(weight, eta6, p):
 
 def digits_of(weight, raw):
     """The `EigenformTable.digits` of raw = a(0..N): column n holds the
-    mixed-radix digits of a(n) + H, H = (M-1)/2, M the product of the
-    table's primes, found by dividing by each prime in turn."""
+    balanced mixed-radix digits of a(n), each in [-(p-1)/2, (p-1)/2] for its
+    prime p of the table, found by dividing by each prime in turn and
+    taking the remainder above p // 2 down by p."""
     primes = crt_primes(weight, len(raw) - 1)
-    half = math.prod(primes) // 2
     digits = np.zeros((len(primes), len(raw)), dtype=np.int32)
-    for n, a in enumerate(raw):
-        x = a + half
+    for n, x in enumerate(raw):
         for i, p in enumerate(primes):
-            x, digits[i, n] = divmod(x, p)
+            x, d = divmod(x, p)
+            if d > p // 2:
+                x, d = x + 1, d - p
+            digits[i, n] = d
     return digits
 
 
 def write_cache(weight, raw, cache_dir):
-    """Write the digits of raw = a(0..N) as `<i4` to the cache file of the
-    weight-`weight` table to N, certified or not; returns the path."""
+    """Write the balanced digits of raw = a(0..N) as `<i4` to the cache
+    file of the weight-`weight` table to N, certified or not; returns the
+    path."""
     path = cache_path(cache_dir, weight, len(raw) - 1)
     digits_of(weight, raw).astype("<i4").tofile(path)
     return path

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import os
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import digits_of, write_cache
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
+from symmoment.errors import ConsistencyError
 
 
 def run(capsys, argv):
@@ -310,7 +312,7 @@ def test_tau_csv_matches_cache_file(capsys, tmp_path, weight):
     if weight == 12:
         assert lines[10] == "10,-115920"
     raw = [0] + [int(line.split(",")[1]) for line in lines[1:]]
-    assert (tmp_path / f"tau_{weight}_10.i32").read_bytes() == digit_bytes(weight, raw)
+    assert (tmp_path / f"tau_{weight}_10.b32").read_bytes() == digit_bytes(weight, raw)
     code, again, err = run(capsys, argv)  # read back from the cache
     assert code == 0 and err == "" and again == out
 
@@ -321,7 +323,7 @@ def corrupt_cache(capsys, tmp_path, edit, limit=1000):
     argv = f"tau --limit {limit} --cache-dir {tmp_path}"
     code, _, _ = run(capsys, argv)
     assert code == 0
-    cache_file = tmp_path / f"tau_12_{limit}.i32"
+    cache_file = tmp_path / f"tau_12_{limit}.b32"
     cache_file.write_bytes(edit(cache_file.read_bytes()))
     return run(capsys, argv)
 
@@ -370,10 +372,12 @@ def test_tau_cache_trailing_bytes_exit_3(capsys, tmp_path):
     assert "internal error" in err and "has 12014 bytes, expected 12012" in err
 
 
-@pytest.mark.parametrize("value", ["prime", -1])
+@pytest.mark.parametrize("value", ["prime", "h+1", "-h-1"])
 def test_tau_cache_digit_outside_its_prime_exit_3(capsys, tmp_path, value):
+    # a balanced digit of p lies in [-h, h], h = p // 2; -1 is one of them
     primes = hecke.crt_primes(12, 1000)
-    digit = primes[1] if value == "prime" else value
+    h = primes[1] // 2
+    digit = {"prime": primes[1], "h+1": h + 1, "-h-1": -h - 1}[value]
 
     def edit(body):
         digits = np.frombuffer(body, "<i4").reshape(len(primes), 1001).copy()
@@ -382,15 +386,15 @@ def test_tau_cache_digit_outside_its_prime_exit_3(capsys, tmp_path, value):
 
     code, out, err = corrupt_cache(capsys, tmp_path, edit)
     assert code == 3 and out == ""
-    assert f"digit 1 of a(500) outside [0, {primes[1]})" in err
+    assert f"digit 1 of a(500) outside [-{h}, {h}]" in err
 
 
 @pytest.mark.parametrize(
     "argv, name, want",
     [
-        ("--limit 0", "tau_12_0.i32", 2),
-        ("--weight 13 --limit 10", "tau_13_10.i32", 2),
-        ("--limit 1000001", "tau_12_1000001.i32", 4),
+        ("--limit 0", "tau_12_0.b32", 2),
+        ("--weight 13 --limit 10", "tau_13_10.b32", 2),
+        ("--limit 1000001", "tau_12_1000001.b32", 4),
     ],
 )
 def test_tau_planted_cache_file_keeps_argument_checks(capsys, tmp_path, argv, name, want):
@@ -407,7 +411,31 @@ def test_tau_ignores_an_old_csv_cache(capsys, tmp_path):
     code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path} --format csv")
     assert code == 0 and err == ""
     assert out.splitlines()[1] == "1,1"
-    assert (tmp_path / "tau_12_10.i32").exists()
+    assert (tmp_path / "tau_12_10.b32").exists()
+
+
+def test_tau_ignores_a_parent_format_digit_cache(capsys, tmp_path):
+    # `.i32` caches held the unbalanced digits of a(n) + H, H = (M - 1)/2;
+    # digit 0 of a(1) is then (p_0 + 1)/2, outside the balanced range, so
+    # such a file is never read as a table: it is left as it is and the
+    # table is rebuilt into its `.b32` file
+    raw = hecke.eigenform_qexp(12, 10).raw
+    primes = hecke.crt_primes(12, 10)
+    old = np.zeros((len(primes), 11), dtype="<i4")
+    for n, a in enumerate(raw):
+        x = a + math.prod(primes) // 2
+        for i, p in enumerate(primes):
+            x, old[i, n] = divmod(x, p)
+    assert old[0, 1] == (primes[0] + 1) // 2
+    with pytest.raises(ConsistencyError, match=r"digit 0 of a\(1\) outside"):
+        hecke.EigenformTable(12, 10, old.astype(np.int32))
+    stale = tmp_path / "tau_12_10.i32"
+    stale.write_bytes(old.tobytes())
+    code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path} --format csv")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["n,a_n"] + [f"{n},{raw[n]}" for n in range(1, 11)]
+    assert stale.read_bytes() == old.tobytes()
+    assert (tmp_path / "tau_12_10.b32").read_bytes() == digit_bytes(12, raw)
 
 
 def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
@@ -421,7 +449,7 @@ def test_tau_cache_dir_under_a_file_exit_2(capsys, tmp_path):
 
 def test_tau_cache_file_is_a_directory_exit_2(capsys, tmp_path):
     # open in load_table once raised IsADirectoryError, exit 1
-    (tmp_path / "tau_12_10.i32").mkdir()
+    (tmp_path / "tau_12_10.b32").mkdir()
     code, out, err = run(capsys, f"tau --limit 10 --cache-dir {tmp_path}")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -434,7 +462,7 @@ def test_cache_dir_holds_only_tables(capsys, tmp_path):
         code, _, _ = run(capsys, f"{argv} --cache-dir {tmp_path}")
         assert code == 0
     names = sorted(path.name for path in tmp_path.iterdir())
-    assert names == ["tau_12_30.i32", "tau_12_40.i32", "tau_12_97.i32"]
+    assert names == ["tau_12_30.b32", "tau_12_40.b32", "tau_12_97.b32"]
 
 
 def test_tau_failed_cache_write_exit_2_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
@@ -465,7 +493,7 @@ def test_env_cache_dir_override(capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SYMMOMENT_CACHE", str(tmp_path / name))
         code, _, _ = run(capsys, "tau --limit 10")
         assert code == 0
-        assert (tmp_path / name / "tau_12_10.i32").exists()
+        assert (tmp_path / name / "tau_12_10.b32").exists()
 
 
 def test_partial_sum_csv(capsys, tmp_path):

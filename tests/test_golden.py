@@ -102,7 +102,7 @@ partial-sum --help
 
 # bad/ holds 24 zero bytes, three columns of two digits, where the table to
 # N = 20 has 21 columns (168 bytes), so loading it exits 3
-BAD_TABLE = ("bad", "tau_12_20.i32", bytes(24))
+BAD_TABLE = ("bad", "tau_12_20.b32", bytes(24))
 
 
 def _cases():

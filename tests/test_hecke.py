@@ -123,31 +123,38 @@ def test_sigma_mod_against_divisor_sums(p):
 
 
 def test_digits_mod_against_combine():
-    # 4 to 17 rows, as many as weight 26 takes at HARD_CAP, with primes and
-    # digits up to just below PRIME_CEIL: random digits and all p_i - 1
+    # 4 to 17 rows, as many as weight 26 takes at HARD_CAP, of primes just
+    # below PRIME_CEIL and of a table's primes: the columns +-(M-1)/2, whose
+    # digits are all +-p//2, and random balanced digits. _combine reads the
+    # integers x, _garner gives the digits back from x mod p, leaving those
+    # residues as they were, and _mod reads x mod q for q up to 2^31
     rng = np.random.default_rng(5)
     near_ceil = H.primes_up_to(H.PRIME_CEIL)[:-18:-1]
     for rows in range(4, 18):
         for primes in (near_ceil[:rows], PRIMES[:rows]):
-            radix = np.array(primes, dtype=np.int32)[:, None]
-            half = math.prod(primes) // 2
-            for digits in (
-                rng.integers(0, radix, (rows, 200), dtype=np.int32),
-                np.repeat(radix - 1, 200, axis=1),
-            ):
-                shifted = [v + half for v in H._combine(primes, digits)]
-                for q in (691, 657931, PRIMES[0]):
-                    got = H._digits_mod(primes, digits, q).tolist()
-                    assert got == [x % q for x in shifted], (rows, q)
-                    got = H._mod(primes, digits, q).tolist()
-                    assert got == [(x - half) % q for x in shifted], (rows, q)
+            h = np.array(primes, dtype=np.int32)[:, None] // 2
+            digits = np.hstack([h, -h, rng.integers(-h, h + 1, (rows, 200), dtype=np.int32)])
+            want = []
+            for column in digits.T.tolist():
+                x = 0
+                for d, p in zip(reversed(column), reversed(primes)):
+                    x = x * p + d
+                want.append(x)
+            assert want[:2] == [math.prod(primes) // 2, -(math.prod(primes) // 2)]
+            assert H._combine(primes, digits) == want, rows
+            residues = [np.array([x % p for x in want], dtype=np.int64) for p in primes]
+            copies = [r.copy() for r in residues]
+            assert np.array_equal(H._garner(primes, residues, len(want)), digits), rows
+            assert all(map(np.array_equal, residues, copies)), rows
+            for q in (691, 657931, PRIMES[0], 2_147_483_629):
+                assert H._mod(primes, digits, q).tolist() == [x % q for x in want], (rows, q)
 
 
 def test_overflow_bounds_of_the_digit_and_divisor_sums():
     # _sigma_mod's int32 sum at n holds at most d(n) residues below
     # PRIME_CEIL, one more at a square, whose d(n) is odd, until its
-    # correction; _digits_mod's int64 sum holds at most 17 products of two
-    # numbers below PRIME_CEIL
+    # correction; _mod's int64 sum holds at most 17 products of a balanced
+    # digit, below PRIME_CEIL / 2 in absolute value, and a weight below q < 2^31
     N = H.HARD_CAP
     d = np.zeros(N + 1, dtype=np.int32)
     for k in range(1, math.isqrt(N) + 1):
@@ -157,7 +164,7 @@ def test_overflow_bounds_of_the_digit_and_divisor_sums():
     assert 240 * H.PRIME_CEIL < 2**31
     rows = [len(H.crt_primes(k, n)) for k in H.SUPPORTED_WEIGHTS for n in (1, 1025, 10**5, N)]
     assert max(rows) == len(H.crt_primes(26, N)) == 17
-    assert 17 * H.PRIME_CEIL**2 < 2**47
+    assert 17 * (H.PRIME_CEIL // 2) * 2**31 < 2**56
 
 
 def test_delta_matches_product_oracle():
@@ -324,6 +331,16 @@ def test_check_catches_one_changed_coefficient(weight):
             H.EigenformTable(weight, 600, digits_of(weight, bumped))
 
 
+def test_check_reads_a_1_off_its_digits():
+    # column 1 must be (1, 0, ..., 0), the balanced digits of 1; a change in
+    # any digit above the first is seen before the congruence runs
+    primes = H.crt_primes(26, 100)
+    raw = list(H.eigenform_qexp(26, 100).raw)
+    for a1 in (2, 1 + primes[0], 1 - primes[0] * primes[1], 1 + math.prod(primes[:-1])):
+        with pytest.raises(ConsistencyError, match=r"not normalized: a\(1\) != 1"):
+            H.EigenformTable(26, 100, digits_of(26, [0, a1] + raw[2:]))
+
+
 def test_check_sees_the_top_digit_row():
     # at N = 10401 the weight-26 primes pass m = 657931, which is prime; a
     # CRT prime equal to m would make every digit above it vanish mod m
@@ -331,7 +348,7 @@ def test_check_sees_the_top_digit_row():
     assert primes[-1] < 657931 < primes[0]
     digits = H.eigenform_qexp(26, 10401).digits.copy()
     n = 10399
-    assert digits[-1, n] + 1 < primes[-1]
+    assert digits[-1, n] + 1 <= primes[-1] // 2
     digits[-1, n] += 1
     with pytest.raises(ConsistencyError, match=r"a\(10399\) != sigma_25"):
         H.EigenformTable(26, 10401, digits)
@@ -344,7 +361,8 @@ def test_check_sees_a_digit_outside_its_prime():
     primes = H.crt_primes(12, 100)
     digits = H.eigenform_qexp(12, 100).digits.copy()
     digits[1, 7] = primes[1]
-    want = rf"digit 1 of a\(7\) outside \[0, {primes[1]}\)"
+    h = primes[1] // 2
+    want = rf"digit 1 of a\(7\) outside \[-{h}, {h}\]"
     with pytest.raises(ConsistencyError, match=want):
         H.EigenformTable(12, 100, digits)
 
@@ -689,7 +707,7 @@ def test_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
     tab = H.eigenform_qexp(16, 120)
     path = H.save_table(tab, cache)
-    assert path.endswith("tau_16_120.i32")
+    assert path.endswith("tau_16_120.b32")
     with open(path, "rb") as fh:
         assert fh.read() == tab.digits.astype("<i4").tobytes()
     back = H.load_table(16, 120, cache)
@@ -728,7 +746,7 @@ def test_overlapping_cache_writers_keep_their_own_temp_files(tmp_path, monkeypat
 
     monkeypatch.setattr(os, "replace", overlapped_replace)
     H.save_table(form, cache)
-    assert os.listdir(cache) == ["tau_12_50.i32"]
+    assert os.listdir(cache) == ["tau_12_50.b32"]
     assert H.load_table(12, 50, cache).raw == form.raw
 
 
