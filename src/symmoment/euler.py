@@ -25,8 +25,8 @@ from .errors import CapacityError, ConsistencyError
 from .symbolic import T, deligne_t, local_expansion, verify_decomposition
 
 DEFAULT_ORDER = 6
-# exact mode grows about as A^4: every lj = 64 pair takes 4-6 s at order 16
-# and 20-27 s at order 24 on 2 CPUs, so 16 bounds the worst case
+# exact mode grows about as A^4: every lj = 64 pair takes 1.5-2.7 s at order
+# 16 and 10-13 s at order 24 on 2 CPUs, so 16 bounds the worst case
 ORDER_CAP = 16
 
 

@@ -76,9 +76,12 @@ class IntPolynomial:
         if not self.coeffs or not other.coeffs:
             return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # every polynomial over Z[t] that the engine forms is even or odd,
+        # so half of each operand is zero; skip zeros on both sides
+        terms = [(k, b) for k, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for k, b in enumerate(other.coeffs):
+                for k, b in terms:
                     out[i + k] += a * b
         return IntPolynomial(out)
 
@@ -106,8 +109,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square past the top bit would never be read
+                base = base * base
         return result
 
     def __call__(self, t):

@@ -240,7 +240,7 @@ SERIES_CAP = f"series order {ORDER} exceeds limit {euler.ORDER_CAP}"
 BAD_PAIR = "l and j must be positive integers, got l=0, j=2"
 
 # (argv, exit code, message), each rejected before any table is read: exact
-# (8, 8) at order 24 ran for over 20 s, and a table to p = 999983 takes
+# (8, 8) at order 24 runs for about 10 s, and a table to p = 999983 takes
 # seconds to build and 32 MB to cache
 REJECTED = [
     (f"euler --l 8 --j 8 --exact --order {ORDER}", 4, SERIES_CAP),

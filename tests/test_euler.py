@@ -238,7 +238,7 @@ def test_nan_t_is_rejected(fn):
 
 
 def test_order_cap_raises_before_any_work():
-    # (8, 8) at lj = 64 takes 4-6 s at the cap, and over 20 s at order 24
+    # (8, 8) at lj = 64 takes 1.5-2.4 s at the cap, and about 10 s at order 24
     A = E.ORDER_CAP + 1
     start = time.perf_counter()
     for call in (

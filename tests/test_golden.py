@@ -55,6 +55,8 @@ exponents --l 65 --j 1
 exponents --table --l 2 --j 2
 euler --l 2 --j 2 --exact --order 4 *
 euler --l 3 --j 3 --exact --order 3 *
+euler --l 4 --j 4 --exact --order 6 *
+euler --l 8 --j 8 --exact --order 8 --format json
 euler --l 3 --j 2 --exact --order 0 *
 euler --l 3 --j 2 --exact --order 1 *
 euler --l 2 --j 2 --exact --order -1

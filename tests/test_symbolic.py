@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -72,6 +74,86 @@ def test_polynomial_arithmetic():
     with pytest.raises(TypeError):
         hash(t)  # __eq__ without __hash__: unhashable, not hashed by identity
     assert IntPolynomial([1, 0, 0]).degree == 0  # trailing zeros normalized
+
+
+def seeded_polynomial(rng, degree, kind):
+    """A polynomial of the given degree with nonzero top coefficient.
+
+    "dense" has no zero coefficient; "even" and "odd" are zero at the other
+    parity, as every polynomial the engine forms over Z[t] is; "holes" is
+    zero at about half its lower degrees. Coefficients are signed, some
+    past one machine word.
+    """
+    coeffs = []
+    for d in range(degree + 1):
+        c = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 25))
+        if kind == "even" and d % 2 or kind == "odd" and not d % 2:
+            c = 0
+        elif kind == "holes" and d < degree and rng.random() < 0.5:
+            c = 0
+        coeffs.append(c)
+    return IntPolynomial(coeffs)
+
+
+def seeded_polynomials(seed):
+    rng = random.Random(seed)
+    polys = [ZERO, ONE, IntPolynomial([-7]), T]
+    kinds = {"dense": (1, 2, 5), "even": (2, 6, 10), "odd": (1, 5, 9), "holes": (3, 8, 13)}
+    for kind, degrees in kinds.items():
+        polys.extend(seeded_polynomial(rng, d, kind) for d in degrees)
+    return polys
+
+
+def schoolbook(a, b):
+    """Coefficients of the product of two coefficient sequences, normalized."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for k in range(len(b)):
+            out[i + k] += a[i] * b[k]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_product_matches_schoolbook_in_both_orders():
+    polys = seeded_polynomials(11)
+    for p in polys:
+        for q in polys:
+            want = schoolbook(p.coeffs, q.coeffs)
+            assert (p * q).coeffs == want, (p, q)
+            assert (q * p).coeffs == want, (q, p)
+
+
+@pytest.mark.parametrize("c", [-3, 0, 1, 7, 2**70])
+def test_product_by_an_int_matches_schoolbook(c):
+    for p in seeded_polynomials(12):
+        want = schoolbook(p.coeffs, (c,))
+        assert (p * c).coeffs == want
+        assert (c * p).coeffs == want
+
+
+def test_power_is_the_repeated_product_and_forms_no_larger_one(monkeypatch):
+    # square-and-multiply must stop squaring at the top bit of n: a square
+    # past it has degree above n * deg p and is never read
+    real = IntPolynomial.__mul__
+    formed = []
+
+    def recording_mul(self, other):
+        out = real(self, other)
+        formed.append(out.degree)
+        return out
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", recording_mul)
+    for p in seeded_polynomials(13):
+        for n in range(18):
+            formed.clear()
+            got = p**n
+            assert got == reduce(real, [p] * n, ONE), (p, n)  # real: not recorded
+            assert max(formed, default=-1) <= n * max(p.degree, 0), (p, n, formed)
+        with pytest.raises(ValueError):
+            p ** (-1)
 
 
 def test_exact_rational_evaluation():
