@@ -8,7 +8,7 @@ usable as regression artifacts. The library returns values and this module
 alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
 `partial-sum` build their JSON document, CSV rows and text lines once, and
 `_emit` prints the one `--format` asks for. `tau` writes its own: its output
-is O(N), and the benchmark's `cached` workload times its CSV, which is
+is O(N), and the `tables` benchmark's `cached` jobs time its CSV, which is
 streamed in chunks of rows. A failed certificate raises in the library
 before anything prints, so the verdicts of `coeffs` and `identity` and the
 `improved` column of `exponents` print as the constant True. The

@@ -23,13 +23,12 @@ Work that does not depend on the prime runs once. eta^6 is squared over
 the integers while the operand passes `_convolve`'s bound (eta^24 for
 N <= 172, eta^12 for N <= 15,253, eta^6 above), so each prime does only
 the squarings left.
-Delta = q eta^24 is built only at the shortest prefix of the weight's
-primes whose product exceeds twice its Deligne bound 2 N^6 (4 of 9 for
-weight 26 at N = 5000); Garner turns those residues into Delta's digits,
-and Delta mod p at every prime is read off them before that prime's one
-product with E_{k-12}. For weight 12 Delta's digits are the table; above
-it they are held while the table is built, d x (N+1) int32 for d primes:
-8 rows, 32 MB, for weight 26 at HARD_CAP.
+Delta = q eta^24 is the weight-12 table, built on its own CRT primes
+(4 at N = 5000) and certified like every table. A weight above 12 builds
+it first, reads Delta mod p off its digits at each of its own primes (9
+for weight 26 at N = 5000) and makes that prime's one product with
+E_{k-12}. Delta's table is held while the weight's is built, d x (N+1)
+int32 for d primes: 8 rows, 32 MB, at HARD_CAP.
 """
 
 import functools
@@ -347,48 +346,38 @@ def _lam(form, ns):
     return [a / n**e for a, n in zip(raw, ns)]
 
 
-def _delta_digits(primes, N):
-    """The `_garner` digits of Delta(0..N) = q eta^24 over the shortest
-    prefix of primes whose product exceeds 2 (2 N^6), twice Delta's Deligne
-    bound; row i belongs to primes[i]. Each prime squares `_eta_exact`'s
-    series the times it has left."""
-    d = 1
-    while math.prod(primes[:d]) <= 2 * (2 * N**6):
-        d += 1
-    s, left = _eta_exact(N)
-
-    def delta_mod(p):
-        r = s % p
-        for _ in range(left):
-            r = series_mul(r, r, N, p)
-        return np.concatenate(([0], r))
-
-    return _garner(primes[:d], map(delta_mod, primes[:d]), N + 1)
-
-
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     """Normalized cusp eigenform of any one-dimensional level-1 weight.
 
-    Delta's digits, over a prefix of the weight's CRT primes, are the table
-    at weight 12. Above it each prime reads Delta mod p off them with `_mod`
-    and makes one product with E_{k-12} mod p, and Garner turns those
-    residues into the table; Delta's d x (N+1) int32 digits are held until
-    it is built.
+    Each CRT prime of the weight gives a(0..N) mod p, and Garner turns
+    those residues into the table. At weight 12 that is Delta = q eta^24:
+    `_eta_exact`'s series squared mod p the times it has left. Above it the
+    gate runs first, then the certified weight-12 table is built, and each
+    prime reads Delta mod p off its digits with `_mod` and makes one product
+    with E_{k-12} mod p.
     """
     primes = crt_primes(weight, N)
-    delta = _delta_digits(primes, N)
     if _WEIGHTS[weight][1] is None:
-        return EigenformTable(weight=weight, limit=N, digits=delta)
-    c, r = _WEIGHTS[weight][1]
+        s, left = _eta_exact(N)
 
-    def form_mod(p):
-        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
-        e[0] = 1
-        lifted = _mod(primes[: len(delta)], delta, p)
-        return np.concatenate(([0], series_mul(lifted[1:], e, N, p)))
+        def form_mod(p):
+            x = s % p
+            for _ in range(left):
+                x = series_mul(x, x, N, p)
+            return x
 
-    digits = _garner(primes, map(form_mod, primes), N + 1)
-    return EigenformTable(weight=weight, limit=N, digits=digits)
+    else:
+        delta = eigenform_qexp(12, N)
+        delta_primes = crt_primes(12, N)
+        c, r = _WEIGHTS[weight][1]
+
+        def form_mod(p):
+            e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
+            e[0] = 1
+            return series_mul(_mod(delta_primes, delta.digits, p)[1:], e, N, p)
+
+    residues = (np.concatenate(([0], form_mod(p))) for p in primes)
+    return EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ mixed-radix digits of a table instead of Garner's method. `write_cache`
 plants a table on disk without the library's writer, as a disk fault would.
 `eigenform_mod` keeps the q-expansion's former per-prime path, eta^6 mod p
 squared twice at every prime, as the reference for the library's shared
-squarings and its lift of Delta from a prefix of the primes.
+squarings and its lift of Delta from the weight-12 table's primes.
 """
 
 import math

@@ -258,10 +258,11 @@ def test_exact_squarings_stop_at_the_convolve_bound():
     assert left == [0, 0, 1, 1, 2, 2]
 
 
-@pytest.mark.parametrize("N", [1, 172, 173, 1100, 15252, 15253, 15254])
+@pytest.mark.parametrize("N", [1, 172, 173, 1100, 10402, 15252, 15253, 15254])
 def test_eigenform_digits_match_the_per_prime_path(N):
     # on both sides of the last N for exact eta^24 and for exact eta^12,
-    # and at 1100, below the full prime ceiling
+    # at 1100, below the full prime ceiling, and at 10402, where Delta's
+    # primes hold 657931, which weight 26 leaves out
     eta6 = eta_six(N)
     for weight in H.SUPPORTED_WEIGHTS:
         primes = H.crt_primes(weight, N)
@@ -269,10 +270,9 @@ def test_eigenform_digits_match_the_per_prime_path(N):
         assert np.array_equal(H.eigenform_qexp(weight, N).digits, want), weight
 
 
-def test_series_mul_count_and_the_lifted_delta(monkeypatch):
-    # at N = 5000 Delta needs d = 4 primes, each with one squaring mod p
-    # after the exact eta^12; every weight above 12 adds one product a prime
-    N, d = 5000, 4
+def counting_series_mul(monkeypatch):
+    """Wrap `H.series_mul` so that each call appends its n_out to the
+    returned list."""
     calls = []
     real = H.series_mul
 
@@ -281,17 +281,44 @@ def test_series_mul_count_and_the_lifted_delta(monkeypatch):
         return real(a, b, n_out, p)
 
     monkeypatch.setattr(H, "series_mul", counting)
+    return calls
+
+
+def test_series_mul_count_and_the_lifted_delta(monkeypatch):
+    # at N = 5000 Delta needs d = 4 primes, each with one squaring mod p
+    # after the exact eta^12; every weight above 12 adds one product a prime
+    N, d = 5000, 4
+    calls = counting_series_mul(monkeypatch)
     for weight in H.SUPPORTED_WEIGHTS:
         calls.clear()
         H.eigenform_qexp(weight, N)
         extra = 0 if weight == 12 else len(H.crt_primes(weight, N))
         assert calls == [N] * (d + extra), weight
-    primes = H.crt_primes(26, N)
-    delta = H._delta_digits(primes, N)
+    delta_primes = H.crt_primes(12, N)
+    delta = H.eigenform_qexp(12, N).digits
     assert delta.shape == (d, N + 1)
     eta6 = eta_six(N)
-    for p in primes[d:]:
-        assert np.array_equal(H._mod(primes[:d], delta, p), delta_mod(eta6, p)), p
+    for p in H.crt_primes(26, N):
+        assert np.array_equal(H._mod(delta_primes, delta, p), delta_mod(eta6, p)), p
+
+
+def test_a_weight_above_12_certifies_its_delta_before_using_it(monkeypatch):
+    # one wrong coefficient of the shared eta series makes a(8) of Delta
+    # wrong by 2, which the weight-12 certificate sees before any product
+    # with E_14, after Delta's 4 squarings at N = 5000
+    real = H._eta_exact
+
+    def faulty(n_terms):
+        s, left = real(n_terms)
+        s = s.copy()
+        s[7] += 1
+        return s, left
+
+    monkeypatch.setattr(H, "_eta_exact", faulty)
+    calls = counting_series_mul(monkeypatch)
+    with pytest.raises(ConsistencyError, match=r"a\(8\) != sigma_11\(8\) mod 691 at weight 12"):
+        H.eigenform_qexp(26, 5000)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
@@ -413,9 +440,14 @@ def test_normalization():
             tab.lam(n)
 
 
-def test_domain_and_capacity_errors(tmp_path):
+def test_domain_and_capacity_errors(tmp_path, monkeypatch):
+    # the weight's own gate runs before Delta or any product is formed
+    calls = counting_series_mul(monkeypatch)
     with pytest.raises(ValueError):
         H.eigenform_qexp(14, 100)
+    with pytest.raises(ValueError):
+        H.eigenform_qexp(26, 0)
+    assert calls == []
     with pytest.raises(ValueError):
         H.eigenform_qexp(12, 0)
     with pytest.raises(CapacityError):
