@@ -7,18 +7,17 @@ differences d_m = c_m - c_{m-1} (written e_m when lj is odd) are the weights
 that expand an l-th power of a symmetric-power coefficient in the
 symmetric-power basis.
 
-Two independent routes compute c_0..c_lj as a plain tuple: repeated exact
-polynomial convolution (`coeffs_bruteforce`, the oracle) and an
-inclusion-exclusion binomial sum (`coeffs_closed_form`); `weights` is the
-one first-difference function. `check_coeffs` certifies a vector against
-the closed form and the structure above and raises ConsistencyError where
-it fails, so a caller only ever sees certified values, and `check_pair`
-is the one rule for a pair (l, j). Integers are arbitrary precision: the
-values overflow 32-bit words already at l = j = 8.
+One engine computes c_0..c_lj as a plain tuple, repeated exact polynomial
+convolution (`coeffs_bruteforce`), and `weights` is the one first-difference
+function. `check_coeffs` certifies a vector by the structure above and by
+the identity sum_m c_m x^m = (1 + x + ... + x^j)^l at one integer point x
+past every count, and raises ConsistencyError where it fails, so a caller
+only ever sees certified values; `check_pair` is the one rule for a pair
+(l, j). Integers are arbitrary precision: the values overflow 32-bit words
+already at l = j = 8.
 """
 
 import functools
-import math
 
 from .errors import CapacityError, ConsistencyError
 
@@ -52,23 +51,6 @@ def coeffs_bruteforce(l: int, j: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def coeffs_closed_form(l: int, j: int) -> tuple[int, ...]:
-    """Coefficients c_m by the inclusion-exclusion binomial sum.
-
-    c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
-    Both binomials are ordinary: r <= lj/(j+1) < l, and m - r(j+1) >= 0.
-    """
-    check_pair(l, j)
-    values = []
-    for m in range(l * j + 1):
-        acc = 0
-        for r in range(m // (j + 1) + 1):
-            term = math.comb(l, r) * math.comb(m - r * (j + 1) + l - 1, l - 1)
-            acc += -term if r & 1 else term
-        values.append(acc)
-    return tuple(values)
-
-
 @functools.lru_cache(maxsize=None)
 def weights(l: int, j: int) -> tuple[int, ...]:
     """First differences w_m = c_m - c_{m-1} (with c_{-1} = 0) on 0..floor(lj/2).
@@ -85,14 +67,17 @@ def weights(l: int, j: int) -> tuple[int, ...]:
 
 
 def check_coeffs(l: int, j: int, c: tuple[int, ...]) -> None:
-    """Certify c as c_0..c_lj: the closed form, palindromic, unimodal, total (j+1)^l.
+    """Certify c as c_0..c_lj: lj + 1 entries, palindromic, unimodal, total
+    (j+1)^l, and sum_m c_m x^m = (1 + x + ... + x^j)^l at x = 2^B.
 
-    Every valid (l, j) passes, so a failure is a defect in this library,
-    not a usage error, and raises ConsistencyError.
+    B is the bit length of (j+1)^l, so every count lies in [0, x), and so
+    must each c_m. Base-x digits are unique, so the identity then holds
+    exactly when c is the coefficient vector. A failure is a defect in this
+    library, not a usage error, and raises ConsistencyError.
     """
-    if c != coeffs_closed_form(l, j):
-        raise ConsistencyError("closed form disagrees with convolution oracle")
     lj = l * j
+    if len(c) != lj + 1:
+        raise ConsistencyError(f"c has {len(c)} entries, not lj + 1, at (l={l}, j={j})")
     if any(c[m] != c[lj - m] for m in range(lj + 1)):
         raise ConsistencyError(f"c is not palindromic at (l={l}, j={j})")
     # a palindromic vector that rises to the middle falls after it
@@ -100,3 +85,10 @@ def check_coeffs(l: int, j: int, c: tuple[int, ...]) -> None:
         raise ConsistencyError(f"c is not unimodal at (l={l}, j={j})")
     if sum(c) != (j + 1) ** l:
         raise ConsistencyError(f"c totals {sum(c)}, not (j+1)^l, at (l={l}, j={j})")
+    B = ((j + 1) ** l).bit_length()
+    x = 1 << B
+    value = 0
+    for cm in reversed(c):
+        value = (value << B) + cm
+    if any(not 0 <= cm < x for cm in c) or value != ((x ** (j + 1) - 1) // (x - 1)) ** l:
+        raise ConsistencyError(f"c is not [x^m] (1 + ... + x^j)^l at (l={l}, j={j})")

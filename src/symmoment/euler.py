@@ -111,11 +111,14 @@ def correction_series_sym(l: int, j: int, A: int = DEFAULT_ORDER) -> LocalFactor
     S_j(t)^l and sum_m w_m S_{lj-2m}(t), the two sides that
     `symbolic.verify_decomposition` compares, at one integer point t0 that
     no nonzero difference of their size can vanish at (Cauchy's bound), so
-    equality there is equality in Z[t]. It certifies the term at every
-    order, A = 0 included, and raises ConsistencyError where they differ: a
-    defect in this library. The quotient comes first, so that `check`
-    refuses a bad order before any expansion.
+    equality there is equality in Z[t]. That holds at every order, A = 0
+    included, and the returned X^1, built by `IntPolynomial` arithmetic the
+    certificate never uses, must be zero too; either failure raises
+    ConsistencyError, a defect in this library. The quotient comes first,
+    so that `check` refuses a bad order before any expansion.
     """
     q = _quotient(lhs_local(l, j, T, A), rhs_local(l, j, T, A))
     verify_decomposition(l, j)
+    if A >= 1 and q[1]:
+        raise ConsistencyError(f"decomposition fails at (l={l}, j={j})")
     return q

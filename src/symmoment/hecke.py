@@ -314,9 +314,9 @@ class EigenformTable:
     def __post_init__(self) -> None:
         """Raise ConsistencyError unless, in this order, the digit matrix has
         one row per CRT prime and limit + 1 columns, dtype int32, digit i of
-        every a(n) lies in [-h, h], h = p_i // 2, column 1 is (1, 0, ..., 0),
-        the digits of a(1) = 1, and, with m the modulus in `_WEIGHTS`, a(n) =
-        sigma_{k-1}(n) mod m at every n; a(n) mod m comes off the digits."""
+        every a(n) lies in [-h, h], h = p_i // 2, column 1 is (1, 0, ..., 0), the
+        digits of a(1) = 1, and a(n) = sigma_{k-1}(n) mod m, the modulus in
+        `_WEIGHTS`, at every n, read off the digits; then make them read-only."""
         primes = crt_primes(self.weight, self.limit)
         want = (len(primes), self.limit + 1)
         if self.digits.shape != want:
@@ -336,6 +336,7 @@ class EigenformTable:
         if bad.size:
             n, k = bad[0], self.weight
             raise ConsistencyError(f"a({n}) != sigma_{k - 1}({n}) mod {m} at weight {k}")
+        self.digits.flags.writeable = False
 
 
 def _lam(form, ns):

@@ -1,15 +1,17 @@
 """Independent slow-path oracles used only by the tests.
 
-Everything here avoids the library's fast paths on purpose: schoolbook
-convolution instead of multi-modular FFT products, direct divisor
-enumeration instead of sieves, the defining infinite product for the
-weight-12 form instead of the eta-cube route, Gaussian binomials
-instead of Newton's identities for symmetric-power values, the closed
-binomial form of the basis S_r instead of its recursion, and a
-factorization loop over a smallest-prime-factor sieve instead of the
-library's vectorized multiplicative sieve, and repeated division for the
-mixed-radix digits of a table instead of Garner's method. `write_cache`
-plants a table on disk without the library's writer, as a disk fault would.
+Everything here avoids the library's fast paths on purpose: the
+inclusion-exclusion binomial sum for the composition counts instead of
+repeated convolution, schoolbook convolution instead of multi-modular FFT
+products, direct divisor enumeration instead of sieves, the defining
+infinite product for the weight-12 form instead of the eta-cube route,
+Gaussian binomials instead of Newton's identities for symmetric-power
+values, the closed binomial form of the basis S_r instead of its
+recursion, a factorization loop over a smallest-prime-factor sieve
+instead of the library's vectorized multiplicative sieve, and repeated
+division for the mixed-radix digits of a table instead of Garner's
+method. `write_cache` plants a table on disk without the library's
+writer, as a disk fault would.
 `eigenform_mod` keeps the q-expansion's former per-prime path, eta^6 mod p
 squared twice at every prime, as the reference for the library's shared
 squarings and its lift of Delta from the weight-12 table's primes.
@@ -43,6 +45,22 @@ def random_rational_points(count, seed=0):
         den = rng.randint(1, 97)
         points.append(Fraction(rng.randint(-2 * den, 2 * den), den))
     return points
+
+
+def coeffs_closed_form(l, j):
+    """c_m, m = 0..lj, by the inclusion-exclusion binomial sum:
+
+    c_m = sum_{r=0}^{floor(m/(j+1))} (-1)^r C(l, r) C(m - r(j+1) + l - 1, l - 1).
+    Both binomials are ordinary: r <= lj/(j+1) < l, and m - r(j+1) >= 0.
+    """
+    assert l >= 1 and j >= 1
+    return tuple(
+        sum(
+            (-1) ** r * math.comb(l, r) * math.comb(m - r * (j + 1) + l - 1, l - 1)
+            for r in range(m // (j + 1) + 1)
+        )
+        for m in range(l * j + 1)
+    )
 
 
 def weights_closed_form(l, j):

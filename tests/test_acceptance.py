@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from oracles import ZERO, chebyshev_s, naive_delta, primes_below
+from oracles import ZERO, chebyshev_s, coeffs_closed_form, naive_delta, primes_below
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums
 from symmoment.symbolic import verify_decomposition
 from test_combinatorics import J2_LISTS
@@ -31,7 +31,7 @@ def test_criterion_01_coefficient_oracle_equivalence():
     for l in range(1, 9):
         for j in range(1, 9):
             a = combinatorics.coeffs_bruteforce(l, j)
-            b = combinatorics.coeffs_closed_form(l, j)
+            b = coeffs_closed_form(l, j)
             assert a == b, (l, j)
     elapsed = time.perf_counter() - start
     # seven printed (c, d) half-lists at j = 2 plus the closed l = 2 family

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import weights_closed_form
+from oracles import coeffs_closed_form, weights_closed_form
 from symmoment import combinatorics as C
 from symmoment.errors import CapacityError, ConsistencyError
 
@@ -25,7 +25,7 @@ J2_LISTS = {
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)
 def test_closed_form_matches_bruteforce(l, j):
-    assert C.coeffs_closed_form(l, j) == C.coeffs_bruteforce(l, j)
+    assert coeffs_closed_form(l, j) == C.coeffs_bruteforce(l, j)
 
 
 @pytest.mark.parametrize("l", sorted(J2_LISTS))
@@ -68,21 +68,41 @@ CORRUPTED = {
 
 
 @pytest.mark.parametrize("message", sorted(CORRUPTED))
-def test_check_coeffs_raises_on_each_corruption(monkeypatch, message):
-    # the closed form agrees with the corrupted vector, so only the named
-    # structural property can fail
-    bad = CORRUPTED[message]
-    monkeypatch.setattr(C, "coeffs_closed_form", lambda l, j: bad)
+def test_check_coeffs_raises_on_each_corruption(message):
+    # the structural checks run before the identity, so each vector meets
+    # the one property it breaks
     with pytest.raises(ConsistencyError, match=message):
-        C.check_coeffs(2, 2, bad)
+        C.check_coeffs(2, 2, CORRUPTED[message])
 
 
-def test_check_coeffs_raises_on_closed_form_mismatch():
-    c = C.coeffs_bruteforce(3, 2)
-    C.check_coeffs(3, 2, c)
-    wrong = c[:3] + (c[3] + 1,) + c[4:]
-    with pytest.raises(ConsistencyError, match="closed form disagrees"):
-        C.check_coeffs(3, 2, wrong)
+def test_check_coeffs_raises_on_a_structured_vector_that_is_not_c():
+    # palindromic, unimodal and totalling 27 = 3^3, but not c at (3, 2),
+    # which is (1, 3, 6, 7, 6, 3, 1): only the identity at x = 2^B refuses it
+    C.check_coeffs(3, 2, C.coeffs_bruteforce(3, 2))
+    with pytest.raises(ConsistencyError, match=r"c is not \[x\^m\] .* at \(l=3, j=2\)"):
+        C.check_coeffs(3, 2, (1, 3, 5, 9, 5, 3, 1))
+
+
+# every pair within the size cap
+CAP_PAIRS = [
+    (l, j) for l in range(1, C.LJ_CAP + 1) for j in range(1, C.LJ_CAP + 1) if l * j <= C.LJ_CAP
+]
+
+
+def test_check_coeffs_certifies_c_and_refuses_every_unit_change_at_every_pair():
+    assert len(CAP_PAIRS) == 280
+    for l, j in CAP_PAIRS:
+        c = C.coeffs_bruteforce(l, j)
+        C.check_coeffs(l, j, c)
+        for m in range(len(c)):
+            for step in (1, -1):
+                bad = c[:m] + (c[m] + step,) + c[m + 1 :]
+                with pytest.raises(ConsistencyError):
+                    C.check_coeffs(l, j, bad)
+        # a wrong length is refused before any index is read
+        for bad in (c[:-1], c + (0,)):
+            with pytest.raises(ConsistencyError, match=r"c has \d+ entries, not lj \+ 1"):
+                C.check_coeffs(l, j, bad)
 
 
 @pytest.mark.parametrize("l,j", ALL_PAIRS)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import ONE, ZERO, chebyshev_s, sym_prime_power_gauss
-from symmoment import combinatorics
+from symmoment import cli, combinatorics
 from symmoment import euler as E
 from symmoment import hecke as H
 from symmoment import symbolic as S
@@ -147,6 +147,36 @@ def test_symbolic_x1_is_the_decomposition_certificate(monkeypatch, A):
     monkeypatch.setattr(S, "_power_sum", wrong_p1)
     with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=2, j=2\)"):
         E.correction_series_sym(2, 2, A)
+
+
+def patch_top_of_powers(monkeypatch):
+    # every power n >= 2 of a nonconstant polynomial gains 1 at its top
+    # coefficient: a fault in the Z[t] arithmetic that builds the returned
+    # series, which verify_decomposition, evaluating at an integer, never uses
+    real = IntPolynomial.__pow__
+
+    def wrong_pow(self, n):
+        p = real(self, n)
+        if n < 2 or self.degree < 1:
+            return p
+        return IntPolynomial(p.coeffs[:-1] + (p.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(IntPolynomial, "__pow__", wrong_pow)
+
+
+def test_symbolic_x1_term_is_read_where_it_is_returned(monkeypatch):
+    patch_top_of_powers(monkeypatch)
+    S.verify_decomposition(3, 3)  # the certificate alone still passes
+    with pytest.raises(ConsistencyError, match=r"decomposition fails at \(l=3, j=3\)"):
+        E.correction_series_sym(3, 3, 2)
+
+
+def test_symbolic_x1_term_fault_exits_3_through_the_cli(monkeypatch, capsys):
+    patch_top_of_powers(monkeypatch)
+    code = cli.main(["euler", "--l", "3", "--j", "3", "--exact", "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "internal error: decomposition fails at (l=3, j=3)\n"
 
 
 def test_symbolic_x2_values_are_recorded_polynomials():

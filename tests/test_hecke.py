@@ -347,6 +347,23 @@ def test_eigenform_congruence_check_passes(delta_1e6):
     H.EigenformTable(delta_1e6.weight, delta_1e6.limit, delta_1e6.digits)
 
 
+@pytest.mark.parametrize("kind", ["built", "loaded", "hand-made"])
+def test_certified_digits_are_read_only(tmp_path, kind):
+    # a write after the certificate would move raw, lam and the sieve's
+    # inputs without raising; built, loaded and hand-made tables all refuse it
+    built = H.eigenform_qexp(12, 1000)
+    if kind == "built":
+        tab = built
+    elif kind == "loaded":
+        H.save_table(built, str(tmp_path))
+        tab = H.load_table(12, 1000, str(tmp_path))
+    else:
+        tab = H.EigenformTable(12, 1000, built.digits.copy())
+    with pytest.raises(ValueError, match="read-only"):
+        tab.digits[0, 997] += 691
+    assert tab.raw == built.raw
+
+
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
 def test_check_catches_one_changed_coefficient(weight):
     # a(p) for a prime p > N/2 has no other multiple below N, so only an
