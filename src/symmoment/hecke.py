@@ -24,11 +24,12 @@ the integers while the operand passes `_convolve`'s bound (eta^24 for
 N <= 172, eta^12 for N <= 15,253, eta^6 above), so each prime does only
 the squarings left.
 Delta = q eta^24 is the weight-12 table, built on its own CRT primes
-(4 at N = 5000) and certified like every table. A weight above 12 builds
-it first, reads Delta mod p off its digits at each of its own primes (9
-for weight 26 at N = 5000) and makes that prime's one product with
-E_{k-12}. Delta's table is held while the weight's is built, d x (N+1)
-int32 for d primes: 8 rows, 32 MB, at HARD_CAP.
+(4 at N = 5000) and certified like every table. A weight above 12 is
+built on it: each of its own primes (9 for weight 26 at N = 5000) reads
+Delta mod p off Delta's digits and makes one product with E_{k-12}.
+`cached_eigenform` takes Delta from the cache, so a cache builds it once.
+Delta's table is held while the weight's is built, d x (N+1) int32 for d
+primes: 8 rows, 32 MB, at HARD_CAP.
 """
 
 import functools
@@ -316,8 +317,17 @@ class EigenformTable:
         one row per CRT prime and limit + 1 columns, dtype int32, digit i of
         every a(n) lies in [-h, h], h = p_i // 2, column 1 is (1, 0, ..., 0), the
         digits of a(1) = 1, and a(n) = sigma_{k-1}(n) mod m, the modulus in
-        `_WEIGHTS`, at every n, read off the digits; then make them read-only."""
+        `_WEIGHTS`, at every n, read off the digits; then make them read-only,
+        with every array they view. Digits that view memory no array owns (a
+        bytearray, say) could not be made read-only: they raise ValueError,
+        after the gate."""
         primes = crt_primes(self.weight, self.limit)
+        chain = [self.digits]
+        while isinstance(chain[-1].base, np.ndarray):
+            chain.append(chain[-1].base)
+        if chain[-1].base is not None:
+            kind = type(chain[-1].base).__name__
+            raise ValueError(f"digits view a {kind}, which cannot be made read-only")
         want = (len(primes), self.limit + 1)
         if self.digits.shape != want:
             raise ConsistencyError(f"digits have shape {self.digits.shape}, expected {want}")
@@ -336,7 +346,8 @@ class EigenformTable:
         if bad.size:
             n, k = bad[0], self.weight
             raise ConsistencyError(f"a({n}) != sigma_{k - 1}({n}) mod {m} at weight {k}")
-        self.digits.flags.writeable = False
+        for array in chain:
+            array.flags.writeable = False
 
 
 def _lam(form, ns):
@@ -348,35 +359,48 @@ def _lam(form, ns):
 
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
-    """Normalized cusp eigenform of any one-dimensional level-1 weight.
+    """Normalized cusp eigenform of any one-dimensional level-1 weight,
+    built in memory.
 
     Each CRT prime of the weight gives a(0..N) mod p, and Garner turns
     those residues into the table. At weight 12 that is Delta = q eta^24:
     `_eta_exact`'s series squared mod p the times it has left. Above it the
-    gate runs first, then the certified weight-12 table is built, and each
-    prime reads Delta mod p off its digits with `_mod` and makes one product
-    with E_{k-12} mod p.
+    gate runs first, then `_on_delta` builds the weight on Delta's table.
     """
     primes = crt_primes(weight, N)
-    if _WEIGHTS[weight][1] is None:
-        s, left = _eta_exact(N)
+    if _WEIGHTS[weight][1] is not None:
+        return _on_delta(weight, eigenform_qexp(12, N))
+    s, left = _eta_exact(N)
 
-        def form_mod(p):
-            x = s % p
-            for _ in range(left):
-                x = series_mul(x, x, N, p)
-            return x
+    def delta_mod(p):
+        x = s % p
+        for _ in range(left):
+            x = series_mul(x, x, N, p)
+        return x
 
-    else:
-        delta = eigenform_qexp(12, N)
-        delta_primes = crt_primes(12, N)
-        c, r = _WEIGHTS[weight][1]
+    return _tabulate(weight, N, primes, delta_mod)
 
-        def form_mod(p):
-            e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
-            e[0] = 1
-            return series_mul(_mod(delta_primes, delta.digits, p)[1:], e, N, p)
 
+def _on_delta(weight, delta):
+    """The table of a weight above 12 to N = delta.limit, built on Delta's
+    certified table: the gate, then at each of the weight's CRT primes Delta
+    mod p read off Delta's digits with `_mod` and one product with E_{k-12}
+    mod p, then Garner."""
+    N = delta.limit
+    primes = crt_primes(weight, N)
+    delta_primes = crt_primes(12, N)
+    c, r = _WEIGHTS[weight][1]
+
+    def form_mod(p):
+        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
+        e[0] = 1
+        return series_mul(_mod(delta_primes, delta.digits, p)[1:], e, N, p)
+
+    return _tabulate(weight, N, primes, form_mod)
+
+
+def _tabulate(weight, N, primes, form_mod):
+    # form_mod(p) is a(1..N) mod p; Garner takes one prime's residues at a time
     residues = (np.concatenate(([0], form_mod(p))) for p in primes)
     return EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
 
@@ -558,10 +582,16 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:
     """Load from cache when present, else compute and persist; an unusable
-    cache_dir fails before the table is built."""
+    cache_dir fails before the table is built. A weight above 12 is built
+    on Delta from the same cache: loaded when `tau_12_<N>.b32` is there (a
+    file that fails the certificate raises before the weight's table is
+    written), else built and saved."""
     form = load_table(weight, N, cache_dir)
     if form is None:
         os.makedirs(cache_dir, exist_ok=True)
-        form = eigenform_qexp(weight, N)
+        if _WEIGHTS[weight][1] is None:
+            form = eigenform_qexp(weight, N)
+        else:
+            form = _on_delta(weight, cached_eigenform(12, N, cache_dir))
         save_table(form, cache_dir)
     return form

@@ -358,6 +358,29 @@ def test_tau_cache_a_p_plus_one_past_half_of_n_exit_3(capsys, tmp_path):
     assert "a(997) != sigma_25(997) mod 657931" in err
 
 
+@pytest.mark.parametrize("fault", ["digit", "length"])
+def test_tau_higher_weight_on_a_corrupt_delta_exit_3(capsys, tmp_path, fault):
+    # a weight above 12 is built on Delta's cache file; one that fails the
+    # certificate stops the build, and no table of the weight is written
+    primes = hecke.crt_primes(12, 1000)
+    code, _, _ = run(capsys, f"tau --limit 1000 --cache-dir {tmp_path}")
+    assert code == 0
+    delta = tmp_path / "tau_12_1000.b32"
+    body = delta.read_bytes()
+    if fault == "digit":
+        digits = np.frombuffer(body, "<i4").reshape(len(primes), 1001).copy()
+        assert abs(digits[0, 997] + 1) <= primes[0] // 2
+        digits[0, 997] += 1
+        body, message = digits.tobytes(), "a(997) != sigma_11(997) mod 691 at weight 12"
+    else:
+        body, message = body[:-4], "has 12008 bytes, expected 12012"
+    delta.write_bytes(body)
+    code, out, err = run(capsys, f"tau --weight 16 --limit 1000 --cache-dir {tmp_path}")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and message in err
+    assert not (tmp_path / "tau_16_1000.b32").exists()
+
+
 def test_tau_cache_truncated_file_exit_3(capsys, tmp_path):
     code, out, err = corrupt_cache(capsys, tmp_path, lambda body: body[:-4])
     assert code == 3 and out == ""

@@ -302,6 +302,37 @@ def test_series_mul_count_and_the_lifted_delta(monkeypatch):
         assert np.array_equal(H._mod(delta_primes, delta, p), delta_mod(eta6, p)), p
 
 
+@pytest.mark.parametrize("N, squarings", [(5000, 4), (10402, 5)])
+def test_a_cache_builds_delta_once_for_every_weight(tmp_path, monkeypatch, N, squarings):
+    # a weight above 12 takes Delta from the cache, so in any order of the
+    # weights Delta's squarings, one a prime after the exact eta^12, run
+    # once and each higher weight adds one product a prime; at 10402
+    # Delta's primes hold 657931, which weight 26 leaves out. A higher
+    # weight comes first, and weight 12 in the middle is a load
+    order = random.Random(N).sample(H.SUPPORTED_WEIGHTS, len(H.SUPPORTED_WEIGHTS))
+    assert order[0] != 12 != order[-1]
+    delta_primes = H.crt_primes(12, N)
+    if N == 10402:
+        assert 657931 in delta_primes and 657931 not in H.crt_primes(26, N)
+    calls = []
+    real = H.series_mul
+
+    def counting(a, b, n_out, p):
+        calls.append("square" if b is a else "product")
+        return real(a, b, n_out, p)
+
+    monkeypatch.setattr(H, "series_mul", counting)
+    cache = str(tmp_path)
+    forms = {weight: H.cached_eigenform(weight, N, cache) for weight in order}
+    assert calls.count("square") == squarings == len(delta_primes)
+    products = sum(len(H.crt_primes(weight, N)) for weight in H.SUPPORTED_WEIGHTS[1:])
+    assert calls.count("product") == products
+    names = sorted(os.listdir(cache))
+    assert names == sorted(f"tau_{weight}_{N}.b32" for weight in H.SUPPORTED_WEIGHTS)
+    for weight, form in forms.items():
+        assert np.array_equal(form.digits, H.eigenform_qexp(weight, N).digits), weight
+
+
 def test_a_weight_above_12_certifies_its_delta_before_using_it(monkeypatch):
     # one wrong coefficient of the shared eta series makes a(8) of Delta
     # wrong by 2, which the weight-12 certificate sees before any product
@@ -347,10 +378,12 @@ def test_eigenform_congruence_check_passes(delta_1e6):
     H.EigenformTable(delta_1e6.weight, delta_1e6.limit, delta_1e6.digits)
 
 
-@pytest.mark.parametrize("kind", ["built", "loaded", "hand-made"])
+@pytest.mark.parametrize("kind", ["built", "loaded", "hand-made", "hand-made view"])
 def test_certified_digits_are_read_only(tmp_path, kind):
     # a write after the certificate would move raw, lam and the sieve's
-    # inputs without raising; built, loaded and hand-made tables all refuse it
+    # inputs without raising; built, loaded and hand-made tables all refuse
+    # it, through the digits and through every array they view: a table
+    # made on mine[:] once moved by 691 at a(997) when mine was written
     built = H.eigenform_qexp(12, 1000)
     if kind == "built":
         tab = built
@@ -358,10 +391,25 @@ def test_certified_digits_are_read_only(tmp_path, kind):
         H.save_table(built, str(tmp_path))
         tab = H.load_table(12, 1000, str(tmp_path))
     else:
-        tab = H.EigenformTable(12, 1000, built.digits.copy())
-    with pytest.raises(ValueError, match="read-only"):
-        tab.digits[0, 997] += 691
+        mine = built.digits.copy()
+        tab = H.EigenformTable(12, 1000, mine[:] if kind == "hand-made view" else mine)
+    arrays = [tab.digits]
+    while arrays[-1].base is not None:
+        arrays.append(arrays[-1].base)
+    if kind == "hand-made view":
+        assert arrays[-1] is mine
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 997] += 691
     assert tab.raw == built.raw
+
+
+def test_digits_on_memory_no_array_owns_are_refused():
+    # a bytearray under the digits stays writable whatever their flags say
+    digits = H.eigenform_qexp(12, 100).digits
+    shared = np.frombuffer(bytearray(digits.tobytes()), dtype=np.int32).reshape(digits.shape)
+    with pytest.raises(ValueError, match="digits view a memoryview, which cannot be made read-only"):
+        H.EigenformTable(12, 100, shared)
 
 
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
