@@ -8,17 +8,19 @@ usable as regression artifacts. The library returns values and this module
 alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
 `partial-sum` build their JSON document, CSV rows and text lines once, and
 `_emit` prints the one `--format` asks for. `tau` writes its own: its output
-is O(N), and the `tables` benchmark's `cached` jobs time its CSV, which is
-streamed in chunks of rows. A failed certificate raises in the library
-before anything prints, so the verdicts of `coeffs` and `identity` and the
-`improved` column of `exponents` print as the constant True. The
-handlers import what only they run: `exponents`, and with it `fractions`,
-in `cmd_exponents`, `verify_decomposition` in `cmd_identity`, and `hecke`,
-and with it numpy, in `tau`, `partial-sum` and float `euler`, which
-`partial-sum` joins with `sums`. The module itself imports `combinatorics`
-and `euler`, whose order limits the parser reads, and `euler` imports
-`symbolic`. So `coeffs`, `identity` and `euler --exact` load neither numpy
-nor `exponents` nor `fractions`, and no exact command loads `dataclasses`.
+is O(N), and the `tables` benchmark's `cached` jobs time its CSV, which,
+like its text, is streamed in chunks of 65,536 rows, each written by one
+`%`-format over the chunk's flat (n, a(n)) tuple. A failed certificate
+raises in the library before anything prints, so the verdicts of `coeffs`
+and `identity` and the `improved` column of `exponents` print as the
+constant True. The handlers import what only they run: `exponents`, and with
+it `fractions`, in `cmd_exponents`, `verify_decomposition` in
+`cmd_identity`, and `hecke`, and with it numpy, in `tau`, `partial-sum` and
+float `euler`, which `partial-sum` joins with `sums`. The module itself
+imports `combinatorics` and `euler`, whose order limits the parser reads,
+and `euler` imports `symbolic`. So `coeffs`, `identity` and `euler --exact`
+load neither numpy nor `exponents` nor `fractions`, and no exact command
+loads `dataclasses`.
 Exit codes: 0 success, 2 usage or domain error (an unusable --cache-dir, or
 `exponents --table` with --l or --j, or `euler --exact` with --p or
 --weight), 3 internal consistency failure, 4 capacity cap exceeded. Every
@@ -257,20 +259,24 @@ def cmd_euler(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    from itertools import chain
+
     from . import hecke
 
     form = hecke.cached_eigenform(args.weight, args.limit, args.cache_dir)
     if args.format == "json":
         a = [[n, form.raw[n]] for n in range(1, form.limit + 1)]
         print(json.dumps({"weight": form.weight, "limit": form.limit, "a": a}, sort_keys=True))
-    elif args.format == "csv":
+        return 0
+    if args.format == "csv":
         print("n,a_n")
-        for lo in range(1, form.limit + 1, 1 << 16):
-            rows = enumerate(form.raw[lo : lo + (1 << 16)], lo)
-            sys.stdout.write("".join([f"{n},{a}\n" for n, a in rows]))
+        row = "%d,%d\n"
     else:
-        for n in range(1, form.limit + 1):
-            print(f"a({n}) = {form.raw[n]}")
+        row = "a(%d) = %d\n"
+    for lo in range(1, form.limit + 1, 1 << 16):
+        chunk = form.raw[lo : lo + (1 << 16)]
+        cells = chain.from_iterable(zip(range(lo, lo + len(chunk)), chunk))
+        sys.stdout.write(row * len(chunk) % tuple(cells))
     return 0
 
 

@@ -8,7 +8,9 @@ cache file; every table, built, loaded or made by hand, passed the gate
 (`check_table`, run by `crt_primes`) and the certificate (its constructor).
 Integers, and lam(n) = a(n)/n^((k-1)/2), are formed where they are read:
 at the primes, for the symmetric-power values at prime powers and a
-multiplicative sieve over n <= N.
+multiplicative sieve over n <= N. `_combine` forms them, three digits to
+an int64 limb and the limbs joined as Python ints in numpy object arrays,
+one chunk of columns at a time.
 
 The q-expansion is multi-modular. For each of a few primes, below 2^21 and
 small enough for N that exact convolution values stay within 2^50, each
@@ -37,8 +39,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul
 
 import numpy as np
 
@@ -263,10 +263,12 @@ def _mod(primes, digits, q):
 
 
 def _combine(primes, digits):
-    """The integers whose `_garner` digits are the columns of `digits`: three
-    digits to a signed int64 limb, |limb| <= (p_0 p_1 p_2 - 1)/2 < 2^62 for
-    three primes below 2^21, and the limbs combined as Python ints per
-    chunk, each radix the product of its limb's primes."""
+    """The integers whose `_garner` digits are the columns of `digits`, as a
+    list of Python ints: three digits to a signed int64 limb, |limb| <=
+    (p_0 p_1 p_2 - 1)/2 < 2^62 for three primes below 2^21, and the limbs
+    joined per chunk of `_CHUNK` columns in numpy object arrays of Python
+    ints, acc * radix + limb with each radix the product of its limb's
+    primes, which bounds the Python-int temporaries."""
     groups = [(primes[g : g + 3], digits[g : g + 3]) for g in range(0, len(primes), 3)]
     radices = [math.prod(ps) for ps, _ in groups]
     out = []
@@ -277,11 +279,11 @@ def _combine(primes, digits):
             for d, q in zip(reversed(ds[:-1]), reversed(ps[:-1])):
                 limb *= q
                 limb += d[lo : lo + _CHUNK]
-            limbs.append(limb.tolist())
-        acc = limbs[-1]
+            limbs.append(limb)
+        acc = limbs[-1].astype(object)
         for limb, radix in zip(reversed(limbs[:-1]), reversed(radices[:-1])):
-            acc = list(map(add, map(mul, acc, repeat(radix)), limb))
-        out += acc
+            acc = acc * radix + limb
+        out += acc.tolist()
     return out
 
 
@@ -351,11 +353,13 @@ class EigenformTable:
 
 
 def _lam(form, ns):
-    # a(n) / n^((k-1)/2) for each n in ns, as Python float powers: np.power
-    # rounds n**e differently for thousands of n <= 1e5
+    # a(n) / n^((k-1)/2) for each n in ns, ints or an int array, which indexes
+    # the digits as it is; n**e is a Python float power of a Python int:
+    # np.power rounds it differently for thousands of n <= 1e5
     e = (form.weight - 1) / 2
+    ns = np.asarray(ns)
     raw = _combine(crt_primes(form.weight, form.limit), form.digits[:, ns])
-    return [a / n**e for a, n in zip(raw, ns)]
+    return [a / n**e for a, n in zip(raw, ns.tolist())]
 
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
@@ -505,7 +509,7 @@ def _prime_power_values(j, l, N, primes, form):
     The l-th power is then taken at the prime powers, about 9,700 at
     N = 10^5, by Python pow: np.power rounds differently (see `_lam`).
     """
-    t = np.array(_lam(form, primes.tolist()))
+    t = np.array(_lam(form, primes))
     for x in t[~(np.abs(t) <= 2.0)].tolist():
         deligne_t(x)  # raises at the least prime whose t is past the slack
     np.clip(t, -2.0, 2.0, out=t)

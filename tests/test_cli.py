@@ -316,6 +316,22 @@ def test_tau_csv_matches_cache_file(capsys, tmp_path, weight):
     assert code == 0 and err == "" and again == out
 
 
+@pytest.mark.parametrize(
+    "fmt, head, line",
+    [("csv", ["n,a_n"], "{},{}".format), ("text", [], "a({}) = {}".format)],
+    ids=["csv", "text"],
+)
+def test_tau_rows_across_chunk_boundaries(capsys, tmp_path, delta_1e5, fmt, head, line):
+    # tau writes 65,536 rows per chunk, so N = 1e5 takes two, the second
+    # short; the golden records stop at N = 300, inside the first
+    hecke.save_table(delta_1e5, str(tmp_path))
+    code, out, err = run(capsys, f"tau --limit 100000 --cache-dir {tmp_path} --format {fmt}")
+    assert code == 0 and err == ""
+    raw = delta_1e5.raw
+    assert out.splitlines() == head + [line(n, raw[n]) for n in range(1, 100_001)]
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 def corrupt_cache(capsys, tmp_path, edit, limit=1000):
     """Build the weight-12 cache to `limit`, pass its bytes through `edit`,
     and run tau again."""

@@ -150,6 +150,27 @@ def test_digits_mod_against_combine():
                 assert H._mod(primes, digits, q).tolist() == [x % q for x in want], (rows, q)
 
 
+def test_combine_across_chunks_gives_python_ints(monkeypatch):
+    # with 7 columns a chunk, 30 columns take five chunks, the last short;
+    # every item must be a Python int, as `tau --format json` cannot write
+    # a numpy.int64 and Python-int arithmetic is what makes a(n) exact
+    monkeypatch.setattr(H, "_CHUNK", 7)
+    rng = np.random.default_rng(7)
+    for rows in range(4, 18):
+        primes = PRIMES[:rows]
+        h = np.array(primes, dtype=np.int32)[:, None] // 2
+        digits = np.hstack([h, -h, rng.integers(-h, h + 1, (rows, 28), dtype=np.int32)])
+        want = []
+        for column in digits.T.tolist():
+            x = 0
+            for d, p in zip(reversed(column), reversed(primes)):
+                x = x * p + d
+            want.append(x)
+        got = H._combine(primes, digits)
+        assert got == want, rows
+        assert all(type(x) is int for x in got), rows
+
+
 def test_overflow_bounds_of_the_digit_and_divisor_sums():
     # _sigma_mod's int32 sum at n holds at most d(n) residues below
     # PRIME_CEIL, one more at a square, whose d(n) is odd, until its
@@ -503,6 +524,17 @@ def test_normalization():
     for n in (0, -1, 101):
         with pytest.raises(IndexError):
             tab.lam(n)
+
+
+def test_lam_at_the_prime_array_is_bit_identical(delta_1e4):
+    # the sieve passes _lam its int32 prime array; the partial-sum golden
+    # records rest on these floats being raw[p] / p**e in Python arithmetic
+    primes = H.largest_prime_powers(delta_1e4.limit)[1]
+    assert primes.dtype == np.int32 and len(primes) == 1229
+    got = H._lam(delta_1e4, primes)
+    assert all(type(t) is float for t in got)
+    assert got == H._lam(delta_1e4, primes.tolist())
+    assert got == [delta_1e4.raw[p] / p**5.5 for p in primes.tolist()]
 
 
 def test_domain_and_capacity_errors(tmp_path, monkeypatch):
