@@ -16,8 +16,10 @@ The q-expansion is multi-modular. For each of a few primes, below 2^21 and
 small enough for N that exact convolution values stay within 2^50, each
 series product is one numpy float FFT product of balanced int64 residues,
 and Garner's CRT turns the residues into balanced digits, read with no
-offset. The number of primes comes from the Deligne bound, so the digits
-fix the integers exactly.
+offset. Every residue array is reduced by `_rem`, numpy's floor division by
+the scalar modulus, a multiplication by its reciprocal, instead of `%`.
+The number of primes comes from the Deligne bound, so the digits fix the
+integers exactly.
 `_convolve`, the one FFT product, checks its magnitude before the
 transform and its rounding margin after it.
 
@@ -129,10 +131,21 @@ def _fft_size(n):
     return best
 
 
+def _rem(x, p):
+    # x mod p in [0, p), in place, for an integer array x with |x| + p < 2^63
+    # (2^31 for int32), where q p stays in range: numpy's floor division by a
+    # scalar multiplies by a precomputed reciprocal (Granlund and Montgomery,
+    # PLDI 1994), while its % divides each element on its own
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _balanced(x, p):
     # residues in [0, p) to (-p/2, p/2]
     x = np.asarray(x, dtype=np.int64)
-    return np.where(x > p // 2, x - p, x)
+    return x - (x > p // 2) * p
 
 
 def _rounded(x):
@@ -175,15 +188,14 @@ def _convolve(x, y, n_out):
 def series_mul(a, b, n_out, p):
     """Product of power series a*b mod p, truncated to n_out terms.
 
-    a and b hold residues in [0, p), indexed by exponent; each is balanced
-    once, `_convolve` multiplies them and the product is reduced mod p.
+    a and b hold residues in [0, p), indexed by exponent, and are left as
+    they were; each is balanced once into a new array, `_convolve`
+    multiplies them and `_rem` reduces the product mod p in place.
     Returns n_out int64 residues.
     """
     x = _balanced(a[:n_out], p)
     y = x if b is a else _balanced(b[:n_out], p)
-    out = _convolve(x, y, n_out)
-    out %= p
-    return out
+    return _rem(_convolve(x, y, n_out), p)
 
 
 def _eta_exact(n_terms):
@@ -210,26 +222,28 @@ def _eta_exact(n_terms):
 def _sigma_mod(power, n_terms, p):
     """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0), as int32.
 
-    m^power mod p comes by repeated squaring, over one period 0..p-1 tiled
-    when p < n_terms, since it depends only on m mod p. Each m = d*q with
-    d <= q is visited once, from the row of d: one numpy slice step per
-    d <= sqrt(m), adding d^power + q^power (d^power once when q = d). The
-    int32 sum at m holds at most d(m) residues, one more at a square until
-    its correction, and d(m) <= 240 for m <= HARD_CAP (odd, so <= 239, at a
-    square): for p < PRIME_CEIL it stays below 240 * 2^21 < 2^31.
+    m^power mod p comes by repeated squaring, each product reduced by
+    `_rem`, over one period 0..p-1 tiled when p < n_terms, since it depends
+    only on m mod p. Each m = d*q with d <= q is visited once, from the row
+    of d: one numpy slice step per d <= sqrt(m), adding d^power + q^power
+    (d^power once when q = d). The int32 sum at m holds at most d(m)
+    residues, one more at a square until its correction, and d(m) <= 240
+    for m <= HARD_CAP (odd, so <= 239, at a square): for p < PRIME_CEIL it
+    stays below 240 * 2^21 < 2^31 - p, inside `_rem`'s int32 domain, which
+    reduces it in place.
     """
     pw = base = np.arange(min(n_terms, p), dtype=np.int64)
     for bit in bin(power)[3:]:
-        pw = pw * pw % p
+        pw = _rem(pw * pw, p)
         if bit == "1":
-            pw = pw * base % p
+            pw = _rem(pw * base, p)
     pw = np.resize(pw.astype(np.int32), n_terms)
     sig = np.zeros(n_terms, dtype=np.int32)
     for d in range(1, math.isqrt(n_terms - 1) + 1):
         top = (n_terms - 1) // d
         sig[d * d :: d] += pw[d : top + 1] + pw[d]
         sig[d * d] -= pw[d]
-    return sig % p
+    return _rem(sig, p)
 
 
 def _garner(primes, residues, n):
@@ -238,7 +252,9 @@ def _garner(primes, residues, n):
     none of which is modified. Each array becomes a row as it arrives: row i
     of the int32 result lies in [-(p_i-1)/2, (p_i-1)/2], and x = d_0 + p_0
     (d_1 + p_1 (d_2 + ...)), a bijection onto that range, so `_mod` reads
-    x mod any further prime off the rows (Cohen, GTM 138).
+    x mod any further prime off the rows (Cohen, GTM 138). Each row is one
+    shifted reduction, `_rem(v + h, p) - h` with h = p // 2, which for odd p
+    is `_balanced(v % p, p)`.
     """
     digits = np.empty((len(primes), n), dtype=np.int32)
     for i, (p, v) in enumerate(zip(primes, residues)):
@@ -246,7 +262,7 @@ def _garner(primes, residues, n):
             # v = (v - digits so far, evaluated mod p) / (p_0 ... p_{i-1})
             v = v - _mod(primes[:i], digits[:i], p)
             v *= pow(math.prod(primes[:i]), -1, p)
-        digits[i] = _balanced(v % p, p)
+        digits[i] = _rem(v + p // 2, p) - p // 2
     return digits
 
 
@@ -255,11 +271,10 @@ def _mod(primes, digits, q):
     mod q, in [0, q), as one weighted sum: sum_i w_i d_i with w_i = p_0 ...
     p_{i-1} mod q. Every |d_i| is below PRIME_CEIL / 2 = 2^20 and there are
     at most 17 rows (weight 26 at HARD_CAP), so for any q < 2^31 the int64
-    sum stays below 17 * 2^20 * 2^31 < 2^56 in absolute value."""
+    sum stays below 17 * 2^20 * 2^31 < 2^56 in absolute value, well inside
+    the domain of `_rem`, which reduces it in place."""
     w = np.array([math.prod(primes[:i]) % q for i in range(len(primes))], dtype=np.int64)
-    acc = np.einsum("i,ij->j", w, digits, dtype=np.int64)
-    acc %= q
-    return acc
+    return _rem(np.einsum("i,ij->j", w, digits, dtype=np.int64), q)
 
 
 def _combine(primes, digits):
@@ -377,7 +392,7 @@ def eigenform_qexp(weight: int, N: int) -> EigenformTable:
     s, left = _eta_exact(N)
 
     def delta_mod(p):
-        x = s % p
+        x = _rem(s.copy(), p)  # s is shared by every prime
         for _ in range(left):
             x = series_mul(x, x, N, p)
         return x
@@ -396,7 +411,7 @@ def _on_delta(weight, delta):
     c, r = _WEIGHTS[weight][1]
 
     def form_mod(p):
-        e = _sigma_mod(r, N, p).astype(np.int64) * (c % p) % p
+        e = _rem(_sigma_mod(r, N, p).astype(np.int64) * (c % p), p)
         e[0] = 1
         return series_mul(_mod(delta_primes, delta.digits, p)[1:], e, N, p)
 

@@ -14,9 +14,12 @@ method. `write_cache` plants a table on disk without the library's
 writer, as a disk fault would.
 `eigenform_mod` keeps the q-expansion's former per-prime path, eta^6 mod p
 squared twice at every prime, as the reference for the library's shared
-squarings and its lift of Delta from the weight-12 table's primes.
+squarings and its lift of Delta from the weight-12 table's primes; its
+Eisenstein coefficients come from `sigma_exact`, a divisor sieve over
+Python ints reduced mod p afterwards, not from the library's `_sigma_mod`.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,7 +28,6 @@ import numpy as np
 
 from symmoment.hecke import (
     _WEIGHTS,
-    _sigma_mod,
     cache_path,
     crt_primes,
     series_mul,
@@ -121,6 +123,18 @@ def naive_sigma(power, n):
     return sum(d**power + (e**power if e != d else 0) for d, e in pairs)
 
 
+@functools.lru_cache(maxsize=None)
+def sigma_exact(power, n_terms):
+    """sigma_power(m) for m = 0..n_terms-1 (index 0 is 0), exactly, as a
+    read-only numpy object array of Python ints: each d adds d^power at its
+    multiples, d, 2d, ... Cached per (power, n_terms)."""
+    sig = np.zeros(n_terms, dtype=object)
+    for d in range(1, n_terms):
+        sig[d::d] += d**power
+    sig.flags.writeable = False
+    return sig
+
+
 def naive_eisenstein(weight, N):
     if weight == 4:
         mult, power = 240, 3
@@ -160,11 +174,12 @@ def delta_mod(eta6, p):
 
 def eigenform_mod(weight, eta6, p):
     """a(0..N) mod p as `delta_mod` times E_{weight-12} mod p, whose
-    coefficients come from the library's `_sigma_mod`."""
+    coefficients c sigma_r(n) are formed exactly from `sigma_exact` and
+    then reduced mod p."""
     s = delta_mod(eta6, p)
     if _WEIGHTS[weight][1]:
         c, r = _WEIGHTS[weight][1]
-        e = _sigma_mod(r, len(eta6), p).astype(np.int64) * (c % p) % p
+        e = (c * sigma_exact(r, len(eta6)) % p).astype(np.int64)
         e[0] = 1
         s[1:] = series_mul(s[1:], e, len(eta6), p)
     return s

@@ -87,6 +87,81 @@ def test_series_mul_magnitude_bound_raises():
         H.series_mul(a, a, len(a), p)
 
 
+# the moduli `_rem` meets: 3, a congruence modulus m that is prime (691)
+# and two that are composite, the two largest CRT primes, just below
+# PRIME_CEIL, and 2^31 - 1, the largest q `_mod` allows
+REM_MODULI = (3, 691, 174611, 77683, *H.crt_primes(26, 1024)[:2], 2**31 - 1)
+
+
+def rem_cases(p, dtype):
+    """int64 values x in `_rem`'s domain for dtype, |x| + p < 2^(bits-1):
+    zero, both sides of 0, +-p and +-2p, the domain's edges, and random
+    values of every magnitude up to 2^50 (`_convolve`), 2^56 (`_mod`) and
+    the edge."""
+    edge = 2 ** (np.iinfo(dtype).bits - 1) - p - 1
+    fixed = [0, 1, -1, p - 1, p, p + 1, -p + 1, -p, -p - 1, 2 * p, -2 * p, edge, -edge]
+    rng = np.random.default_rng(p)
+    tops = [t for t in (2**20, 2**31, 2**50, 2**56) if t < edge] + [edge]
+    drawn = [rng.integers(-t, t, 200, endpoint=True).tolist() for t in tops]
+    return np.array(sorted({x for x in fixed + sum(drawn, []) if abs(x) <= edge}), dtype=np.int64)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("p", REM_MODULI)
+def test_rem_matches_mod_in_place(p, dtype):
+    x = rem_cases(p, dtype).astype(dtype)
+    # an int32 x mod 2^31 - 1 has only x = 0 in the domain
+    assert 0 in x and (x.min() < 0 or len(x) == 1)
+    want = [v % p for v in x.tolist()]
+    got = H._rem(x, p)
+    assert got is x and got.dtype == dtype
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", REM_MODULI)
+def test_shifted_rem_is_the_balanced_residue(p):
+    # Garner's digit row: one reduction of x + p // 2 instead of % and then
+    # `_balanced`; p is odd, so both land in [-(p-1)/2, (p-1)/2]
+    x = rem_cases(p + p // 2, np.int64)
+    want = H._balanced(x % p, p)
+    assert want.min() == -(p // 2) and want.max() == p // 2
+    assert np.array_equal(H._rem(x + p // 2, p) - p // 2, want)
+
+
+def test_series_mul_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(5)
+    for p in PRIMES[:2] + (691,):
+        a = rng.integers(0, p, 64)
+        b = rng.integers(0, p, 40)
+        a0, b0 = a.copy(), b.copy()
+        H.series_mul(a, b, 80, p)
+        H.series_mul(a, a, 50, p)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def test_two_prime_build_leaves_the_shared_eta_series_unchanged(monkeypatch):
+    # every prime of Delta's table reduces the one exact eta^24 series; a
+    # reduction in place at the first prime would hand the second its
+    # residues instead of the integers
+    N = 100
+    primes = H.crt_primes(12, N)
+    assert len(primes) == 2
+    shared = []
+    real = H._eta_exact
+
+    def recording(n_terms):
+        s, left = real(n_terms)
+        shared.append((s, s.copy(), left))
+        return s, left
+
+    monkeypatch.setattr(H, "_eta_exact", recording)
+    digits = H.eigenform_qexp(12, N).digits
+    [(s, before, left)] = shared
+    assert left == 0 and np.abs(s).max() > primes[0]
+    assert np.array_equal(s, before)
+    assert np.array_equal(digits, digits_of(12, naive_delta(N)))
+
+
 def test_crt_primes_exceed_twice_the_deligne_bound():
     # |a(n)| <= d(n) n^((k-1)/2) and d(n) <= 2 sqrt(n), so |a(n)| <= 2 N^(k/2);
     # the ceiling min(PRIME_CEIL, isqrt(2^52 // N)) first drops below
