@@ -5,7 +5,7 @@ of weights 12, 16, 18, 20, 22, 26, each built as q eta^24 E_{k-12} from
 the sparse eta-cube series and the Eisenstein series in `_WEIGHTS`, the
 one record per weight. A table holds a(n) as CRT digits, the bytes of its
 cache file; every table, built, loaded or made by hand, passed the gate
-(`check_table`, run by `crt_primes`) and the certificate (its constructor).
+(`check_table`, run by `crt_primes`) and the certificate (`_certify`).
 Integers, and lam(n) = a(n)/n^((k-1)/2), are formed where they are read:
 at the primes, for the symmetric-power values at prime powers and a
 multiplicative sieve over n <= N. `_combine` forms them, three digits to
@@ -30,7 +30,10 @@ the squarings left.
 Delta = q eta^24 is the weight-12 table, built on its own CRT primes
 (4 at N = 5000) and certified like every table. A weight above 12 is
 built on it: each of its own primes (9 for weight 26 at N = 5000) reads
-Delta mod p off Delta's digits and makes one product with E_{k-12}.
+Delta mod p off Delta's digits and makes one product with E_{k-12}. The
+divisor steps of E_{k-12}'s sigma_r(n) mod p, about sqrt(N) numpy slice
+steps, run once for a block of its primes (all 9 at N = 5000), not once
+for each, and only the powers they add are formed per prime.
 `cached_eigenform` takes Delta from the cache, so a cache builds it once.
 Delta's table is held while the weight's is built, d x (N+1) int32 for d
 primes: 8 rows, 32 MB, at HARD_CAP.
@@ -82,7 +85,8 @@ PRIME_CEIL = 1 << 21
 
 # a convolution value this far from an integer means the FFT lost exactness
 _ROUND_GUARD = 0.25
-# digits turned into Python ints per pass, which bounds the temporaries
+# digits turned into Python ints per pass, and int32 items in a block of
+# `_sigma_mod` rows, which bounds the temporaries
 _CHUNK = 1 << 16
 
 
@@ -106,7 +110,7 @@ def crt_primes(weight: int, N: int) -> tuple:
     cand = (ceil - 2) | 1  # the largest odd number below ceil
     while prod <= need:
         # a prime dividing the congruence modulus would hide the digits above
-        # it from the certificate in `EigenformTable`'s constructor
+        # it from the table's certificate
         if all(cand % q for q in small) and _WEIGHTS[weight][0] % cand:
             primes.append(cand)
             prod *= cand
@@ -219,31 +223,62 @@ def _eta_exact(n_terms):
     return s, left
 
 
-def _sigma_mod(power, n_terms, p):
-    """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0), as int32.
+def _sigma_mod(power, n_terms, moduli):
+    """sigma_power(m) mod p for m = 0..n_terms-1 (index 0 is 0): one int32
+    row for each modulus p in `moduli`, yielded in order. The domain is
+    moduli below PRIME_CEIL; a modulus near 2^31 would overflow the sums.
 
     m^power mod p comes by repeated squaring, each product reduced by
     `_rem`, over one period 0..p-1 tiled when p < n_terms, since it depends
-    only on m mod p. Each m = d*q with d <= q is visited once, from the row
-    of d: one numpy slice step per d <= sqrt(m), adding d^power + q^power
-    (d^power once when q = d). The int32 sum at m holds at most d(m)
-    residues, one more at a square until its correction, and d(m) <= 240
-    for m <= HARD_CAP (odd, so <= 239, at a square): for p < PRIME_CEIL it
-    stays below 240 * 2^21 < 2^31 - p, inside `_rem`'s int32 domain, which
-    reduces it in place.
+    only on m mod p. The moduli go in blocks of at most max(1, `_CHUNK` //
+    n_terms) rows, each block a (rows x n_terms) int32 array of powers and
+    one of sums, so a block of more than one row holds at most `_CHUNK`
+    items and past n_terms = `_CHUNK` // 2 = 32,768 every block is one row,
+    the memory of one modulus. The divisor steps run once per block: each
+    m = d*q with d <= q is visited once, from the column of d, one numpy
+    slice step per d <= sqrt(m) over every row, adding d^power + q^power
+    (d^power once when q = d). A one-row block, as the certificate's one
+    modulus gives, runs the same steps on its row, a 1-D view, which costs
+    less per step.
+
+    Each row is an int32 sum of its own: at m it holds at most d(m)
+    residues below its modulus p, one more at a square until its
+    correction, and d(m) <= 240 for m <= HARD_CAP (odd, so <= 239, at a
+    square). For p < PRIME_CEIL that stays below 240 * 2^21 < 2^31 - p,
+    inside `_rem`'s int32 domain, which reduces the row in place by p.
     """
-    pw = base = np.arange(min(n_terms, p), dtype=np.int64)
-    for bit in bin(power)[3:]:
-        pw = _rem(pw * pw, p)
-        if bit == "1":
-            pw = _rem(pw * base, p)
-    pw = np.resize(pw.astype(np.int32), n_terms)
-    sig = np.zeros(n_terms, dtype=np.int32)
+    rows = max(1, _CHUNK // n_terms)
+    for lo in range(0, len(moduli), rows):
+        sums = _sigma_block(power, n_terms, moduli[lo : lo + rows])
+        while sums:
+            # handed over, not kept: at one row per block, the caller can
+            # free each row before the next block is formed
+            yield sums.pop(0)
+
+
+def _sigma_block(power, n_terms, block):
+    # `_sigma_mod`'s rows for one block of moduli, each reduced by its own
+    # and a view of one sum array; the powers are freed on return
+    pw = np.empty((len(block), n_terms), dtype=np.int32)
+    for row, p in zip(pw, block):
+        x = base = np.arange(min(n_terms, p), dtype=np.int64)
+        for bit in bin(power)[3:]:
+            x = _rem(x * x, p)
+            if bit == "1":
+                x = _rem(x * base, p)
+        row[: len(x)] = x
+        k = len(x)
+        while k < n_terms:  # the period tiled, doubling each copy
+            row[k : 2 * k] = row[: min(k, n_terms - k)]
+            k *= 2
+    sig = np.zeros_like(pw)
+    # in the transposed views, a slice of columns steps every row at once
+    s, w = (sig[0], pw[0]) if len(block) == 1 else (sig.T, pw.T)
     for d in range(1, math.isqrt(n_terms - 1) + 1):
         top = (n_terms - 1) // d
-        sig[d * d :: d] += pw[d : top + 1] + pw[d]
-        sig[d * d] -= pw[d]
-    return _rem(sig, p)
+        s[d * d :: d] += w[d : top + 1] + w[d]
+        s[d * d] -= w[d]
+    return [_rem(row, p) for row, p in zip(sig, block)]
 
 
 def _garner(primes, residues, n):
@@ -311,7 +346,8 @@ class EigenformTable:
     d_0 + p_0 (d_1 + p_1 (d_2 + ...)), |d_i| <= (p_i-1)/2. The digits are the
     only copy; exact integers are formed where they are read: all of them
     by `raw`, the primes for the sieve, one column by `lam`; the
-    constructor gates (weight, limit) and certifies the digits first.
+    constructor copies the digits it is given, then gates (weight, limit)
+    and certifies them. Built and loaded tables keep the digits they made.
     """
 
     weight: int
@@ -330,21 +366,29 @@ class EigenformTable:
         return _lam(self, (n,))[0]
 
     def __post_init__(self) -> None:
+        """Certify a copy of the digits given, which then no array of the
+        caller's views: see `_certify`."""
+        object.__setattr__(self, "digits", np.array(self.digits))
+        self._certify()
+
+    @classmethod
+    def _own(cls, weight, limit, digits):
+        # the table on digits that nothing else views, certified with no
+        # copy: `_tabulate` and `load_table` hand theirs over this way
+        table = cls.__new__(cls)
+        for name, value in (("weight", weight), ("limit", limit), ("digits", digits)):
+            object.__setattr__(table, name, value)
+        table._certify()
+        return table
+
+    def _certify(self):
         """Raise ConsistencyError unless, in this order, the digit matrix has
         one row per CRT prime and limit + 1 columns, dtype int32, digit i of
         every a(n) lies in [-h, h], h = p_i // 2, column 1 is (1, 0, ..., 0), the
         digits of a(1) = 1, and a(n) = sigma_{k-1}(n) mod m, the modulus in
-        `_WEIGHTS`, at every n, read off the digits; then make them read-only,
-        with every array they view. Digits that view memory no array owns (a
-        bytearray, say) could not be made read-only: they raise ValueError,
-        after the gate."""
+        `_WEIGHTS`, at every n, read off the digits; then make them read-only.
+        They own their memory, so no other array can write them."""
         primes = crt_primes(self.weight, self.limit)
-        chain = [self.digits]
-        while isinstance(chain[-1].base, np.ndarray):
-            chain.append(chain[-1].base)
-        if chain[-1].base is not None:
-            kind = type(chain[-1].base).__name__
-            raise ValueError(f"digits view a {kind}, which cannot be made read-only")
         want = (len(primes), self.limit + 1)
         if self.digits.shape != want:
             raise ConsistencyError(f"digits have shape {self.digits.shape}, expected {want}")
@@ -359,12 +403,12 @@ class EigenformTable:
             raise ConsistencyError("eigenform not normalized: a(1) != 1")
         m = _WEIGHTS[self.weight][0]
         acc = _mod(primes, self.digits, m)
-        bad = np.flatnonzero(acc != _sigma_mod(self.weight - 1, self.limit + 1, m))
+        (sigma,) = _sigma_mod(self.weight - 1, self.limit + 1, (m,))
+        bad = np.flatnonzero(acc != sigma)
         if bad.size:
             n, k = bad[0], self.weight
             raise ConsistencyError(f"a({n}) != sigma_{k - 1}({n}) mod {m} at weight {k}")
-        for array in chain:
-            array.flags.writeable = False
+        self.digits.flags.writeable = False
 
 
 def _lam(form, ns):
@@ -404,14 +448,17 @@ def _on_delta(weight, delta):
     """The table of a weight above 12 to N = delta.limit, built on Delta's
     certified table: the gate, then at each of the weight's CRT primes Delta
     mod p read off Delta's digits with `_mod` and one product with E_{k-12}
-    mod p, then Garner."""
+    mod p, whose sigma rows for every prime come from one `_sigma_mod` call,
+    then Garner."""
     N = delta.limit
     primes = crt_primes(weight, N)
     delta_primes = crt_primes(12, N)
     c, r = _WEIGHTS[weight][1]
+    # row i is for primes[i]; `_tabulate` calls form_mod once per prime, in order
+    sigmas = _sigma_mod(r, N, primes)
 
     def form_mod(p):
-        e = _rem(_sigma_mod(r, N, p).astype(np.int64) * (c % p), p)
+        e = _rem(next(sigmas).astype(np.int64) * (c % p), p)
         e[0] = 1
         return series_mul(_mod(delta_primes, delta.digits, p)[1:], e, N, p)
 
@@ -419,9 +466,10 @@ def _on_delta(weight, delta):
 
 
 def _tabulate(weight, N, primes, form_mod):
-    # form_mod(p) is a(1..N) mod p; Garner takes one prime's residues at a time
+    # form_mod(p) is a(1..N) mod p; Garner takes one prime's residues at a
+    # time, and its digit matrix is the table's, with no copy
     residues = (np.concatenate(([0], form_mod(p))) for p in primes)
-    return EigenformTable(weight=weight, limit=N, digits=_garner(primes, residues, N + 1))
+    return EigenformTable._own(weight, N, _garner(primes, residues, N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -579,24 +627,22 @@ def load_table(weight: int, N: int, cache_dir: str) -> EigenformTable | None:
     """Read a cached table back; None when absent.
 
     `check_table` runs first, inside `crt_primes`. A file whose length is
-    not that of the digit matrix, or whose digits fail the certificate in
-    `EigenformTable`'s constructor, raises ConsistencyError: stale caches
-    are a real failure mode, so they are not silently rebuilt.
+    not that of the digit matrix, or whose digits fail the table's
+    certificate, raises ConsistencyError: stale caches are a real failure
+    mode, so they are not silently rebuilt.
     """
     primes = crt_primes(weight, N)
     path = cache_path(cache_dir, weight, N)
     if not os.path.exists(path):
         return None
-    want = 4 * len(primes) * (N + 1)
+    digits = np.empty((len(primes), N + 1), dtype="<i4")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size != want:
-            raise ConsistencyError(f"cache {path} has {size} bytes, expected {want}")
-        # the file is little-endian; the certificate wants native int32,
-        # which costs a copy only on a big-endian host
-        digits = np.fromfile(fh, dtype="<i4").astype(np.int32, copy=False)
-    digits = digits.reshape(len(primes), N + 1)
-    return EigenformTable(weight=weight, limit=N, digits=digits)
+        if size != digits.nbytes or fh.readinto(digits) != size:
+            raise ConsistencyError(f"cache {path} has {size} bytes, expected {digits.nbytes}")
+    # the file is little-endian; the certificate wants native int32, which
+    # costs a copy only on a big-endian host
+    return EigenformTable._own(weight, N, digits.astype(np.int32, copy=False))
 
 
 def cached_eigenform(weight: int, N: int, cache_dir: str) -> EigenformTable:

@@ -190,11 +190,32 @@ def test_sigma_mod_against_divisor_sums(p):
     edges = [k * p + e for k in (1, 2, 3) for e in (-1, 0, 1)]
     ns = sorted({*range(100), *edges, top - 1, *rng.sample(range(top), 30)})
     for r in (3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 25):
-        full = H._sigma_mod(r, top, p)
+        (full,) = H._sigma_mod(r, top, (p,))
         assert full.dtype == np.int32
         assert full[ns].tolist() == [naive_sigma(r, n) % p for n in ns], r
         for n_terms in sizes[:-1]:
-            assert np.array_equal(H._sigma_mod(r, n_terms, p), full[:n_terms]), (r, n_terms)
+            (short,) = H._sigma_mod(r, n_terms, (p,))
+            assert np.array_equal(short, full[:n_terms]), (r, n_terms)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 3 * 1010])
+def test_sigma_mod_block_rows_match_one_modulus(monkeypatch, chunk):
+    # one call for many moduli runs the divisor steps once per block of
+    # rows; each row must be the one-modulus call's, whatever the other
+    # rows hold: a weight's CRT primes, the six congruence moduli and 1009,
+    # whose powers are tiled at n_terms 1010. With a 3030-item _CHUNK the
+    # 16 moduli take blocks of 3 rows at n_terms 1009 and 1010
+    monkeypatch.setattr(H, "_CHUNK", chunk)
+    p = 1009
+    moduli = H.crt_primes(26, 5000) + tuple(m for m, _ in H._WEIGHTS.values()) + (p,)
+    for r in (3, 11, 13):
+        for n_terms in (1, 2, p - 1, p, p + 1):
+            rows = list(H._sigma_mod(r, n_terms, moduli))
+            assert len(rows) == len(moduli), (r, n_terms)
+            for q, row in zip(moduli, rows):
+                (want,) = H._sigma_mod(r, n_terms, (q,))
+                assert row.dtype == np.int32, (r, n_terms, q)
+                assert np.array_equal(row, want), (r, n_terms, q)
 
 
 def test_digits_mod_against_combine():
@@ -247,17 +268,26 @@ def test_combine_across_chunks_gives_python_ints(monkeypatch):
 
 
 def test_overflow_bounds_of_the_digit_and_divisor_sums():
-    # _sigma_mod's int32 sum at n holds at most d(n) residues below
-    # PRIME_CEIL, one more at a square, whose d(n) is odd, until its
-    # correction; _mod's int64 sum holds at most 17 products of a balanced
-    # digit, below PRIME_CEIL / 2 in absolute value, and a weight below q < 2^31
+    # each row of a _sigma_mod block is an int32 sum on its own: at n it
+    # holds at most d(n) residues below that row's modulus p < PRIME_CEIL,
+    # one more at a square, whose d(n) is odd, until its correction, and
+    # `_rem` wants it below 2^31 - p; a block of more than one row holds at
+    # most _CHUNK items. _mod's int64 sum holds at most 17 products of a
+    # balanced digit, below PRIME_CEIL / 2 in absolute value, and a weight
+    # below q < 2^31
     N = H.HARD_CAP
     d = np.zeros(N + 1, dtype=np.int32)
     for k in range(1, math.isqrt(N) + 1):
         d[k * k :: k] += 2
         d[k * k] -= 1
     assert d.max() == 240 == d[720720] == naive_sigma(0, 720720)
-    assert 240 * H.PRIME_CEIL < 2**31
+    for p in (*H.crt_primes(26, N), *(m for m, _ in H._WEIGHTS.values())):
+        assert p < H.PRIME_CEIL and 240 * (p - 1) < 2**31 - p, p
+    assert 240 * H.PRIME_CEIL < 2**31 - H.PRIME_CEIL
+    for n_terms in (1, 2, 5000, H._CHUNK // 2, H._CHUNK // 2 + 1, N + 1):
+        rows = max(1, H._CHUNK // n_terms)
+        assert rows * n_terms <= H._CHUNK or rows == 1, n_terms
+        assert (rows == 1) == (n_terms > H._CHUNK // 2 == 32768), n_terms
     rows = [len(H.crt_primes(k, n)) for k in H.SUPPORTED_WEIGHTS for n in (1, 1025, 10**5, N)]
     assert max(rows) == len(H.crt_primes(26, N)) == 17
     assert 17 * (H.PRIME_CEIL // 2) * 2**31 < 2**56
@@ -364,6 +394,23 @@ def test_eigenform_digits_match_the_per_prime_path(N):
         primes = H.crt_primes(weight, N)
         want = H._garner(primes, (eigenform_mod(weight, eta6, p) for p in primes), N + 1)
         assert np.array_equal(H.eigenform_qexp(weight, N).digits, want), weight
+
+
+def test_on_delta_with_sigma_rows_in_three_blocks(monkeypatch):
+    # _on_delta takes every sigma row of its primes from one _sigma_mod
+    # call; with _CHUNK cut to rows * N the primes of each weight above 12
+    # (5 to 8 at N = 3000) fall in three blocks, and prime i must still be
+    # handed row i
+    N = 3000
+    eta6 = eta_six(N)
+    delta = H.eigenform_qexp(12, N)
+    for weight in H.SUPPORTED_WEIGHTS[1:]:
+        primes = H.crt_primes(weight, N)
+        rows = -(-len(primes) // 3)
+        assert -(-len(primes) // rows) == 3, weight
+        monkeypatch.setattr(H, "_CHUNK", rows * N)
+        want = H._garner(primes, (eigenform_mod(weight, eta6, p) for p in primes), N + 1)
+        assert np.array_equal(H._on_delta(weight, delta).digits, want), weight
 
 
 def counting_series_mul(monkeypatch):
@@ -474,12 +521,17 @@ def test_eigenform_congruence_check_passes(delta_1e6):
     H.EigenformTable(delta_1e6.weight, delta_1e6.limit, delta_1e6.digits)
 
 
-@pytest.mark.parametrize("kind", ["built", "loaded", "hand-made", "hand-made view"])
+@pytest.mark.parametrize(
+    "kind", ["built", "loaded", "hand-made", "hand-made view", "view made before", "on a bytearray"]
+)
 def test_certified_digits_are_read_only(tmp_path, kind):
     # a write after the certificate would move raw, lam and the sieve's
-    # inputs without raising; built, loaded and hand-made tables all refuse
-    # it, through the digits and through every array they view: a table
-    # made on mine[:] once moved by 691 at a(997) when mine was written
+    # inputs without raising. Built and loaded tables own their digits and
+    # freeze them; a hand-made table certifies and freezes a copy, so the
+    # caller's array stays writable and writing it, or any view of it,
+    # leaves the table as it was. Tables on mine[:] and on mine once moved
+    # by 691 at a(997) when mine, or a view of it made before the
+    # constructor ran, was written; digits on a bytearray were refused
     built = H.eigenform_qexp(12, 1000)
     if kind == "built":
         tab = built
@@ -488,24 +540,18 @@ def test_certified_digits_are_read_only(tmp_path, kind):
         tab = H.load_table(12, 1000, str(tmp_path))
     else:
         mine = built.digits.copy()
+        if kind == "on a bytearray":
+            mine = np.frombuffer(bytearray(mine.tobytes()), dtype=np.int32).reshape(mine.shape)
+        before = mine[:]
         tab = H.EigenformTable(12, 1000, mine[:] if kind == "hand-made view" else mine)
-    arrays = [tab.digits]
-    while arrays[-1].base is not None:
-        arrays.append(arrays[-1].base)
-    if kind == "hand-made view":
-        assert arrays[-1] is mine
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[..., 997] += 691
+        for array in (mine, before if kind == "view made before" else mine):
+            array[0, 997] += 691
+        assert mine[0, 997] == built.digits[0, 997] + 2 * 691
+    assert tab.digits.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        tab.digits[..., 997] += 691
+    assert np.array_equal(tab.digits, built.digits)
     assert tab.raw == built.raw
-
-
-def test_digits_on_memory_no_array_owns_are_refused():
-    # a bytearray under the digits stays writable whatever their flags say
-    digits = H.eigenform_qexp(12, 100).digits
-    shared = np.frombuffer(bytearray(digits.tobytes()), dtype=np.int32).reshape(digits.shape)
-    with pytest.raises(ValueError, match="digits view a memoryview, which cannot be made read-only"):
-        H.EigenformTable(12, 100, shared)
 
 
 @pytest.mark.parametrize("weight", H.SUPPORTED_WEIGHTS)
