@@ -10,7 +10,10 @@ Commands run in-process in one scratch directory. euler, tau and
 partial-sum get `--cache-dir cache` unless they name a cache, so paths in
 messages are relative and do not depend on where the tests run. The
 `--help` records pin the help text of the parser and of each subcommand,
-wrapped at COLUMNS=80.
+wrapped at COLUMNS=80, and the last records pin argparse's usage errors: a
+missing option, a bad int, a bad choice, unrecognized arguments, an unknown
+subcommand and an option before the subcommand, beside two accepted
+spellings, `--l=2` and the abbreviation `--lim`.
 """
 
 import argparse
@@ -100,6 +103,15 @@ exponents --help
 euler --help
 tau --help
 partial-sum --help
+coeffs --l 2
+coeffs --l x --j 2
+coeffs --l 2 --j 2 --format xml
+coeffs --l 2 --j 2 --bogus
+euler --l 2 --j 2 --p 2 --limit 5
+nosuch
+--l 2 coeffs --j 2
+coeffs --l=2 --j=2
+tau --lim 20
 """
 
 # bad/ holds 24 zero bytes, three columns of two digits, where the table to
