@@ -4,7 +4,12 @@ Subcommands map one-to-one onto the library modules, and `main` looks up
 the handler `cmd_<name>` of each at call time, with `-` written as `_`, so
 a wrapper put on a handler after the parser is cached is called; every run
 is deterministic given its flags, so CSV/JSON outputs are byte-stable and
-usable as regression artifacts. The library returns values and this module
+usable as regression artifacts. `main` parses a line that starts with a
+subcommand once, with that subcommand's parser from `subcommand_parsers`, as
+argparse's subparsers action would; an empty line, `-h` alone, an unknown
+subcommand, an option before the subcommand and any line that leaves
+arguments over go to the full parser, so every help text, usage error and
+exit code is argparse's own. The library returns values and this module
 alone turns them into text: `coeffs`, `identity`, `exponents`, `euler` and
 `partial-sum` build their JSON document, CSV rows and text lines once, and
 `_emit` prints the one `--format` asks for. `tau` writes its own: its output
@@ -100,6 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():  # last, so --format ends every usage line
         p.add_argument("--format", choices=FORMATS, default="text")
     return parser
+
+
+@functools.cache
+def subcommand_parsers() -> dict:
+    """The parser of each subcommand of `build_parser()`, by name."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +339,20 @@ def cmd_partial_sum(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line, `sys.argv[1:]` by default, and return its exit code.
+
+    A line that starts with a subcommand is parsed once, by that subcommand's
+    parser, as argparse's subparsers action parses the rest of it. Every other
+    line (an empty one, `-h`, an unknown subcommand, an option before the
+    subcommand) and any line that leaves arguments over is parsed again by the
+    full parser, so help, usage errors and exit codes stay argparse's own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subcommand_parsers().get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, argv)
+    if sub and not rest:
+        args.subcommand = argv[0]
+    else:
+        args = build_parser().parse_args(argv)
     if getattr(args, "cache_dir", "") is None:
         args.cache_dir = os.environ.get("SYMMOMENT_CACHE", "./cache")
     run = globals()["cmd_" + args.subcommand.replace("-", "_")]

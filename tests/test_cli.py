@@ -1,4 +1,3 @@
-import argparse
 import inspect
 import json
 import math
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import digits_of, write_cache
+from test_golden import CASES
 from symmoment import cli, combinatorics, euler, exponents, hecke, sums, symbolic
 from symmoment.errors import ConsistencyError
 
@@ -612,12 +612,51 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+PARSE_CASES = {
+    **{" ".join(argv): argv for argv in CASES.values()},
+    "(empty)": [],
+    "-h": ["-h"],
+    "coeffs -h": ["coeffs", "-h"],
+    "coeffs --l 2 --j 2 -- 7": "coeffs --l 2 --j 2 -- 7".split(),
+}
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        got = ("parsed", parse(argv))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return got + (out, err)
+
+
+@pytest.mark.parametrize("line", sorted(PARSE_CASES))
+def test_main_parses_as_the_full_parser(line, capsys, monkeypatch):
+    # main parses a line by its subcommand's parser alone when it can; what
+    # reaches the handler, or how the parse exits, must be argparse's own
+    argv = PARSE_CASES[line]
+
+    def through_main(argv):
+        seen = []
+
+        def handler(args):
+            seen.append(dict(vars(args)))
+            return 0
+
+        for name in cli.subcommand_parsers():
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), handler)
+        assert cli.main(argv) == 0
+        [args] = seen
+        return args
+
+    want = _parsed(lambda argv: vars(cli.build_parser().parse_args(argv)), argv, capsys)
+    assert _parsed(through_main, argv, capsys) == want
+
+
 def test_every_subcommand_resolves_to_a_module_level_handler():
     # main looks the handler up by name at call time, so a subcommand without
     # one fails here rather than at its first run
-    parser = cli.build_parser()
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name in sub.choices:
+    for name in cli.subcommand_parsers():
         fn = getattr(cli, "cmd_" + name.replace("-", "_"), None)
         assert inspect.isfunction(fn) and fn.__module__ == cli.__name__, name
 

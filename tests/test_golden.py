@@ -16,7 +16,6 @@ subcommand and an option before the subcommand, beside two accepted
 spellings, `--l=2` and the abbreviation `--lim`.
 """
 
-import argparse
 import contextlib
 import io
 import os
@@ -175,14 +174,20 @@ def test_every_golden_file_has_a_command():
 
 def test_every_subcommand_succeeds_in_every_format():
     parser = cli.build_parser()
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     covered = set()
     for name, argv in CASES.items():
         # a help case exits 0 too, but parsing it would print and exit
         if "--help" not in argv and (GOLDEN / f"{name}.txt").read_text().startswith("exit 0\n"):
             args = parser.parse_args(argv)
             covered.add((args.subcommand, args.format))
-    assert covered == {(cmd, fmt) for cmd in sub.choices for fmt in cli.FORMATS}
+    assert covered == {(cmd, fmt) for cmd in cli.subcommand_parsers() for fmt in cli.FORMATS}
+
+
+@pytest.mark.parametrize("name", ["coeffs_l_3_j_2_format_json", "coeffs_l_2_j_2_bogus"])
+def test_console_script_reads_sys_argv(name, workdir):
+    # the installed `symmoment` script calls main() with no argument
+    with mock.patch.object(sys, "argv", ["symmoment", *CASES[name]]):
+        assert record(None, workdir) == (GOLDEN / f"{name}.txt").read_text()
 
 
 if __name__ == "__main__":
