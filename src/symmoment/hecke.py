@@ -37,6 +37,14 @@ for each, and only the powers they add are formed per prime.
 `cached_eigenform` takes Delta from the cache, so a cache builds it once.
 Delta's table is held while the weight's is built, d x (N+1) int32 for d
 primes: 8 rows, 32 MB, at HARD_CAP.
+Nor does the sieve's work that depends on a table's size alone run again
+while the size stays the same: like `crt_primes`, it is memoized per
+process, in read-only arrays, but only for the last size sieved. For the
+last N, `_sieve` keeps `largest_prime_powers` and the cofactors n // P[n]
+(8.3 MB at HARD_CAP); for the last (weight, N), `_prime_norms` keeps the
+norms p^((k-1)/2) at the primes (0.6 MB). Only a process that sieves one
+size again gains, as a loop of partial sums on one table or of commands
+through `cli.main` does; a single command forms each once, as with no memo.
 """
 
 import functools
@@ -363,7 +371,8 @@ class EigenformTable:
         """lam_f(n) = a(n) / n^((weight-1)/2) in double precision, 1 <= n <= limit."""
         if not 1 <= n <= self.limit:
             raise IndexError(f"n={n} outside 1..{self.limit}")
-        return _lam(self, (n,))[0]
+        # int(n): a numpy integer's ** is np.power, which rounds differently
+        return float(_lam(self, (n,), int(n) ** ((self.weight - 1) / 2))[0])
 
     def __post_init__(self) -> None:
         """Certify a copy of the digits given, which then no array of the
@@ -411,14 +420,25 @@ class EigenformTable:
         self.digits.flags.writeable = False
 
 
-def _lam(form, ns):
+def _lam(form, ns, norms):
     # a(n) / n^((k-1)/2) for each n in ns, ints or an int array, which indexes
-    # the digits as it is; n**e is a Python float power of a Python int:
-    # np.power rounds it differently for thousands of n <= 1e5
-    e = (form.weight - 1) / 2
-    ns = np.asarray(ns)
-    raw = _combine(crt_primes(form.weight, form.limit), form.digits[:, ns])
-    return [a / n**e for a, n in zip(raw, ns.tolist())]
+    # the digits as it is, as float64; norms holds each n**e, a Python float
+    # power of a Python int (at weight 12, np.power rounds 505 of the 9,592
+    # primes below 1e5 differently). numpy rounds each a(n) to float as
+    # Python's a / x does, so the quotients are Python's, bit for bit
+    raw = _combine(crt_primes(form.weight, form.limit), form.digits[:, np.asarray(ns)])
+    return np.array(raw, dtype=np.float64) / norms
+
+
+@functools.lru_cache(maxsize=1)
+def _prime_norms(weight, N):
+    """p^((k-1)/2) at the primes p <= N, read-only float64, which `_lam`
+    divides by for the sieve, kept for the last (weight, N): 0.6 MB at
+    HARD_CAP."""
+    e = (weight - 1) / 2
+    norms = np.array([p**e for p in _sieve(N)[1].tolist()])
+    norms.flags.writeable = False
+    return norms
 
 
 def eigenform_qexp(weight: int, N: int) -> EigenformTable:
@@ -524,6 +544,19 @@ def largest_prime_powers(N: int) -> tuple:
     return P, np.concatenate((np.array(small, dtype=np.int32), big))
 
 
+@functools.lru_cache(maxsize=1)
+def _sieve(N):
+    """(P, primes, C), read-only int32, kept for the last N sieved: (P,
+    primes) from `largest_prime_powers` and C[n] = n // P[n] (C[0] = 0),
+    8.3 MB at HARD_CAP."""
+    P, primes = largest_prime_powers(N)
+    C = np.arange(N + 1, dtype=np.int32)
+    C[1:] //= P[1:]
+    for a in (P, primes, C):
+        a.flags.writeable = False
+    return P, primes, C
+
+
 def primes_up_to(N: int) -> list:
     return largest_prime_powers(max(N, 1))[1].tolist()
 
@@ -532,13 +565,14 @@ def sym_coeff_sieve(j: int, form: EigenformTable, l: int = 1) -> np.ndarray:
     """lam_sym^j(n)^l for n = 0..N = form.limit, multiplicatively, as float64
     (index 0 unused).
 
-    With P from `largest_prime_powers` and f from `_prime_power_values`,
-    out[n] = out[n // P[n]] * f[P[n]], where n // P[n] holds only primes
-    below that of P[n]. The blocks [lo, 2 lo) are filled for lo = 2, 4,
-    8, ..., each in one gather: n // P[n] <= n / 2 < lo, so every value it
-    reads is finished. Each product is thus formed from the smallest prime
-    up, ((f(p1^a1) f(p2^a2)) ...), in the order of a factorization loop
-    and with the same floats; at l = 1 the values are that loop's.
+    With P from `largest_prime_powers` and C[n] = n // P[n], both kept by
+    `_sieve`, and f from `_prime_power_values`, out[n] = out[C[n]] *
+    f[P[n]], where C[n] holds only primes below that of P[n]. The blocks
+    [lo, 2 lo) are filled for lo = 2, 4, 8, ..., each in one gather: C[n]
+    <= n / 2 < lo, so every value it reads is finished. Each product is
+    thus formed from the smallest prime up, ((f(p1^a1) f(p2^a2)) ...), in
+    the order of a factorization loop and with the same floats; at l = 1
+    the values are that loop's.
 
     The l-th power is taken at the prime powers, so for n with k distinct
     prime factors the term is k rounded powers times one another, not the
@@ -552,12 +586,12 @@ def sym_coeff_sieve(j: int, form: EigenformTable, l: int = 1) -> np.ndarray:
     """
     check_pair(l, j)
     N = form.limit
-    P, primes = largest_prime_powers(N)
+    P, primes, C = _sieve(N)
     out = _prime_power_values(j, l, N, primes, form)[P]
     lo = 2
     while lo <= N:
         hi = min(2 * lo, N + 1)
-        out[lo:hi] *= out[np.arange(lo, hi, dtype=np.int32) // P[lo:hi]]
+        out[lo:hi] *= out[C[lo:hi]]
         lo *= 2
     return out
 
@@ -572,7 +606,7 @@ def _prime_power_values(j, l, N, primes, form):
     The l-th power is then taken at the prime powers, about 9,700 at
     N = 10^5, by Python pow: np.power rounds differently (see `_lam`).
     """
-    t = np.array(_lam(form, primes))
+    t = _lam(form, primes, _prime_norms(form.weight, N))
     for x in t[~(np.abs(t) <= 2.0)].tolist():
         deligne_t(x)  # raises at the least prime whose t is past the slack
     np.clip(t, -2.0, 2.0, out=t)

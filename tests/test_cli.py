@@ -374,6 +374,20 @@ def test_tau_cache_a_p_plus_one_past_half_of_n_exit_3(capsys, tmp_path):
     assert "a(997) != sigma_25(997) mod 657931" in err
 
 
+def test_euler_trial_division_leaves_the_tables_sieve_in_its_memo(capsys, tmp_path, table):
+    # float euler checks p on the primes to isqrt(p), which come from
+    # largest_prime_powers, not from the sieve's memo: the sieve at N = 1000
+    # stays in it, and a second sieve at 1000 is a hit
+    form = table(1000)
+    hecke.sym_coeff_sieve(2, form)
+    for p in (2, 11, 127):
+        assert run(capsys, f"euler --l 2 --j 2 --p {p} --cache-dir {tmp_path}")[0] == 0
+    before = hecke._sieve.cache_info()
+    hecke.sym_coeff_sieve(2, form)
+    after = hecke._sieve.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 @pytest.mark.parametrize("fault", ["digit", "length"])
 def test_tau_higher_weight_on_a_corrupt_delta_exit_3(capsys, tmp_path, fault):
     # a weight above 12 is built on Delta's cache file; one that fails the

@@ -648,14 +648,21 @@ def test_normalization():
 
 
 def test_lam_at_the_prime_array_is_bit_identical(delta_1e4):
-    # the sieve passes _lam its int32 prime array; the partial-sum golden
-    # records rest on these floats being raw[p] / p**e in Python arithmetic
-    primes = H.largest_prime_powers(delta_1e4.limit)[1]
+    # the sieve passes _lam its int32 prime array and the memoized norms;
+    # the partial-sum golden records rest on these floats being raw[p] / p**e
+    # in Python arithmetic, bit for bit, where |a(p)| reaches 74 bits at
+    # weight 12 and 167 at weight 26, past int64
+    N = delta_1e4.limit
+    primes = H.largest_prime_powers(N)[1]
     assert primes.dtype == np.int32 and len(primes) == 1229
-    got = H._lam(delta_1e4, primes)
-    assert all(type(t) is float for t in got)
-    assert got == H._lam(delta_1e4, primes.tolist())
-    assert got == [delta_1e4.raw[p] / p**5.5 for p in primes.tolist()]
+    for form, e, bits in ((delta_1e4, 5.5, 74), (H.eigenform_qexp(26, N), 12.5, 167)):
+        got = H._lam(form, primes, H._prime_norms(form.weight, N))
+        assert got.dtype == np.float64
+        want = np.array([form.raw[p] / p**e for p in primes.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert max(abs(form.raw[p]) for p in primes.tolist()).bit_length() == bits
+        # lam at a numpy int32 n, as the prime array yields, is the same float
+        assert all(type(form.lam(p)) is float and form.lam(p) == t for p, t in zip(primes, want))
 
 
 def test_domain_and_capacity_errors(tmp_path, monkeypatch):
@@ -894,8 +901,10 @@ def test_sieve_rejects_a_nan_t(table, monkeypatch):
     # certified table holds integers, so the NaN is planted in _lam
     real = H._lam
 
-    def nan_at_5(form, ns):
-        return [math.nan if n == 5 else x for n, x in zip(ns, real(form, ns))]
+    def nan_at_5(form, ns, norms):
+        t = real(form, ns, norms)
+        t[np.asarray(ns) == 5] = math.nan
+        return t
 
     monkeypatch.setattr(H, "_lam", nan_at_5)
     with pytest.raises(ValueError, match="t=nan outside the Deligne interval"):
@@ -936,6 +945,32 @@ def test_largest_prime_powers():
         assert P.dtype == primes.dtype == np.int32, N
         assert P.tolist() == want[: N + 1], N
         assert primes.tolist() == [n for n in range(2, N + 1) if spf[n] == n], N
+
+
+def test_size_memos_are_read_only(table):
+    # every sieve of one size shares these arrays: a write to one would
+    # move the terms of all of them
+    N = 1000
+    H.sym_coeff_sieve(2, table(N))
+    P, primes, C = H._sieve(N)
+    assert np.array_equal(C, np.arange(N + 1) // np.maximum(P, 1))
+    for memo in (P, primes, C, H._prime_norms(12, N)):
+        with pytest.raises(ValueError, match="read-only"):
+            memo[1] += 1
+
+
+def test_size_memos_keep_the_last_size_only():
+    # each holds the arrays of one size, the last sieved: a second sieve of
+    # it is a hit, and a sieve of another size replaces it
+    memos = (H._sieve, H._prime_norms)
+    for N, hit in ((5, None), (5, True), (6, False), (5, False)):
+        before = [memo.cache_info() for memo in memos]
+        H.sym_coeff_sieve(2, H.eigenform_qexp(12, N))
+        for memo, was in zip(memos, before):
+            now = memo.cache_info()
+            assert now.maxsize == now.currsize == 1
+            if hit is not None:
+                assert (now.misses == was.misses) is hit
 
 
 def test_satake_table(delta_1e4):
